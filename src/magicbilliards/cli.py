@@ -31,7 +31,7 @@ from .certificates import (
     UnsupportedParity,
     find_periodic_caustics,
 )
-from .dynamics import BoundaryPhase, MagicKind, TableSpec, trajectory, _propagate
+from .dynamics import BoundaryPhase, MagicKind, TableSpec, trajectory
 from .geometry import (
     CenterDegenerate,
     ConfocalFamily,
@@ -219,15 +219,11 @@ def cmd_simulate(
     _write_atomic(out_csv, "\n".join(rows) + "\n")
 
     if out_svg is not None:
-        hits = []
-        s = s0
-        for _ in range(bounces):
-            hit, _v, _comp = _propagate(table, s)
-            hits.append(hit)
-            s = traj.states[len(hits)]
         _write_atomic(
             out_svg,
-            _render_svg(table, list(traj.states[:-1]), hits, traj.caustic.lam, traj.caustic.kind),
+            _render_svg(
+                table, list(traj.states[:-1]), list(traj.hits), traj.caustic.lam, traj.caustic.kind
+            ),
         )
     return 0
 

@@ -13,6 +13,10 @@ map: one of the four diagonal sign involutions
 The inner wall of an annulus always reflects classically.  Every map
 preserves the confocal caustic of the trajectory, which is the backbone
 invariant the whole package leans on.
+
+``step`` advances one state and is the reference; ``step_batch`` applies
+the same map to N states held in numpy arrays, for callers that bounce
+many seeds together.
 """
 from __future__ import annotations
 
@@ -20,20 +24,20 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .geometry import (
     CausticId,
     ConfocalFamily,
+    GRAZE_RTOL,
     HIT_TMIN_RTOL,
     NoForwardHit,
-    _ray_conic_roots,
+    NotOnConic,
+    _first_hit_time,
     caustic_of_line,
-    classify_caustic,
     normal_at,
 )
 
-# inner-wall discriminant (normalized by alpha**2) below this times a => graze,
-# resolved as a miss so the step map stays total
-GRAZE_RTOL = 1e-12
 # default closure tolerance, times sqrt(a)
 CLOSURE_RTOL = 1e-7
 
@@ -109,9 +113,12 @@ class Crossings:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """States 0..n, plus ``hits[i]``: the wall point of bounce i before magic."""
+
     states: tuple[BoundaryPhase, ...]
     caustic: CausticId
     crossings: Crossings
+    hits: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -145,36 +152,6 @@ def reflect_standard(
     return v_in[0] - 2.0 * d * nx, v_in[1] - 2.0 * d * ny
 
 
-def _first_hit_time(
-    fam: ConfocalFamily,
-    lam: float,
-    p: tuple[float, float],
-    v: tuple[float, float],
-    graze: bool = False,
-) -> float | None:
-    """Smallest admissible time along p + t v to reach C_lam, or None.
-
-    With ``graze=True`` (inner annulus wall) a near-tangent crossing —
-    normalized discriminant disc/alpha² below ``GRAZE_RTOL * a`` — is
-    treated as a miss.
-    """
-    out = _ray_conic_roots(fam, lam, p, v)
-    if out is None:
-        return None
-    alpha, gamma, disc = out
-    if graze and disc / (alpha * alpha) < GRAZE_RTOL * fam.a:
-        return None
-    sq = math.sqrt(disc)
-    q = -(gamma + sq) if gamma >= 0.0 else -(gamma - sq)
-    delta = (gamma * gamma - disc) / alpha
-    roots = [q / alpha]
-    if abs(q) > 1e-300:
-        roots.append(delta / q)
-    tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
-    good = [t for t in roots if t > tmin]
-    return min(good) if good else None
-
-
 def _propagate(
     table: TableSpec, s: BoundaryPhase
 ) -> tuple[tuple[float, float], tuple[float, float], str]:
@@ -205,6 +182,98 @@ def step(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
     if comp == "outer":
         hit, v_out = apply_magic(table.outer_map, hit, v_out)
     return BoundaryPhase(hit, v_out, comp)
+
+
+def _hit_times(
+    fam: ConfocalFamily,
+    walls: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    vx: np.ndarray,
+    vy: np.ndarray,
+) -> np.ndarray:
+    """:func:`geometry._first_hit_time` for N rays against W walls at once.
+
+    ``walls`` is a (W, 1) column of wall parameters: the outer wall 0.0,
+    then, on an annulus, the inner wall, where a graze counts as a miss.
+    Returns the (W, N) hit times, with ``inf`` for a miss.
+    """
+    aa = fam.a - walls
+    bb = fam.b - walls
+    alpha = vx * vx / aa + vy * vy / bb
+    gamma = (x * vx) / aa + (y * vy) / bb
+    delta = x * x / aa + y * y / bb - 1.0
+    disc = gamma * gamma - alpha * delta
+    hit = disc >= 0.0
+    if len(walls) > 1:
+        hit[1:] &= disc[1:] / (alpha[1:] * alpha[1:]) >= GRAZE_RTOL * fam.a
+    q = -(gamma + np.copysign(np.sqrt(np.maximum(disc, 0.0)), gamma))
+    delta = (gamma * gamma - disc) / alpha
+    t1 = q / alpha
+    t2 = np.divide(delta, q, out=np.full_like(q, -np.inf), where=np.abs(q) > 1e-300)
+    tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
+    t = np.minimum(np.where(t1 > tmin, t1, np.inf), np.where(t2 > tmin, t2, np.inf))
+    return np.where(hit, t, np.inf)
+
+
+def step_batch(
+    table: TableSpec,
+    x: np.ndarray,
+    y: np.ndarray,
+    vx: np.ndarray,
+    vy: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One bounce of N states at once: :func:`step` on arrays of shape (N,).
+
+    Takes impact points and outgoing unit velocities and returns the next
+    ``(x, y, vx, vy, inner)``, where ``inner`` marks the states now on
+    the inner wall.  Like ``step`` it does not need the current wall.
+    It keeps every check of the scalar step, in its operation order: the
+    ``HIT_TMIN_RTOL`` advance, a graze of the inner wall counted as a
+    miss, NoForwardHit when any ray leaves the table, and NotOnConic
+    when any hit misses its wall by more than 1e-8.  The scalar ``step``
+    stays the reference; the two agree seed by seed to roundoff.
+    """
+    fam = table.fam
+    if table.inner_lam is None:
+        t = _hit_times(fam, np.zeros((1, 1)), x, y, vx, vy)[0]
+        inner = np.zeros(t.shape, dtype=bool)
+        lam = 0.0
+    else:
+        t, t_in = _hit_times(fam, np.array([[0.0], [table.inner_lam]]), x, y, vx, vy)
+        inner = t_in < t
+        t = np.where(inner, t_in, t)
+        lam = np.where(inner, table.inner_lam, 0.0)
+    lost = ~np.isfinite(t)
+    if lost.any():
+        k = int(np.argmax(lost))
+        raise NoForwardHit(
+            f"ray from {(float(x[k]), float(y[k]))} along "
+            f"{(float(vx[k]), float(vy[k]))} leaves the table"
+        )
+    hx = x + t * vx
+    hy = y + t * vy
+    # reflect_standard and its normal_at, on every hit at once
+    aa = fam.a - lam
+    bb = fam.b - lam
+    off = np.abs(hx * hx / aa + hy * hy / bb - 1.0) > 1e-8
+    if off.any():
+        k = int(np.argmax(off))
+        raise NotOnConic(f"{(float(hx[k]), float(hy[k]))} is not on its wall")
+    gx = hx / aa
+    gy = hy / bb
+    h = np.hypot(gx, gy)
+    nx = -gx / h
+    ny = -gy / h
+    d = vx * nx + vy * ny
+    ux = vx - 2.0 * d * nx
+    uy = vy - 2.0 * d * ny
+    if table.outer_map is not MagicKind.IDENTITY:
+        sx, sy = table.outer_map.signs
+        mx = np.where(inner, 1.0, sx)
+        my = np.where(inner, 1.0, sy)
+        hx, hy, ux, uy = mx * hx, my * hy, mx * ux, my * uy
+    return hx, hy, ux, uy, inner
 
 
 def step_inverse(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
@@ -248,10 +317,12 @@ def trajectory(table: TableSpec, s0: BoundaryPhase, n: int) -> Trajectory:
         raise ValueError("need n >= 1")
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
     states = [s0]
+    hits = []
     long_c = short_c = flips = 0
     s = s0
     for _ in range(n):
         hit, v_out, comp = _propagate(table, s)
+        hits.append(hit)
         dl, ds = _axis_crossings(s.at, hit)
         long_c += dl
         short_c += ds
@@ -261,7 +332,9 @@ def trajectory(table: TableSpec, s0: BoundaryPhase, n: int) -> Trajectory:
             hit, v_out = apply_magic(table.outer_map, hit, v_out)
         s = BoundaryPhase(hit, v_out, comp)
         states.append(s)
-    return Trajectory(tuple(states), caustic, Crossings(long_c, short_c, flips))
+    return Trajectory(
+        tuple(states), caustic, Crossings(long_c, short_c, flips), tuple(hits)
+    )
 
 
 def phase_distance(fam: ConfocalFamily, s1: BoundaryPhase, s2: BoundaryPhase) -> float:

@@ -27,6 +27,9 @@ DEGENERATE_RTOL = 1e-9
 VERTICAL_VX = 1e-10
 # minimum advance (times sqrt(a)) for a ray to leave its current wall point
 HIT_TMIN_RTOL = 1e-10
+# inner-wall discriminant (normalized by alpha**2) below this times a => graze,
+# resolved as a miss so the step map stays total
+GRAZE_RTOL = 1e-12
 
 
 class CenterDegenerate(ValueError):
@@ -205,6 +208,40 @@ def _ray_conic_roots(
     return alpha, gamma, disc
 
 
+def _first_hit_time(
+    fam: ConfocalFamily,
+    lam: float,
+    p: tuple[float, float],
+    v: tuple[float, float],
+    graze: bool = False,
+) -> float | None:
+    """Smallest admissible time along p + t v to reach C_lam, or None.
+
+    Admissible means beyond ``t_min = HIT_TMIN_RTOL * sqrt(a)``, which lets
+    a ray leave the wall point it currently sits on.  The quadratic is
+    solved in the cancellation-safe form t = q/alpha, delta/q.  With
+    ``graze=True`` (inner annulus wall) a near-tangent crossing —
+    normalized discriminant disc/alpha² below ``GRAZE_RTOL * a`` — is
+    treated as a miss.
+    """
+    out = _ray_conic_roots(fam, lam, p, v)
+    if out is None:
+        return None
+    alpha, gamma, disc = out
+    if graze and disc / (alpha * alpha) < GRAZE_RTOL * fam.a:
+        return None
+    sq = math.sqrt(disc)
+    q = -(gamma + sq) if gamma >= 0.0 else -(gamma - sq)
+    # roots: q/alpha and delta/q; recover delta from disc to avoid recompute
+    delta = (gamma * gamma - disc) / alpha
+    roots = [q / alpha]
+    if abs(q) > 1e-300:
+        roots.append(delta / q)
+    tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
+    good = [t for t in roots if t > tmin]
+    return min(good) if good else None
+
+
 def ray_boundary_hit(
     fam: ConfocalFamily,
     lam: float,
@@ -213,34 +250,14 @@ def ray_boundary_hit(
 ) -> tuple[float, float]:
     """First forward intersection of the ray p + t v (t > t_min) with C_lam.
 
-    ``t_min = HIT_TMIN_RTOL * sqrt(a)`` lets a ray leave the wall point it
-    currently sits on.  The quadratic is solved in the cancellation-safe
-    form t = q/alpha, delta·.../q.
-
     Raises
     ------
     NoForwardHit
         when the ray misses the conic or only touches it behind t_min.
     """
-    out = _ray_conic_roots(fam, lam, p, v)
-    if out is None:
-        raise NoForwardHit(f"ray from {p} along {v} misses C_{lam}")
-    alpha, gamma, disc = out
-    sq = math.sqrt(disc)
-    if gamma >= 0.0:
-        q = -(gamma + sq)
-    else:
-        q = -(gamma - sq)
-    # roots: q/alpha and delta/q; recover delta from disc to avoid recompute
-    delta = (gamma * gamma - disc) / alpha
-    roots = [q / alpha]
-    if abs(q) > 1e-300:
-        roots.append(delta / q)
-    tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
-    good = sorted(t for t in roots if t > tmin)
-    if not good:
-        raise NoForwardHit(f"no admissible forward root for ray from {p} along {v}")
-    t = good[0]
+    t = _first_hit_time(fam, lam, p, v)
+    if t is None:
+        raise NoForwardHit(f"ray from {p} along {v} has no forward hit on C_{lam}")
     return p[0] + t * v[0], p[1] + t * v[1]
 
 

@@ -17,17 +17,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import (
     BoundaryPhase,
     MagicKind,
     TableSpec,
     _propagate,
-    apply_magic,
     phase_distance,
     step,
+    step_batch,
     step_inverse,
 )
-from .geometry import ConfocalFamily, _ray_conic_roots, tangent_directions
+from .geometry import ConfocalFamily, tangent_directions
 
 # sliding-window length (in segments) and minimum swept angle for a
 # winding label; windows sweeping less stay Indeterminate
@@ -157,91 +159,94 @@ def _tangent_seeds(table: TableSpec, beta: float, samples: int) -> list[Boundary
 # regular levels
 
 
-def _wrap(d: float) -> float:
-    while d > math.pi:
-        d -= 2.0 * math.pi
-    while d < -math.pi:
-        d += 2.0 * math.pi
-    return d
+_WINDING_LABELS = ("CCW", "CW")
+# vertical direction, hyperbola branch, long-axis side
+_HYPERBOLA_LABELS = tuple(ud + lr + side for ud in "UD" for lr in "RL" for side in "TBX")
 
 
-def _winding_signature(table: TableSpec, s0: BoundaryPhase, steps: int) -> set[str]:
-    """Winding labels {CW, CCW} observed along one ellipse-caustic trajectory.
-
-    The polar angle of the impact points is accumulated over sliding
-    windows of WINDING_WINDOW segments; a window sweeping less than
-    WINDING_MIN_SWEEP is indeterminate and contributes no label.
-    """
-    inc: list[float] = []
-    prev = math.atan2(s0.at[1], s0.at[0])
-    s = s0
-    for _ in range(steps):
-        s = step(table, s)
-        th = math.atan2(s.at[1], s.at[0])
-        inc.append(_wrap(th - prev))
-        prev = th
-    labels: set[str] = set()
-    acc = 0.0
-    for i, d in enumerate(inc):
-        acc += d
-        if i >= WINDING_WINDOW:
-            acc -= inc[i - WINDING_WINDOW]
-            if acc > WINDING_MIN_SWEEP:
-                labels.add("CCW")
-            elif acc < -WINDING_MIN_SWEEP:
-                labels.add("CW")
-    return labels
-
-
-def _hyperbola_label(
+def _hyperbola_labels(
     fam: ConfocalFamily,
     beta: float,
-    p: tuple[float, float],
-    v: tuple[float, float],
-    q: tuple[float, float],
-) -> str | None:
-    """Label of one segment tangent to a hyperbola caustic, or None.
+    x: np.ndarray,
+    y: np.ndarray,
+    vx: np.ndarray,
+    vy: np.ndarray,
+    qy: np.ndarray,
+) -> np.ndarray:
+    """Index into _HYPERBOLA_LABELS of each segment tangent to C_beta, or -1.
 
-    Combines the vertical direction (U/D), the branch touched (L/R, by
-    the sign of the tangency point's x), and the long-axis side of the
-    segment (T/B, or X when the segment crosses the axis).
+    A segment runs from (x, y) along (vx, vy) to a wall point at height
+    qy (before magic).  Its label combines the vertical direction (U/D),
+    the branch touched (R/L, by the sign of the tangency point's x), and
+    the long-axis side of the segment (T/B, or X when it crosses the
+    axis).  Near-horizontal segments, tangency points near the short
+    axis, and segments touching the long axis get no label.
+
+    The tangency point is the vertex t = −gamma/alpha of the quadratic
+    for the segment's line meeting C_beta.  That quadratic's discriminant
+    is zero in exact arithmetic, so its computed sign is roundoff and is
+    not consulted.
     """
-    if abs(v[1]) < 1e-9:
-        return None
-    ud = "U" if v[1] > 0.0 else "D"
-    roots = _ray_conic_roots(fam, beta, p, v)
-    if roots is None:
-        return None
-    alpha, gamma, _ = roots
-    xstar = p[0] - (gamma / alpha) * v[0]
-    if abs(xstar) < 1e-9:
-        return None
-    lr = "R" if xstar > 0.0 else "L"
-    if p[1] > 0.0 and q[1] > 0.0:
-        side = "T"
-    elif p[1] < 0.0 and q[1] < 0.0:
-        side = "B"
-    elif p[1] * q[1] < 0.0:
-        side = "X"
-    else:
-        return None
-    return ud + lr + side
+    aa = fam.a - beta
+    bb = fam.b - beta
+    alpha = vx * vx / aa + vy * vy / bb
+    gamma = (x * vx) / aa + (y * vy) / bb
+    xstar = x - (gamma / alpha) * vx
+    top = (y > 0.0) & (qy > 0.0)
+    bottom = (y < 0.0) & (qy < 0.0)
+    cross = y * qy < 0.0
+    side = np.where(top, 0, np.where(bottom, 1, 2))
+    code = np.where(vy > 0.0, 0, 6) + np.where(xstar > 0.0, 0, 3) + side
+    labelled = (np.abs(vy) >= 1e-9) & (np.abs(xstar) >= 1e-9) & (top | bottom | cross)
+    return np.where(labelled, code, -1)
 
 
-def _hyperbola_signature(
-    table: TableSpec, s0: BoundaryPhase, steps: int, beta: float
-) -> set[str]:
-    labels: set[str] = set()
-    s = s0
-    for _ in range(steps):
-        hit, v_out, comp = _propagate(table, s)
-        lab = _hyperbola_label(table.fam, beta, s.at, s.v, hit)
-        if lab is not None:
-            labels.add(lab)
-        if comp == "outer":
-            hit, v_out = apply_magic(table.outer_map, hit, v_out)
-        s = BoundaryPhase(hit, v_out, comp)
-    return labels
+def _level_signatures(
+    table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps: int
+) -> list[set[str]]:
+    """Labels observed along each seed's trajectory, all seeds stepped together.
+
+    Ellipse caustics get winding labels {CW, CCW}: the polar angle of the
+    impact points is summed over sliding windows of WINDING_WINDOW
+    segments, kept as a ring buffer of the last increments; a window
+    sweeping less than WINDING_MIN_SWEEP is indeterminate and contributes
+    no label.  Hyperbola caustics get the segment labels of
+    :func:`_hyperbola_labels`.
+    """
+    fam = table.fam
+    n = len(seeds)
+    x, y, vx, vy = (np.array(c, dtype=float) for c in zip(*(s.at + s.v for s in seeds)))
+    winding = beta < fam.b
+    names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
+    seen = np.zeros((n, len(names)), dtype=bool)
+    rows = np.arange(n)
+    ring = np.zeros((WINDING_WINDOW, n))
+    acc = np.zeros(n)
+    prev = np.arctan2(y, x)
+    sy = table.outer_map.signs[1]
+    for i in range(steps):
+        x1, y1, vx1, vy1, inner = step_batch(table, x, y, vx, vy)
+        if winding:
+            th = np.arctan2(y1, x1)
+            d = th - prev
+            d = np.where(d > math.pi, d - 2.0 * math.pi, d)
+            d = np.where(d < -math.pi, d + 2.0 * math.pi, d)
+            prev = th
+            acc += d
+            k = i % WINDING_WINDOW
+            if i >= WINDING_WINDOW:
+                acc -= ring[k]
+                seen[:, 0] |= acc > WINDING_MIN_SWEEP
+                seen[:, 1] |= acc < -WINDING_MIN_SWEEP
+            ring[k] = d
+        else:
+            # the wall point before magic, from the one after it
+            qy = np.where(inner, y1, sy * y1)
+            code = _hyperbola_labels(fam, beta, x, y, vx, vy, qy)
+            hit = code >= 0
+            seen[rows[hit], code[hit]] = True
+        x, y, vx, vy = x1, y1, vx1, vy1
+    return [{names[j] for j in np.flatnonzero(row)} for row in seen]
 
 
 def _merge_count(signatures: list[set[str]]) -> tuple[int, list[tuple[str, str]]]:
@@ -277,10 +282,11 @@ def classify_level(
 ) -> LevelSetReport:
     """Number of connected components of the regular level at caustic beta.
 
-    Seeds ``samples`` tangent phases, simulates ``steps`` bounces each,
-    and merges the discrete labels observed on a common trajectory; the
-    component count is the number of remaining label classes (1 when
-    every trajectory stays indeterminate).
+    Seeds ``samples`` tangent phases, simulates ``steps`` bounces of all
+    of them together with :func:`step_batch`, and merges the discrete
+    labels observed on a common trajectory; the component count is the
+    number of remaining label classes (1 when every trajectory stays
+    indeterminate).
     """
     fam = table.fam
     if samples < 16:
@@ -296,12 +302,7 @@ def classify_level(
         )
     kind = "ellipse" if beta < fam.b else "hyperbola"
     seeds = _tangent_seeds(table, beta, samples)
-    signatures = []
-    for s0 in seeds:
-        if kind == "ellipse":
-            signatures.append(_winding_signature(table, s0, steps))
-        else:
-            signatures.append(_hyperbola_signature(table, s0, steps, beta))
+    signatures = _level_signatures(table, beta, seeds, steps) if seeds else []
     count, evidence = _merge_count([sig for sig in signatures if sig])
     return LevelSetReport(beta, kind, count, len(seeds), tuple(evidence))
 

@@ -1,6 +1,7 @@
 """Magic billiard map tests: reflection, magic maps, closure, bookkeeping."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ from magicbilliards import (
     BoundaryPhase,
     ConfocalFamily,
     MagicKind,
+    NoForwardHit,
     TableSpec,
     apply_magic,
     caustic_of_line,
@@ -16,9 +18,12 @@ from magicbilliards import (
     phase_at,
     phase_distance,
     step,
+    step_batch,
     step_inverse,
+    tangent_directions,
     trajectory,
 )
+from magicbilliards.geometry import _first_hit_time
 
 FAM = ConfocalFamily(9.0, 4.0)
 ELL = {k: TableSpec(FAM, k) for k in MagicKind}
@@ -156,8 +161,6 @@ def test_annulus_inner_wall_is_reached():
 
 def test_annulus_ellipse_caustic_ignores_inner_wall():
     """Chords tangent to C_beta with beta < inner_lam never reach the inner wall."""
-    from magicbilliards import tangent_directions
-
     table = ANN[MagicKind.HALF_TURN]
     ell = ELL[MagicKind.HALF_TURN]
     p = FAM.boundary_point(0.9)
@@ -181,11 +184,100 @@ def test_closure_defect_at_exact_period():
 def test_detect_closure_winding():
     # a 4-periodic orbit of the plain billiard with an ellipse caustic
     beta = 36.0 / 13.0
-    from magicbilliards import tangent_directions
-
     p = FAM.boundary_point(0.9)
     for v in tangent_directions(FAM, beta, p):
         rep = detect_closure(ELL[MagicKind.IDENTITY], BoundaryPhase(p, v), 8, tol=1e-5)
         assert rep is not None
         assert rep.period == 4
         assert rep.winding in (1, -1)
+
+
+def test_trajectory_keeps_pre_magic_hits():
+    for table in (ELL[MagicKind.FLIP_LONG], ANN[MagicKind.HALF_TURN]):
+        traj = trajectory(table, phase_at(table, 1.45, (-0.05, -0.999)), 40)
+        assert len(traj.hits) == 40
+        for hit, s in zip(traj.hits, traj.states[1:]):
+            if s.component == "outer":
+                assert apply_magic(table.outer_map, hit, s.v)[0] == s.at
+            else:
+                assert hit == s.at
+
+
+# ---------------------------------------------------------------------------
+# the batched step against the scalar reference
+
+
+def _arrays(states):
+    return tuple(np.array(c) for c in zip(*(s.at + s.v for s in states)))
+
+
+def _assert_batch_matches(table, states, out):
+    x, y, vx, vy, inner = out
+    for i, s in enumerate(states):
+        ref = step(table, s)
+        assert ref.component == ("inner" if inner[i] else "outer")
+        got = (x[i], y[i], vx[i], vy[i])
+        assert max(abs(g - r) for g, r in zip(got, ref.at + ref.v)) <= 1e-12
+
+
+@given(
+    kind=st.sampled_from(list(MagicKind)),
+    a=st.floats(1.0, 20.0),
+    ratio=st.floats(0.15, 0.85),
+    wall=st.one_of(st.none(), st.floats(0.2, 0.9)),
+    starts=st.lists(
+        st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-1.4, 1.4), st.integers(0, 3)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_step_batch_matches_step(kind, a, ratio, wall, starts):
+    fam = ConfocalFamily(a, a * ratio)
+    table = TableSpec(fam, kind, None if wall is None else wall * fam.b)
+    states = []
+    for t, psi, advance in starts:
+        # a boundary point, aimed psi off the inward normal, then a few
+        # scalar steps so that inner-wall states are covered too
+        p = fam.boundary_point(t)
+        nx, ny = -p[0] / fam.a, -p[1] / fam.b
+        h = math.hypot(nx, ny)
+        c, s = math.cos(psi), math.sin(psi)
+        state = BoundaryPhase(p, ((c * nx - s * ny) / h, (s * nx + c * ny) / h))
+        for _ in range(advance):
+            state = step(table, state)
+        states.append(state)
+    _assert_batch_matches(table, states, step_batch(table, *_arrays(states)))
+
+
+@pytest.mark.parametrize("kind", list(MagicKind))
+def test_inner_wall_graze_is_a_miss_on_both_paths(kind):
+    table = ANN[kind]
+    p = FAM.boundary_point(1.1)
+    states = []
+    for v in tangent_directions(FAM, table.inner_lam, p):
+        # tangent rays turned by 1e-13 rad: the one turned toward the wall
+        # crosses it, with a discriminant inside the graze band
+        ang = math.atan2(v[1], v[0])
+        for turn in (1e-13, -1e-13):
+            w = (math.cos(ang + turn), math.sin(ang + turn))
+            if _first_hit_time(FAM, table.inner_lam, p, w) is not None:
+                assert _first_hit_time(FAM, table.inner_lam, p, w, graze=True) is None
+                states.append(BoundaryPhase(p, w))
+    assert len(states) == 2
+    out = step_batch(table, *_arrays(states))
+    assert not out[4].any()
+    _assert_batch_matches(table, states, out)
+
+
+@pytest.mark.parametrize("table", [ELL[MagicKind.FLIP_LONG], ANN[MagicKind.HALF_TURN]])
+def test_ray_leaving_table_raises_on_both_paths(table):
+    good = phase_at(table, 0.4, (-0.6, -0.8))
+    p = FAM.boundary_point(2.0)
+    h = math.hypot(p[0] / FAM.a, p[1] / FAM.b)
+    bad = BoundaryPhase(p, (p[0] / FAM.a / h, p[1] / FAM.b / h))  # outward normal
+    with pytest.raises(NoForwardHit):
+        step(table, bad)
+    with pytest.raises(NoForwardHit):
+        step_batch(table, *_arrays([good, bad]))
+    step_batch(table, *_arrays([good]))  # the good state alone steps fine

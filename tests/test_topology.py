@@ -1,10 +1,13 @@
 """Level-set classification tests: component counts, singular levels, graphs."""
 import json
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from magicbilliards import (
+    BoundaryPhase,
     ConfocalFamily,
     DegenerateLevel,
     MagicKind,
@@ -14,8 +17,17 @@ from magicbilliards import (
     fomenko_graph,
     singular_level_report,
 )
+from magicbilliards.dynamics import _propagate, apply_magic, step
 from magicbilliards.geometry import caustic_of_line
-from magicbilliards.topology import _tangent_seeds
+from magicbilliards.topology import (
+    WINDING_MIN_SWEEP,
+    WINDING_WINDOW,
+    _HYPERBOLA_LABELS,
+    _hyperbola_labels,
+    _level_signatures,
+    _merge_count,
+    _tangent_seeds,
+)
 
 FAM = ConfocalFamily(9.0, 4.0)
 ELL = {k: TableSpec(FAM, k) for k in MagicKind}
@@ -125,6 +137,112 @@ def test_seeds_cover_boundary_and_branches():
         for s in seeds:
             m = caustic_of_line(table.fam, s.at, s.v)
             assert m.lam == pytest.approx(beta, abs=1e-8)
+
+
+def _segments(table, s0, steps):
+    """(x, y, vx, vy, hit y before magic) of each scalar segment from s0."""
+    rows = []
+    s = s0
+    for _ in range(steps):
+        hit, v_out, comp = _propagate(table, s)
+        rows.append(s.at + s.v + (hit[1],))
+        if comp == "outer":
+            hit, v_out = apply_magic(table.outer_map, hit, v_out)
+        s = BoundaryPhase(hit, v_out, comp)
+    return rows
+
+
+def _tangency_x(fam, beta, x, y, vx, vy):
+    # the stationary point of x²/(a−β) + y²/(b−β) along the line, which is
+    # the tangency point when the line is tangent to C_β
+    aa, bb = fam.a - beta, fam.b - beta
+    return x - ((x * vx / aa + y * vy / bb) / (vx * vx / aa + vy * vy / bb)) * vx
+
+
+def _scalar_label(fam, beta, x, y, vx, vy, qy):
+    xstar = _tangency_x(fam, beta, x, y, vx, vy)
+    if abs(vy) < 1e-9 or abs(xstar) < 1e-9:
+        return None
+    if y > 0.0 and qy > 0.0:
+        side = "T"
+    elif y < 0.0 and qy < 0.0:
+        side = "B"
+    elif y * qy < 0.0:
+        side = "X"
+    else:
+        return None
+    return ("U" if vy > 0.0 else "D") + ("R" if xstar > 0.0 else "L") + side
+
+
+def _scalar_signature(table, beta, s0, steps):
+    """Labels of one trajectory, bounced with the scalar step."""
+    fam = table.fam
+    if beta > fam.b:
+        labels = {_scalar_label(fam, beta, *row) for row in _segments(table, s0, steps)}
+        return labels - {None}
+    labels = set()
+    inc = []
+    acc = 0.0
+    prev = math.atan2(s0.at[1], s0.at[0])
+    s = s0
+    for i in range(steps):
+        s = step(table, s)
+        th = math.atan2(s.at[1], s.at[0])
+        inc.append(math.remainder(th - prev, 2.0 * math.pi))
+        prev = th
+        acc += inc[i]
+        if i >= WINDING_WINDOW:
+            acc -= inc[i - WINDING_WINDOW]
+            if acc > WINDING_MIN_SWEEP:
+                labels.add("CCW")
+            elif acc < -WINDING_MIN_SWEEP:
+                labels.add("CW")
+    return labels
+
+
+OTHER = ConfocalFamily(12.0, 3.0)
+LEVEL_PAIRS = [
+    (ELL[MagicKind.FLIP_LONG], 2.5),
+    (ELL[MagicKind.HALF_TURN], 6.0),
+    (ANN[MagicKind.FLIP_SHORT], 2.0),
+    (ANN[MagicKind.HALF_TURN], 6.0),
+    (TableSpec(OTHER, MagicKind.FLIP_SHORT), 1.2),
+    (TableSpec(OTHER, MagicKind.FLIP_LONG, 2.0), 7.0),
+]
+
+
+@pytest.mark.parametrize(
+    "table,beta", LEVEL_PAIRS, ids=[f"{_name(t)}-{b}" for t, b in LEVEL_PAIRS]
+)
+def test_batched_labels_match_scalar_reference(table, beta):
+    seeds = _tangent_seeds(table, beta, 16)
+    want = [_scalar_signature(table, beta, s0, 400) for s0 in seeds]
+    assert _level_signatures(table, beta, seeds, 400) == want
+    count, evidence = _merge_count([sig for sig in want if sig])
+    rep = classify_level(table, beta, samples=16, steps=400)
+    assert (rep.component_count, rep.merge_evidence) == (count, tuple(evidence))
+
+
+HYPERBOLA_TABLES = SIX + [ELL[MagicKind.IDENTITY], TableSpec(OTHER, MagicKind.HALF_TURN, 2.0)]
+
+
+@pytest.mark.parametrize("table", HYPERBOLA_TABLES, ids=[_name(t) for t in HYPERBOLA_TABLES])
+def test_every_hyperbola_segment_is_labelled(table):
+    # regression: every segment is tangent to C_beta, so the discriminant of
+    # its hit quadratic is roundoff; labels must not depend on its sign
+    fam = table.fam
+    beta = fam.b + 0.4 * (fam.a - fam.b)
+    rows = [
+        row for s0 in _tangent_seeds(table, beta, 64) for row in _segments(table, s0, 200)
+    ]
+    x, y, vx, vy, qy = (np.array(c) for c in zip(*rows))
+    codes = _hyperbola_labels(fam, beta, x, y, vx, vy, qy)
+    xstar = _tangency_x(fam, beta, x, y, vx, vy)
+    excused = (np.abs(vy) < 1e-9) | (np.abs(xstar) < 1e-9) | (y * qy == 0.0)
+    assert not (codes[~excused] < 0).any()
+    for row, code in zip(rows, codes):
+        want = _scalar_label(fam, beta, *row)
+        assert (_HYPERBOLA_LABELS[code] if code >= 0 else None) == want
 
 
 # ---------------------------------------------------------------------------
