@@ -17,9 +17,11 @@ Which parities admit a certificate depends on the magic kind:
     flip-short   Hankel in B       never periodic
     half-turn    Hankel in B       Hankel in B, shifted index
 
-``find_periodic_caustics`` ties everything together: it locates
-determinant roots and fills in the torsion, Pell, and direct-simulation
-residuals so each certificate is checked against the other two.
+``find_periodic_caustics`` ties everything together: it enumerates the
+windings m allowed by the closed-form rotation number, solves
+n rho(beta) = m (+1/2 for odd half-turn) once per winding, and fills in
+the determinant, torsion, Pell, and direct-simulation residuals at each
+root so every certificate is checked independently.
 """
 from __future__ import annotations
 
@@ -29,9 +31,8 @@ from enum import Enum
 
 import mpmath as mp
 import numpy as np
-from scipy.optimize import least_squares
 
-from .dynamics import BoundaryPhase, MagicKind, TableSpec, closure_defect, step
+from .dynamics import BoundaryPhase, MagicKind, TableSpec, closure_defect
 from .geometry import ConfocalFamily, tangent_directions
 
 EC_DPS = 50  # working precision (decimal digits) for curve arithmetic
@@ -479,6 +480,8 @@ def pell_solve(
     coefficients; returns None when no identity exists for the parity or
     the polished residual stays above ``PELL_TOL``.
     """
+    from scipy.optimize import least_squares  # deferred: scipy.optimize is slow to import
+
     if n < 2:
         raise ValueError("need n >= 2")
     seed = _pell_seed(system, n, a, b, beta)
@@ -539,19 +542,22 @@ def find_periodic_caustics(
     a: float,
     b: float,
     interval: tuple[float, float],
-    grid: int = 64,
 ) -> list[CertificateBundle]:
     """All caustic parameters in ``interval`` whose trajectories are n-periodic.
 
-    Scans the Cayley determinant on a grid, brackets sign changes, and
-    bisects to |dbeta| < 1e-12 a.  The search automatically stays clear
-    of the degenerate caustics {0, b, a} by ``ROOT_MARGIN_RTOL * a`` and,
-    for the odd flip-long certificate, restricts itself to the hyperbola
-    range (b, a).  Every root comes back as a CertificateBundle with the
-    torsion, Pell, and direct-simulation residuals filled in.
+    Closure after n bounces means n rho(beta) = m, or m + 1/2 for the odd
+    half-turn system, with rho the closed-form rotation number.  rho is
+    monotone on each side of the focal level b, so every winding m whose
+    target lies strictly between rho at the two ends of a window has
+    exactly one root there, solved to |dbeta| < 1e-12 a.  The windows
+    stay clear of the degenerate caustics {0, b, a} by
+    ``ROOT_MARGIN_RTOL * a`` and, for the odd flip-long certificate,
+    cover only the hyperbola range (b, a).  Every root comes back as a
+    CertificateBundle with the determinant, torsion, Pell, and
+    direct-simulation residuals filled in.
     """
-    if grid < 64:
-        raise ValueError("need grid >= 64")
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
+
     lo, hi = interval
     if not (0.0 <= lo < hi <= a):
         raise ValueError(f"interval {interval} not inside (0, {a})")
@@ -569,95 +575,57 @@ def find_periodic_caustics(
     windows = [(margin, b - margin), (b + margin, a - margin)]
     if odd and system is MagicKind.FLIP_LONG:
         windows = windows[1:]
+    half = 0.5 if odd and system is MagicKind.HALF_TURN else 0.0
 
-    def det_at(beta: float) -> float:
-        return float(cayley_det(system, n, a, b, beta))
+    def defect(beta: float, target: float) -> float:
+        return n * _rho(a, b, beta) - target
 
     roots: list[float] = []
     for wlo, whi in windows:
         wlo, whi = max(wlo, lo), min(whi, hi)
         if whi <= wlo:
             continue
-        xs = np.linspace(wlo, whi, grid)
-        vals = [det_at(x) for x in xs]
-        for i in range(grid - 1):
-            f0, f1 = vals[i], vals[i + 1]
-            if f0 == 0.0:
-                roots.append(float(xs[i]))
-                continue
-            if f0 * f1 >= 0.0:
-                continue
-            blo, bhi, flo = float(xs[i]), float(xs[i + 1]), f0
-            while bhi - blo > BISECT_RTOL * a:
-                mid = 0.5 * (blo + bhi)
-                fm = det_at(mid)
-                if fm == 0.0:
-                    blo = bhi = mid
-                    break
-                if flo * fm < 0.0:
-                    bhi = mid
-                else:
-                    blo, flo = mid, fm
-            roots.append(0.5 * (blo + bhi))
-
-    # dedupe grid-edge duplicates
+        r1, r2 = sorted((_rho(a, b, wlo), _rho(a, b, whi)))
+        for m in range(n):
+            target = m + half
+            if r1 < target / n < r2:
+                roots.append(brentq(defect, wlo, whi, args=(target,), xtol=BISECT_RTOL * a))
     roots.sort()
-    kept: list[float] = []
-    for r in roots:
-        if not kept or r - kept[-1] > 1e-9 * a:
-            kept.append(r)
-    return [_bundle(system, n, a, b, r) for r in kept]
+    return [_bundle(system, n, a, b, r) for r in roots]
 
 
 # ---------------------------------------------------------------------------
 # rotation number
 
 
-def rotation_number(a: float, b: float, beta: float, reflections: int = 10_000) -> float:
-    """Long-run rotation (or libration) rate of the standard billiard at caustic beta.
+def _rho(a: float, b: float, beta: float) -> float:
+    """Chang-Friedberg rotation number F(phi, k) / (2 K(k)) at caustic beta.
 
-    Ellipse caustics: mean polar winding per reflection, measured over
-    ``reflections`` bounces of the identity system; closure with winding
-    m after n bounces shows up as the rational m/n.  Hyperbola caustics:
-    the analogous libration ratio, counted as sign changes of the
-    angular increment per bounce / 2.
+    It rises from 0 to 1/2 over the ellipse caustics 0 < beta < b and
+    falls from 1/2 to 0 over the hyperbola caustics b < beta < a
+    (Chang & Friedberg, J. Math. Phys. 29 (1988) 1537).
     """
-    fam = ConfocalFamily(a, b)
+    from scipy.special import ellipk, ellipkinc  # deferred, like scipy.optimize
+
+    if beta < b:
+        phi, k2 = math.asin(math.sqrt(beta / b)), (a - b) / (a - beta)
+    else:
+        phi, k2 = math.asin(math.sqrt(b / beta)), (a - beta) / (a - b)
+    return float(ellipkinc(phi, k2)) / (2.0 * float(ellipk(k2)))
+
+
+def rotation_number(a: float, b: float, beta: float) -> float:
+    """Rotation (or libration) number of the standard billiard at caustic beta.
+
+    Ellipse caustics: the mean polar winding per reflection, in turns;
+    closure with winding m after n bounces shows up as the rational m/n.
+    Hyperbola caustics: the libration ratio 1/2 - rho, the rate of sign
+    changes of the polar increment per bounce, halved.
+    """
+    ConfocalFamily(a, b)  # validates a > b > 0
     if not (0.0 < beta < a):
         raise ValueError(f"caustic parameter {beta} outside (0, {a})")
     if abs(beta - b) < 1e-9 * a:
         raise DegenerateFocal("beta = b is the focal segment; no rotation number")
-    table = TableSpec(fam, MagicKind.IDENTITY)
-    s0 = None
-    for t0 in _T0_SCAN:
-        p = fam.boundary_point(t0)
-        dirs = tangent_directions(fam, beta, p)
-        if dirs:
-            s0 = BoundaryPhase(p, dirs[0])
-            break
-    if s0 is None:
-        raise ValueError(f"no chord tangent to C_{beta} found")
-
-    total = 0.0
-    flips = 0
-    prev_sign = 0
-    prev_theta = math.atan2(s0.at[1], s0.at[0])
-    s = s0
-    for _ in range(reflections):
-        s = step(table, s)
-        th = math.atan2(s.at[1], s.at[0])
-        d = th - prev_theta
-        while d > math.pi:
-            d -= 2.0 * math.pi
-        while d < -math.pi:
-            d += 2.0 * math.pi
-        total += d
-        prev_theta = th
-        if abs(d) > 1e-12:
-            sign = 1 if d > 0.0 else -1
-            if prev_sign and sign != prev_sign:
-                flips += 1
-            prev_sign = sign
-    if beta < b:
-        return abs(total) / (2.0 * math.pi * reflections)
-    return flips / (2.0 * reflections)
+    rho = _rho(a, b, beta)
+    return rho if beta < b else 0.5 - rho

@@ -3,20 +3,28 @@
 Derived quantities are checked against independent oracles: series
 coefficients against finite differences of the closed-form square root,
 Pell pairs by evaluating their defining identity at sample points, and
-every root set against the trajectory closure residual.
+every root set against the trajectory closure residual; the closed-form
+rotation number against a ratio measured by simulation.
 """
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import magicbilliards
 from magicbilliards import (
+    BoundaryPhase,
     CayleyMarker,
+    ConfocalFamily,
     CurvePoint,
     DegenerateFocal,
     INFINITY,
     MagicKind,
+    TableSpec,
     UnsupportedParity,
     cayley_det,
     ec_add,
@@ -26,8 +34,11 @@ from magicbilliards import (
     rotation_number,
     series_divide_linear,
     series_sqrt_cubic,
+    step,
+    tangent_directions,
     torsion_check,
 )
+from magicbilliards.certificates import CLOSURE_TOL
 
 A, B = 9.0, 4.0
 
@@ -159,13 +170,35 @@ def test_every_root_cross_validates():
 
 def test_find_periodic_argument_checks():
     with pytest.raises(ValueError):
-        find_periodic_caustics(MagicKind.IDENTITY, 4, A, B, (0.0, A), grid=32)
-    with pytest.raises(ValueError):
         find_periodic_caustics(MagicKind.IDENTITY, 4, A, B, (5.0, 3.0))
     with pytest.raises(UnsupportedParity):
         find_periodic_caustics(MagicKind.IDENTITY, 3, A, B, (0.0, A))
     assert find_periodic_caustics(MagicKind.FLIP_SHORT, 5, A, B, (0.0, A)) == []
     assert find_periodic_caustics(MagicKind.HALF_TURN, 2, A, B, (0.0, A)) == []
+
+
+# root counts from the closed-form prediction of bench/checks.py
+# (predicted_root_count): large n, and roots that crowd toward beta = b
+SEARCH_CASES = [
+    (9.0, 4.0, MagicKind.IDENTITY, 16, 11),
+    (9.0, 4.0, MagicKind.IDENTITY, 24, 15),
+    (20.0, 3.0, MagicKind.IDENTITY, 16, 10),
+    (20.0, 3.0, MagicKind.FLIP_LONG, 11, 3),
+    (20.0, 3.0, MagicKind.FLIP_LONG, 13, 4),
+    (20.0, 3.0, MagicKind.HALF_TURN, 9, 7),
+    (20.0, 3.0, MagicKind.FLIP_SHORT, 10, 7),
+]
+
+
+@pytest.mark.parametrize("a, b, kind, n, count", SEARCH_CASES)
+def test_search_finds_every_root_and_each_closes(a, b, kind, n, count):
+    """Every predicted root comes back once, in order, and closes when simulated."""
+    betas = []
+    for bundle in find_periodic_caustics(kind, n, a, b, (0.0, a)):
+        assert bundle.closure_residual < CLOSURE_TOL, bundle
+        betas.append(bundle.beta)
+    assert len(betas) == count
+    assert all(lo < hi for lo, hi in zip(betas, betas[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +358,35 @@ def test_pell_returns_none_off_root():
 # rotation numbers
 
 
+def _simulated_rotation(a, b, beta, reflections=10_000):
+    """Rotation (ellipse caustic) or libration ratio (hyperbola caustic),
+    measured over ``reflections`` bounces of the identity billiard."""
+    fam = ConfocalFamily(a, b)
+    table = TableSpec(fam, MagicKind.IDENTITY)
+    for k in range(200):
+        p = fam.boundary_point(0.83 + 0.031 * k)
+        dirs = tangent_directions(fam, beta, p)
+        if dirs:
+            break
+    s = BoundaryPhase(p, dirs[0])
+    total, flips, prev_sign = 0.0, 0, 0
+    prev_theta = math.atan2(p[1], p[0])
+    for _ in range(reflections):
+        s = step(table, s)
+        theta = math.atan2(s.at[1], s.at[0])
+        d = math.remainder(theta - prev_theta, 2.0 * math.pi)
+        total += d
+        prev_theta = theta
+        if abs(d) > 1e-12:
+            sign = 1 if d > 0.0 else -1
+            if prev_sign and sign != prev_sign:
+                flips += 1
+            prev_sign = sign
+    if beta < b:
+        return abs(total) / (2.0 * math.pi * reflections)
+    return flips / (2.0 * reflections)
+
+
 def test_rotation_number_known_values():
     assert rotation_number(A, B, 1.44) == pytest.approx(1.0 / 6.0, abs=1e-3)
     assert rotation_number(A, B, 3.773519066611132) == pytest.approx(1.0 / 3.0, abs=1e-3)
@@ -334,8 +396,22 @@ def test_rotation_number_known_values():
     assert rotation_number(A, B, FL3_ROOT) == pytest.approx(1.0 / 6.0, abs=1e-3)
 
 
+def test_rotation_number_exact_values():
+    assert rotation_number(A, B, 36.0 / 13.0) == pytest.approx(0.25, abs=1e-12)
+    assert rotation_number(A, B, 1.44) == pytest.approx(1.0 / 6.0, abs=1e-12)
+    assert rotation_number(A, B, 7.2) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.2, 3.3, 5.0, 7.9])
+def test_rotation_number_matches_simulation(beta):
+    """The closed form agrees with the ratio measured by 10,000 bounces."""
+    assert rotation_number(A, B, beta) == pytest.approx(
+        _simulated_rotation(A, B, beta), abs=1e-4
+    )
+
+
 def test_rotation_number_monotone_on_ellipse_range():
-    vals = [rotation_number(A, B, beta, reflections=4000) for beta in (0.4, 1.2, 2.2, 3.2, 3.8)]
+    vals = [rotation_number(A, B, beta) for beta in (0.4, 1.2, 2.2, 3.2, 3.8)]
     assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
 
@@ -344,3 +420,14 @@ def test_rotation_number_degenerate():
         rotation_number(A, B, 4.0)
     with pytest.raises(ValueError):
         rotation_number(A, B, 9.7)
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported on first use by the search and the Pell solver."""
+    code = "import sys, magicbilliards; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

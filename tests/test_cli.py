@@ -1,9 +1,13 @@
 """Command-line surface tests: outputs, envelopes, exit codes, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import magicbilliards
 from magicbilliards.cli import main
 
 HEADER = "i,x,y,vx,vy,lambda1,lambda2,caustic"
@@ -24,6 +28,20 @@ def _simulate(tmp_path, *extra, name="run.csv"):
 
 # ---------------------------------------------------------------------------
 # simulate
+
+
+def test_python_dash_m_runs_quietly(tmp_path):
+    """``python -m magicbilliards`` runs the CLI without runpy's warning."""
+    out = tmp_path / "run.csv"
+    src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "magicbilliards", "simulate", "--x0", "0", "--y0", "2",
+         "--dx", "0", "--dy", "-1", "--bounces", "5", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(out.read_text().splitlines()) == 7  # header + initial + 5 impacts
 
 
 def test_simulate_golden_vertical_chord(tmp_path):
