@@ -358,113 +358,99 @@ def _pad_to(arr: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _pell_key(system: MagicKind, n: int) -> str | MagicKind:
+    """Key of the Pell identity for (system, n): "even", or the odd-n system."""
+    return "even" if n % 2 == 0 else system
+
+
 def _pell_seed(system: MagicKind, n: int, a: float, b: float, beta: float):
     """Initial (p, q) from the series: SVD null vector + truncated product.
 
     Writing the target identity in the trajectory variable x = 1/s turns
-    it into u(x)^2 - f(x) w(x)^2 = c x^n (and folded variants), where
-    u approximates series*w truncated at degree m.  The coefficients of
-    the series product in degrees m+1..n-1 must vanish; near a root the
-    smallest singular vector of that coefficient map is the seed for w.
+    it into lead(x) u(x)^2 - quad(x) w(x)^2 = c x^n, where u approximates
+    series*w truncated at degree m = n // 2 and c must have the sign the
+    identity needs.  The coefficients of the series product in degrees
+    m+1..n-1 must vanish; near a root the smallest singular vector of
+    that coefficient map is the seed for w.
     Returns (p, q) in the s-variable, or None when no certificate exists.
     """
-    even = n % 2 == 0
-    if even:
-        m = n // 2
-        if m < 2:
-            return None  # n=2: q would be the zero polynomial, p^2 = 1 unsolvable
-        s = _sqrt_cubic_coeffs(a, b, beta, n)
-        rows = range(m + 1, 2 * m)
-        wlen = m - 1
-    else:
-        m = (n - 1) // 2
-        if m < 1 or system in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT):
-            return None
-        s = _sqrt_cubic_coeffs(a, b, beta, n)
-        if system is MagicKind.FLIP_LONG:
-            if not (b < beta < a):
-                return None
-            s = _divide_linear(s, b)
-        rows = range(m + 1, 2 * m + 1)
-        wlen = m
-    mat = np.array([[s[k - j] for j in range(wlen)] for k in rows])
+    key = _pell_key(system, n)
+    # n = 2: q would be the zero polynomial and p^2 = 1 has no solution
+    if n < 3 or key in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT):
+        return None
+    if key is MagicKind.FLIP_LONG and not (b < beta < a):
+        return None
+    cubic = np.array([a * b * beta, -(a * b + a * beta + b * beta), a + b + beta, -1.0])
+    monic = (False, np.array([1.0]), cubic, 1.0)
+    # (series divided by b-x, lead, quad, sign of c)
+    divide, lead, quad, sign = {
+        "even": monic,
+        MagicKind.HALF_TURN: monic,
+        MagicKind.FLIP_LONG: (
+            True, np.array([b, -1.0]), np.array([a * beta, -(a + beta), 1.0]), -1.0
+        ),
+    }[key]
+    s = _sqrt_cubic_coeffs(a, b, beta, n)
+    if divide:
+        s = _divide_linear(s, b)
+    m = n // 2
+    mat = np.array([[s[k - j] for j in range(n - 1 - m)] for k in range(m + 1, n)])
     _, _, vh = np.linalg.svd(mat)
     w = vh[-1]
     u = np.convolve(np.array(s), w)[: m + 1]
-
-    if even:
-        f = np.array([a * b * beta, -(a * b + a * beta + b * beta), a + b + beta, -1.0])
-        defect = _pad_to(np.convolve(u, u), n + 1) - _pad_to(
-            np.convolve(f, np.convolve(w, w)), n + 1
-        )
-        c = defect[n]
-        if c <= 0.0:
-            return None
-        return u[::-1] / math.sqrt(c), w[::-1] * math.sqrt(a * b * beta / c)
-
-    if system is MagicKind.FLIP_LONG:
-        # (b-x) u^2 - (a-x)(beta-x) w^2 = c x^n with c < 0
-        lin = np.array([b, -1.0])
-        quad = np.array([a * beta, -(a + beta), 1.0])
-        defect = _pad_to(np.convolve(lin, np.convolve(u, u)), n + 1) - _pad_to(
-            np.convolve(quad, np.convolve(w, w)), n + 1
-        )
-        c = defect[n]
-        if c >= 0.0:
-            return None
-        return u[::-1] * math.sqrt(b / -c), w[::-1] * math.sqrt(a * beta / -c)
-
-    # half-turn: u^2 - f w^2 = c x^n with c > 0
-    f = np.array([a * b * beta, -(a * b + a * beta + b * beta), a + b + beta, -1.0])
-    defect = _pad_to(np.convolve(u, u), n + 1) - _pad_to(
-        np.convolve(f, np.convolve(w, w)), n + 1
+    defect = _pad_to(np.convolve(lead, np.convolve(u, u)), n + 1) - _pad_to(
+        np.convolve(quad, np.convolve(w, w)), n + 1
     )
-    c = defect[n]
+    c = sign * defect[n]
     if c <= 0.0:
         return None
-    return u[::-1] / math.sqrt(c), w[::-1] * math.sqrt(a * b * beta / c)
+    p = u[::-1] / math.sqrt(c) if len(lead) == 1 else u[::-1] * math.sqrt(lead[0] / c)
+    return p, w[::-1] * math.sqrt(quad[0] / c)
 
 
 def _pell_defect(system: MagicKind, n: int, a: float, b: float, beta: float):
-    """Defect-coefficient function for the s-variable Pell identity."""
-    even = n % 2 == 0
-    plen = (n // 2 if even else (n - 1) // 2) + 1
-    ra, rb, rbeta = 1.0 / a, 1.0 / b, 1.0 / beta
+    """Defect coefficients of the s-variable Pell identity, and their Jacobian.
 
-    if even:
-        quart = np.convolve(
-            np.array([0.0, 1.0]),
-            np.convolve(
-                np.convolve([-ra, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0])
-            ),
-        )
-        target = 1.0
-        lead = None
-    elif system is MagicKind.FLIP_LONG:
-        quart = np.convolve(
-            np.array([0.0, 1.0]), np.convolve([-ra, 1.0], [-rbeta, 1.0])
-        )
-        target = -1.0
-        lead = np.array([-rb, 1.0])
-    else:
-        quart = np.convolve(
-            np.convolve([-ra, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0])
-        )
-        target = 1.0
-        lead = np.array([0.0, 1.0])
+    The defect lead*p*p - quart*q*q - target is a quadratic form in
+    z = (p, q) (* is convolution), so its derivative along p_j is
+    2 lead*p shifted down j rows, and along q_j it is -2 quart*q shifted
+    down j rows.
+    """
+    ra, rb, rbeta = 1.0 / a, 1.0 / b, 1.0 / beta
+    s = np.array([0.0, 1.0])
+    cubic = np.convolve(np.convolve([-ra, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0]))
+    lead, quart, target = {
+        "even": (np.array([1.0]), np.convolve(s, cubic), 1.0),
+        MagicKind.FLIP_LONG: (
+            np.array([-rb, 1.0]),
+            np.convolve(s, np.convolve([-ra, 1.0], [-rbeta, 1.0])),
+            -1.0,
+        ),
+        MagicKind.HALF_TURN: (s, cubic, 1.0),
+    }[_pell_key(system, n)]
+    plen = n // 2 + 1
 
     def defect(z: np.ndarray) -> np.ndarray:
         p, q = z[:plen], z[plen:]
-        p2 = np.convolve(p, p)
-        if lead is not None:
-            p2 = np.convolve(lead, p2)
+        p2 = np.convolve(lead, np.convolve(p, p))
         q2 = np.convolve(quart, np.convolve(q, q))
         size = max(len(p2), len(q2))
         d = _pad_to(p2, size) - _pad_to(q2, size)
         d[0] -= target
         return d
 
-    return defect, plen
+    def jac(z: np.ndarray) -> np.ndarray:
+        p, q = z[:plen], z[plen:]
+        dp = 2.0 * np.convolve(lead, p)
+        dq = -2.0 * np.convolve(quart, q)
+        out = np.zeros((max(len(dp) + plen - 1, len(dq) + len(q) - 1), len(z)))
+        for j in range(plen):
+            out[j : j + len(dp), j] = dp
+        for j in range(len(q)):
+            out[j : j + len(dq), plen + j] = dq
+        return out
+
+    return defect, jac, plen
 
 
 def pell_solve(
@@ -477,8 +463,8 @@ def pell_solve(
     Odd half-turn: s p^2 - (s-1/a)(s-1/b)(s-1/beta) q^2 = 1, (m, m-1).
 
     The series seed is polished by Levenberg-Marquardt on the defect
-    coefficients; returns None when no identity exists for the parity or
-    the polished residual stays above ``PELL_TOL``.
+    coefficients, with their exact Jacobian; returns None when no identity
+    exists for the parity or the polished residual stays above ``PELL_TOL``.
     """
     from scipy.optimize import least_squares  # deferred: scipy.optimize is slow to import
 
@@ -488,9 +474,11 @@ def pell_solve(
     if seed is None:
         return None
     p0, q0 = seed
-    defect, plen = _pell_defect(system, n, a, b, beta)
+    defect, jac, plen = _pell_defect(system, n, a, b, beta)
     z0 = np.concatenate([p0, q0])
-    fit = least_squares(defect, z0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    fit = least_squares(
+        defect, z0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
+    )
     z = fit.x
     residual = float(np.max(np.abs(defect(z))))
     if residual > PELL_TOL:
@@ -558,6 +546,7 @@ def find_periodic_caustics(
     """
     from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
+    ConfocalFamily(a, b)  # validates a > b > 0, both finite
     lo, hi = interval
     if not (0.0 <= lo < hi <= a):
         raise ValueError(f"interval {interval} not inside (0, {a})")

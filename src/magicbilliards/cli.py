@@ -85,10 +85,17 @@ class RunConfig:
 
 
 def _write_atomic(path: str, data: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    # a sibling of its own per call, so concurrent writers of one path never
+    # replace or delete each other's temporary file
+    tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _dump_json(obj) -> str:
@@ -249,6 +256,7 @@ def cmd_periodic(
     config: RunConfig, n: int, interval: tuple[float, float], out_json: str
 ) -> int:
     """Search for n-periodic caustics in the interval; write bundles as JSON."""
+    ConfocalFamily(config.a, config.b)  # validates a > b > 0, both finite
     if config.table != "ellipse":
         print(
             "error: periodicity certificates apply to the ellipse table",

@@ -42,15 +42,6 @@ from .geometry import (
 CLOSURE_RTOL = 1e-7
 
 
-class TangentGraze(RuntimeError):
-    """A segment met the inner wall tangentially.
-
-    ``step`` never raises this: a graze (normalized discriminant below
-    ``GRAZE_RTOL * a``) is resolved deterministically as a miss.  The
-    class names the condition for callers that probe it directly.
-    """
-
-
 class MagicKind(Enum):
     IDENTITY = "identity"
     FLIP_LONG = "flip-long"
@@ -359,14 +350,6 @@ def closure_defect(table: TableSpec, s0: BoundaryPhase, n: int) -> float:
     return phase_distance(table.fam, s, s0)
 
 
-def _wrap_angle(d: float) -> float:
-    while d > math.pi:
-        d -= 2.0 * math.pi
-    while d < -math.pi:
-        d += 2.0 * math.pi
-    return d
-
-
 def detect_closure(
     table: TableSpec,
     s0: BoundaryPhase,
@@ -391,7 +374,7 @@ def detect_closure(
     for n in range(1, n_max + 1):
         s = step(table, s)
         th = math.atan2(s.at[1], s.at[0])
-        total += _wrap_angle(th - prev)
+        total += math.remainder(th - prev, 2.0 * math.pi)
         prev = th
         d = phase_distance(table.fam, s, s0)
         if d < tol:

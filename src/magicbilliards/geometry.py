@@ -52,8 +52,8 @@ class ConfocalFamily:
     b: float
 
     def __post_init__(self):
-        if not (self.a > self.b > 0.0):
-            raise ValueError(f"need a > b > 0, got a={self.a!r}, b={self.b!r}")
+        if not (math.isfinite(self.a) and self.a > self.b > 0.0):
+            raise ValueError(f"need finite a > b > 0, got a={self.a!r}, b={self.b!r}")
 
     @property
     def focal_distance(self) -> float:

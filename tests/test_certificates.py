@@ -38,7 +38,7 @@ from magicbilliards import (
     tangent_directions,
     torsion_check,
 )
-from magicbilliards.certificates import CLOSURE_TOL
+from magicbilliards.certificates import CLOSURE_TOL, PELL_TOL, _pell_defect
 
 A, B = 9.0, 4.0
 
@@ -352,6 +352,59 @@ def test_pell_returns_none_off_root():
     assert pell_solve(MagicKind.IDENTITY, 4, A, B, 2.5) is None
     # flip-long odd needs a hyperbola caustic
     assert pell_solve(MagicKind.FLIP_LONG, 3, A, B, 2.5) is None
+
+
+@pytest.mark.parametrize(
+    "kind, n, beta",
+    [
+        (MagicKind.IDENTITY, 4, 2.5),
+        (MagicKind.IDENTITY, 8, 6.1),
+        (MagicKind.FLIP_SHORT, 12, 1.3),
+        (MagicKind.FLIP_LONG, 3, 5.5),
+        (MagicKind.FLIP_LONG, 7, 4.6),
+        (MagicKind.FLIP_LONG, 11, 8.2),
+        (MagicKind.HALF_TURN, 3, 1.44),
+        (MagicKind.HALF_TURN, 3, 6.7),
+        (MagicKind.HALF_TURN, 9, 2.9),
+        (MagicKind.HALF_TURN, 9, 5.3),
+    ],
+)
+def test_pell_jacobian_matches_central_differences(kind, n, beta):
+    """The closed-form Jacobian of the Pell defect equals its numerical derivative."""
+    defect, jac, plen = _pell_defect(kind, n, A, B, beta)
+    z = np.random.default_rng(n).uniform(-2.0, 2.0, plen + (n - 1) // 2)
+    h = 1e-5
+    fd = np.column_stack(
+        [(defect(z + h * e) - defect(z - h * e)) / (2.0 * h) for e in np.eye(len(z))]
+    )
+    exact = jac(z)
+    assert exact.shape == fd.shape
+    assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
+
+
+# (a, b) with b/a spread over [0.15, 0.85]
+PELL_FAMILIES = [
+    (2.5, 0.375), (17.0, 4.25), (6.4, 2.24), (11.3, 5.085),
+    (3.7, 2.035), (14.2, 9.23), (8.8, 6.16), (19.5, 16.575),
+]
+PELL_SEARCHES = [
+    (MagicKind.IDENTITY, 4), (MagicKind.IDENTITY, 6),
+    (MagicKind.FLIP_SHORT, 4), (MagicKind.FLIP_SHORT, 6),
+    (MagicKind.HALF_TURN, 3), (MagicKind.HALF_TURN, 4), (MagicKind.HALF_TURN, 6),
+    (MagicKind.FLIP_LONG, 3), (MagicKind.FLIP_LONG, 4), (MagicKind.FLIP_LONG, 5),
+    (MagicKind.FLIP_LONG, 6),
+]
+
+
+@pytest.mark.parametrize("a, b", PELL_FAMILIES)
+def test_pell_solves_at_every_low_period_root(a, b):
+    roots = [
+        r for kind, n in PELL_SEARCHES for r in find_periodic_caustics(kind, n, a, b, (0.0, a))
+    ]
+    assert len(roots) >= len(PELL_SEARCHES)
+    for r in roots:
+        assert r.pell_residual is not None, (r.system, r.n, r.beta)
+        assert r.pell_residual < PELL_TOL, (r.system, r.n, r.beta)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import magicbilliards
-from magicbilliards.cli import main
+from magicbilliards.cli import _write_atomic, main
 
 HEADER = "i,x,y,vx,vy,lambda1,lambda2,caustic"
 # a generic boundary point, exact to full precision (the on-boundary gate
@@ -276,6 +277,48 @@ def test_bad_flags_exit_one(capsys):
 def test_no_temp_files_left_behind(tmp_path):
     _simulate(tmp_path)
     main(["topology", "--system", "flip-short", "--out", str(tmp_path / "t.json")])
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--a=inf", "--interval=0:3"], ["--b=nan", "--interval=0:3"], ["--a=4", "--b=9"]],
+)
+def test_periodic_rejects_bad_family(tmp_path, args, capsys):
+    out = tmp_path / "roots.json"
+    rc = main(["periodic", *args, "--n=4", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "a=" in err and "b=" in err
+    assert not out.exists()
+
+
+def test_concurrent_writers_of_one_path(tmp_path):
+    path = str(tmp_path / "shared.json")
+    payloads = ["one\n" * 1000, "two\n" * 1000]
+    errors = []
+
+    def write(data):
+        try:
+            for _ in range(300):
+                _write_atomic(path, data)
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(d,)) for d in payloads]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() in payloads
     assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -29,6 +29,12 @@ def test_family_validation():
         ConfocalFamily(9.0, 9.0)
 
 
+@pytest.mark.parametrize("a, b", [(math.inf, 4.0), (9.0, math.nan), (math.nan, 4.0)])
+def test_family_rejects_non_finite(a, b):
+    with pytest.raises(ValueError, match="a=.*b="):
+        ConfocalFamily(a, b)
+
+
 def test_foci():
     c = math.sqrt(5.0)
     (f1, f2) = FAM.foci()
