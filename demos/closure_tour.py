@@ -19,6 +19,7 @@ from magicbilliards import (
     detect_closure,
     find_periodic_caustics,
     tangent_directions,
+    tangent_phase,
 )
 
 fam = ConfocalFamily(9.0, 4.0)  # x^2/9 + y^2/4 = 1, foci at (+-sqrt(5), 0)
@@ -49,8 +50,8 @@ for kind in (MagicKind.FLIP_LONG, MagicKind.FLIP_SHORT, MagicKind.HALF_TURN):
 # 2. odd periods are where the systems differ
 
 # A flip across the long axis admits 3-periodic orbits only for hyperbola
-# caustics; the search brackets the Hankel-determinant sign changes and
-# then cross-checks every root.
+# caustics; the search solves 3 rho(beta) = m once per winding m allowed
+# by the closed-form rotation number and then cross-checks every root.
 print("\n3-periodic flip-long search over the hyperbola range (4, 9):")
 for bundle in find_periodic_caustics(MagicKind.FLIP_LONG, 3, 9.0, 4.0, (4.0, 9.0)):
     print(f"  beta = {bundle.beta:.12f}")
@@ -70,13 +71,9 @@ print("3-periodic flip-short search:",
 # Nudge the flip-long root off by a tenth of a percent of a and the
 # trajectory visibly fails to close: the residual jumps ten orders.
 root = find_periodic_caustics(MagicKind.FLIP_LONG, 3, 9.0, 4.0, (4.0, 9.0))[0].beta
+# tangent_phase is the launch the certificate bundles' closure check uses.
 for beta in (root, root + 0.009):
-    for t in [0.83 + 0.031 * k for k in range(200)]:
-        q = fam.boundary_point(t)
-        dirs = tangent_directions(fam, beta, q)
-        if dirs:
-            d = closure_defect(TableSpec(fam, MagicKind.FLIP_LONG), BoundaryPhase(q, dirs[0]), 3)
-            print(f"  beta = {beta:.6f}  ->  closure defect {d:.2e}")
-            break
+    d = closure_defect(TableSpec(fam, MagicKind.FLIP_LONG), tangent_phase(fam, beta), 3)
+    print(f"  beta = {beta:.6f}  ->  closure defect {d:.2e}")
 
 print("\ndone; same numbers as the acceptance suite, just slower to read.")

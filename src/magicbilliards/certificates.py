@@ -32,8 +32,8 @@ from enum import Enum
 import mpmath as mp
 import numpy as np
 
-from .dynamics import BoundaryPhase, MagicKind, TableSpec, closure_defect
-from .geometry import ConfocalFamily, tangent_directions
+from .dynamics import MagicKind, TableSpec, closure_defect, tangent_phase
+from .geometry import ConfocalFamily
 
 EC_DPS = 50  # working precision (decimal digits) for curve arithmetic
 TORSION_TOL = 1e-8
@@ -235,10 +235,7 @@ def cayley_det(
         if not (b < beta < a):
             raise ValueError("odd flip-long certificate needs a hyperbola caustic")
         coeffs = _divide_linear(coeffs, b / a)
-        base = 2
-    else:  # half-turn
-        base = 2
-    mat = np.array([[coeffs[base + i + j] for j in range(m)] for i in range(m)])
+    mat = np.array([[coeffs[2 + i + j] for j in range(m)] for i in range(m)])
     return float(np.linalg.det(mat))
 
 
@@ -494,20 +491,12 @@ def pell_solve(
 # ---------------------------------------------------------------------------
 # root finding and cross-validation
 
-# deterministic scan for a boundary parameter from which tangent lines to
-# C_beta exist (hyperbola caustics are reachable only from part of the wall)
-_T0_SCAN = [0.83 + 0.031 * k for k in range(200)]
-
-
 def _closure_residual(system: MagicKind, n: int, a: float, b: float, beta: float) -> float:
     fam = ConfocalFamily(a, b)
-    table = TableSpec(fam, system)
-    for t0 in _T0_SCAN:
-        p = fam.boundary_point(t0)
-        dirs = tangent_directions(fam, beta, p)
-        if dirs:
-            return closure_defect(table, BoundaryPhase(p, dirs[0]), n)
-    return math.inf
+    s0 = tangent_phase(fam, beta)
+    if s0 is None:
+        return math.inf
+    return closure_defect(TableSpec(fam, system), s0, n)
 
 
 def _bundle(system: MagicKind, n: int, a: float, b: float, beta: float) -> CertificateBundle:
@@ -522,6 +511,15 @@ def _bundle(system: MagicKind, n: int, a: float, b: float, beta: float) -> Certi
         pell_residual=None if pell is None else pell.residual,
         closure_residual=_closure_residual(system, n, a, b, beta),
     )
+
+
+def empty_reason(system: MagicKind, n: int) -> str | None:
+    """Why no n-periodic caustic of ``system`` exists in any family, or None."""
+    if n == 2:
+        return "no nondegenerate 2-periodic caustic exists"
+    if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
+        return "flip-short trajectories close only with an even period"
+    return None
 
 
 def find_periodic_caustics(
@@ -542,23 +540,22 @@ def find_periodic_caustics(
     ``ROOT_MARGIN_RTOL * a`` and, for the odd flip-long certificate,
     cover only the hyperbola range (b, a).  Every root comes back as a
     CertificateBundle with the determinant, torsion, Pell, and
-    direct-simulation residuals filled in.
+    direct-simulation residuals filled in.  Where ``empty_reason`` gives a
+    reason (n = 2, odd flip-short) the result is empty without a search.
     """
     from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
     ConfocalFamily(a, b)  # validates a > b > 0, both finite
+    if n < 2:
+        raise ValueError("need n >= 2")
     lo, hi = interval
     if not (0.0 <= lo < hi <= a):
         raise ValueError(f"interval {interval} not inside (0, {a})")
-    if n < 2:
-        raise ValueError("need n >= 2")
     odd = n % 2 == 1
     if odd and system is MagicKind.IDENTITY:
         raise UnsupportedParity("identity system: no odd-period certificate")
-    if odd and system is MagicKind.FLIP_SHORT:
-        return []  # closure at odd n is impossible for the short-axis flip
-    if n == 2:
-        return []  # empty determinant: no nondegenerate 2-periodic caustic
+    if empty_reason(system, n) is not None:
+        return []
 
     margin = ROOT_MARGIN_RTOL * a
     windows = [(margin, b - margin), (b + margin, a - margin)]

@@ -9,11 +9,12 @@ Three subcommands::
 Common flags: --a --b (squared semi-axes, default 9 and 4), --system,
 --table ellipse|annulus, --inner-lambda, --seed.  Every computation in
 the package is deterministic, so identical invocations produce
-byte-identical files; --seed is recorded for interface stability.
+byte-identical files; --seed is accepted and ignored, for callers that
+pass one.
 
 Exit codes: 0 success (including legitimately empty results), 1 usage
-errors, 2 numerical or topology failures.  Files are written atomically
-(write to a temporary sibling, then rename).
+errors (every ValueError), 2 numerical or topology failures.  Files are
+written atomically (write to a temporary sibling, then rename).
 """
 from __future__ import annotations
 
@@ -22,66 +23,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
-from .certificates import (
-    CertificateBundle,
-    DegenerateCubic,
-    DegenerateFocal,
-    UnsupportedParity,
-    find_periodic_caustics,
-)
+from .certificates import CertificateBundle, empty_reason, find_periodic_caustics
 from .dynamics import BoundaryPhase, MagicKind, TableSpec, trajectory
 from .geometry import (
-    CenterDegenerate,
     ConfocalFamily,
     NoForwardHit,
-    NotOnConic,
     caustic_of_line,
-    classify_caustic,
     normal_at,
     to_elliptic,
 )
-from .topology import (
-    DegenerateLevel,
-    TopologyMismatch,
-    UnknownSystem,
-    classify_level,
-    fomenko_graph,
-)
+from .topology import TopologyMismatch, classify_level, fomenko_graph
 
-_USAGE_ERRORS = (
-    UnsupportedParity,
-    DegenerateLevel,
-    DegenerateFocal,
-    UnknownSystem,
-    NotOnConic,
-    CenterDegenerate,
-    ValueError,
-)
-_NUMERIC_ERRORS = (NoForwardHit, TopologyMismatch, DegenerateCubic, ArithmeticError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    a: float = 9.0
-    b: float = 4.0
-    system: MagicKind = MagicKind.IDENTITY
-    table: str = "ellipse"
-    inner_lambda: float | None = None
-    seed: int = 0
-
-    def table_spec(self) -> TableSpec:
-        fam = ConfocalFamily(self.a, self.b)
-        if self.table == "annulus":
-            if self.inner_lambda is None:
-                raise ValueError("annulus table needs --inner-lambda")
-            return TableSpec(fam, self.system, self.inner_lambda)
-        if self.inner_lambda is not None:
-            raise ValueError("--inner-lambda only applies to the annulus table")
-        return TableSpec(fam, self.system)
+# every usage error is a ValueError (exit 1); these are numerical failures
+_NUMERIC_ERRORS = (NoForwardHit, TopologyMismatch, ArithmeticError)
 
 
 def _write_atomic(path: str, data: str) -> None:
@@ -185,7 +140,7 @@ def _render_svg(
 
 
 def cmd_simulate(
-    config: RunConfig,
+    table: TableSpec,
     x0: float,
     y0: float,
     dx: float,
@@ -195,23 +150,18 @@ def cmd_simulate(
     out_svg: str | None = None,
 ) -> int:
     """Simulate and write the impact table as CSV (and optionally an SVG)."""
-    table = config.table_spec()
     fam = table.fam
     if abs(fam.conic_residual(0.0, x0, y0)) > 1e-6:
-        print(f"error: ({x0}, {y0}) is not on the outer boundary", file=sys.stderr)
-        return 1
+        raise ValueError(f"({x0}, {y0}) is not on the outer boundary")
     h = math.hypot(dx, dy)
     if h < 1e-300:
-        print("error: direction (--dx, --dy) must be nonzero", file=sys.stderr)
-        return 1
+        raise ValueError("direction (--dx, --dy) must be nonzero")
     v = (dx / h, dy / h)
     nx, ny = normal_at(fam, 0.0, (x0, y0))
     if v[0] * nx + v[1] * ny <= 1e-12:
-        print("error: direction must point into the table", file=sys.stderr)
-        return 1
+        raise ValueError("direction must point into the table")
     if bounces < 1:
-        print("error: need --bounces >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("need --bounces >= 1")
 
     s0 = BoundaryPhase((x0, y0), v)
     traj = trajectory(table, s0, bounces)
@@ -253,37 +203,17 @@ def _bundle_dict(b: CertificateBundle) -> dict:
 
 
 def cmd_periodic(
-    config: RunConfig, n: int, interval: tuple[float, float], out_json: str
+    table: TableSpec, n: int, interval: tuple[float, float], out_json: str
 ) -> int:
     """Search for n-periodic caustics in the interval; write bundles as JSON."""
-    ConfocalFamily(config.a, config.b)  # validates a > b > 0, both finite
-    if config.table != "ellipse":
-        print(
-            "error: periodicity certificates apply to the ellipse table",
-            file=sys.stderr,
-        )
-        return 1
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not (0.0 <= interval[0] < interval[1] <= config.a):
-        raise ValueError(f"interval {interval} not inside (0, {config.a})")
-    reason = None
-    if n == 2:
-        roots: list[CertificateBundle] = []
-        reason = "no nondegenerate 2-periodic caustic exists"
-    elif n % 2 == 1 and config.system is MagicKind.FLIP_SHORT:
-        roots = []
-        reason = "flip-short trajectories close only with an even period"
-    else:
-        roots = find_periodic_caustics(
-            config.system, n, config.a, config.b, interval
-        )
+    system = table.outer_map
+    roots = find_periodic_caustics(system, n, table.fam.a, table.fam.b, interval)
     doc = {
-        "system": config.system.value,
+        "system": system.value,
         "n": n,
         "interval": [interval[0], interval[1]],
         "roots": [_bundle_dict(b) for b in roots],
-        "reason": reason,
+        "reason": empty_reason(system, n),
     }
     _write_atomic(out_json, _dump_json(doc))
     return 0
@@ -293,9 +223,8 @@ def cmd_periodic(
 # topology
 
 
-def cmd_topology(config: RunConfig, beta: float | None, out_json: str) -> int:
+def cmd_topology(table: TableSpec, beta: float | None, out_json: str) -> int:
     """Level-set report (with --beta) or the system's Fomenko graph as JSON."""
-    table = config.table_spec()
     if beta is not None:
         rep = classify_level(table, beta)
         doc = {
@@ -380,27 +309,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _table_spec(args: argparse.Namespace) -> TableSpec:
+    """The one table every subcommand runs on, from the common flags."""
+    fam = ConfocalFamily(args.a, args.b)
+    if args.command == "periodic" and args.table != "ellipse":
+        raise ValueError("periodicity certificates apply to the ellipse table")
+    system = MagicKind(args.system)
+    if args.table == "annulus":
+        if args.inner_lambda is None:
+            raise ValueError("annulus table needs --inner-lambda")
+        return TableSpec(fam, system, args.inner_lambda)
+    if args.inner_lambda is not None:
+        raise ValueError("--inner-lambda only applies to the annulus table")
+    return TableSpec(fam, system)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        a=args.a,
-        b=args.b,
-        system=MagicKind(args.system),
-        table=args.table,
-        inner_lambda=args.inner_lambda,
-        seed=args.seed,
-    )
     try:
+        table = _table_spec(args)
         if args.command == "simulate":
             return cmd_simulate(
-                config, args.x0, args.y0, args.dx, args.dy, args.bounces,
+                table, args.x0, args.y0, args.dx, args.dy, args.bounces,
                 args.out, args.svg,
             )
         if args.command == "periodic":
             interval = args.interval if args.interval is not None else (0.0, args.a)
-            return cmd_periodic(config, args.n, interval, args.out)
-        return cmd_topology(config, args.beta, args.out)
-    except _USAGE_ERRORS as exc:
+            return cmd_periodic(table, args.n, interval, args.out)
+        return cmd_topology(table, args.beta, args.out)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:

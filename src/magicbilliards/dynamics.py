@@ -36,6 +36,7 @@ from .geometry import (
     _first_hit_time,
     caustic_of_line,
     normal_at,
+    tangent_directions,
 )
 
 # default closure tolerance, times sqrt(a)
@@ -384,6 +385,22 @@ def detect_closure(
                 if abs(turns - round(turns)) < 0.01:
                     winding = int(round(turns))
             return ClosureReport(n, d, winding)
+    return None
+
+
+def tangent_phase(fam: ConfocalFamily, beta: float) -> BoundaryPhase | None:
+    """A deterministic outer-wall phase whose line is tangent to C_beta, or None.
+
+    Scans t = 0.83 + 0.031 k, k < 200, and returns the first boundary
+    point with a tangent line to C_beta, along the first of
+    ``tangent_directions``: hyperbola caustics are tangent only to lines
+    from part of the wall.
+    """
+    for k in range(200):
+        p = fam.boundary_point(0.83 + 0.031 * k)
+        dirs = tangent_directions(fam, beta, p)
+        if dirs:
+            return BoundaryPhase(p, dirs[0])
     return None
 
 

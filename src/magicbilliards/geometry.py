@@ -180,20 +180,26 @@ def caustic_of_line(
     return classify_caustic(fam, lam)
 
 
-def _ray_conic_roots(
+def _first_hit_time(
     fam: ConfocalFamily,
     lam: float,
     p: tuple[float, float],
     v: tuple[float, float],
-) -> tuple[float, float, float] | None:
-    """Coefficients-level helper: (alpha, gamma, disc) of the hit quadratic.
+    graze: bool = False,
+) -> float | None:
+    """Smallest admissible time along p + t v to reach C_lam, or None.
 
     The intersection times solve alpha t² + 2 gamma t + delta = 0 with
 
         alpha = vx²/A + vy²/B,  gamma = (x vx)/A + (y vy)/B,
         delta = x²/A + y²/B − 1,        A = a−λ, B = b−λ.
 
-    Returns None when the line misses the conic.
+    Admissible means beyond ``t_min = HIT_TMIN_RTOL * sqrt(a)``, which lets
+    a ray leave the wall point it currently sits on.  The quadratic is
+    solved in the cancellation-safe form t = q/alpha, delta/q.  With
+    ``graze=True`` (inner annulus wall) a near-tangent crossing —
+    normalized discriminant disc/alpha² below ``GRAZE_RTOL * a`` — is
+    treated as a miss.
     """
     aa = fam.a - lam
     bb = fam.b - lam
@@ -205,34 +211,12 @@ def _ray_conic_roots(
     disc = gamma * gamma - alpha * delta
     if disc < 0.0:
         return None
-    return alpha, gamma, disc
-
-
-def _first_hit_time(
-    fam: ConfocalFamily,
-    lam: float,
-    p: tuple[float, float],
-    v: tuple[float, float],
-    graze: bool = False,
-) -> float | None:
-    """Smallest admissible time along p + t v to reach C_lam, or None.
-
-    Admissible means beyond ``t_min = HIT_TMIN_RTOL * sqrt(a)``, which lets
-    a ray leave the wall point it currently sits on.  The quadratic is
-    solved in the cancellation-safe form t = q/alpha, delta/q.  With
-    ``graze=True`` (inner annulus wall) a near-tangent crossing —
-    normalized discriminant disc/alpha² below ``GRAZE_RTOL * a`` — is
-    treated as a miss.
-    """
-    out = _ray_conic_roots(fam, lam, p, v)
-    if out is None:
-        return None
-    alpha, gamma, disc = out
     if graze and disc / (alpha * alpha) < GRAZE_RTOL * fam.a:
         return None
     sq = math.sqrt(disc)
     q = -(gamma + sq) if gamma >= 0.0 else -(gamma - sq)
-    # roots: q/alpha and delta/q; recover delta from disc to avoid recompute
+    # delta is taken back from disc, as in dynamics._hit_times, so the
+    # scalar and batched roots round alike
     delta = (gamma * gamma - disc) / alpha
     roots = [q / alpha]
     if abs(q) > 1e-300:

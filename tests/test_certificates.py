@@ -17,7 +17,6 @@ import pytest
 
 import magicbilliards
 from magicbilliards import (
-    BoundaryPhase,
     CayleyMarker,
     ConfocalFamily,
     CurvePoint,
@@ -35,7 +34,7 @@ from magicbilliards import (
     series_divide_linear,
     series_sqrt_cubic,
     step,
-    tangent_directions,
+    tangent_phase,
     torsion_check,
 )
 from magicbilliards.certificates import CLOSURE_TOL, PELL_TOL, _pell_defect
@@ -416,14 +415,9 @@ def _simulated_rotation(a, b, beta, reflections=10_000):
     measured over ``reflections`` bounces of the identity billiard."""
     fam = ConfocalFamily(a, b)
     table = TableSpec(fam, MagicKind.IDENTITY)
-    for k in range(200):
-        p = fam.boundary_point(0.83 + 0.031 * k)
-        dirs = tangent_directions(fam, beta, p)
-        if dirs:
-            break
-    s = BoundaryPhase(p, dirs[0])
+    s = tangent_phase(fam, beta)
     total, flips, prev_sign = 0.0, 0, 0
-    prev_theta = math.atan2(p[1], p[0])
+    prev_theta = math.atan2(s.at[1], s.at[0])
     for _ in range(reflections):
         s = step(table, s)
         theta = math.atan2(s.at[1], s.at[0])

@@ -1,7 +1,9 @@
 """Command-line surface tests: outputs, envelopes, exit codes, determinism."""
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -43,6 +45,21 @@ def test_python_dash_m_runs_quietly(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert len(out.read_text().splitlines()) == 7  # header + initial + 5 impacts
+
+
+def test_import_leaves_the_cli_unloaded():
+    """The library loads no CLI; the console script still names cli.main."""
+    code = "import sys, magicbilliards; print(sorted(m for m in ('argparse', 'magicbilliards.cli') if m in sys.modules))"
+    src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml"), encoding="utf-8") as fh:
+        target = re.search(r'^magicbilliards = "(.+)"$', fh.read(), re.M).group(1)
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_simulate_golden_vertical_chord(tmp_path):
@@ -206,12 +223,23 @@ def test_periodic_two_reason(tmp_path):
         ["periodic", "--n", "4", "--interval", "7:3"],
         ["periodic", "--n", "1"],
         ["periodic", "--n", "4", "--interval", "2:11"],
+        ["periodic", "--n", "4", "--inner-lambda", "3"],  # wrong table
     ],
 )
 def test_periodic_usage_errors(tmp_path, args, capsys):
     out = tmp_path / "roots.json"
     assert main([*args, "--out", str(out)]) == 1
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_periodic_near_circular_family_is_a_usage_error(tmp_path, capsys):
+    """a = b to 1e-12 repeats a root of the cubic: a usage error (exit 1), not exit 2."""
+    out = tmp_path / "roots.json"
+    rc = main(["periodic", "--a", "4.000000000000001", "--b", "4", "--n", "3",
+               "--system", "half-turn", "--out", str(out)])
+    assert rc == 1
+    assert "repeated cubic root" in capsys.readouterr().err
     assert not out.exists()
 
 

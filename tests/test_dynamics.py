@@ -21,6 +21,7 @@ from magicbilliards import (
     step_batch,
     step_inverse,
     tangent_directions,
+    tangent_phase,
     trajectory,
 )
 from magicbilliards.geometry import _first_hit_time
@@ -190,6 +191,27 @@ def test_detect_closure_winding():
         assert rep is not None
         assert rep.period == 4
         assert rep.winding in (1, -1)
+
+
+@pytest.mark.parametrize(
+    "a, b, beta",
+    [(9.0, 4.0, 1.3), (9.0, 4.0, 6.0), (9.0, 4.0, 8.9),
+     (20.0, 3.0, 2.9), (20.0, 3.0, 5.0), (20.0, 3.0, 19.5)],
+)
+def test_tangent_phase_is_the_first_tangent_of_the_scan(a, b, beta):
+    """The scan t = 0.83 + 0.031 k, written out, picks the same phase bit for bit."""
+    fam = ConfocalFamily(a, b)
+    s0 = tangent_phase(fam, beta)
+    for k in range(200):
+        p = fam.boundary_point(0.83 + 0.031 * k)
+        dirs = tangent_directions(fam, beta, p)
+        if dirs:
+            break
+    assert s0.component == "outer"
+    assert [float.hex(c) for c in (*s0.at, *s0.v)] == [
+        float.hex(c) for c in (*p, *dirs[0])
+    ]
+    assert caustic_of_line(fam, s0.at, s0.v).lam == pytest.approx(beta, abs=1e-8 * a)
 
 
 def test_trajectory_keeps_pre_magic_hits():
