@@ -25,6 +25,7 @@ root so every certificate is checked independently.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,7 @@ from enum import Enum
 import mpmath as mp
 import numpy as np
 
-from .dynamics import MagicKind, TableSpec, closure_defect, tangent_phase
+from .dynamics import MagicKind, TableSpec, _caustic_modulus, closure_defect, tangent_phase
 from .geometry import ConfocalFamily
 
 EC_DPS = 50  # working precision (decimal digits) for curve arithmetic
@@ -137,8 +138,8 @@ class CertificateBundle:
 # power series
 
 
-def _check_distinct(a: float, b: float, beta: float) -> None:
-    for u, v in ((a, b), (a, beta), (b, beta)):
+def _check_distinct(*roots: float) -> None:
+    for u, v in itertools.combinations(roots, 2):
         if abs(u - v) < 1e-12 * max(abs(u), abs(v)):
             raise DegenerateCubic(f"repeated cubic root: {u} ~ {v}")
 
@@ -542,10 +543,11 @@ def find_periodic_caustics(
     CertificateBundle with the determinant, torsion, Pell, and
     direct-simulation residuals filled in.  Where ``empty_reason`` gives a
     reason (n = 2, odd flip-short) the result is empty without a search.
+    A near-circular family, a - b < 1e-12 a, raises DegenerateCubic
+    first, for every system and n.
     """
-    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
-
     ConfocalFamily(a, b)  # validates a > b > 0, both finite
+    _check_distinct(a, b)  # a near-circular family degenerates at every beta
     if n < 2:
         raise ValueError("need n >= 2")
     lo, hi = interval
@@ -556,6 +558,8 @@ def find_periodic_caustics(
         raise UnsupportedParity("identity system: no odd-period certificate")
     if empty_reason(system, n) is not None:
         return []
+    # deferred past the checks: scipy.optimize is slow to import
+    from scipy.optimize import brentq
 
     margin = ROOT_MARGIN_RTOL * a
     windows = [(margin, b - margin), (b + margin, a - margin)]
@@ -593,10 +597,7 @@ def _rho(a: float, b: float, beta: float) -> float:
     """
     from scipy.special import ellipk, ellipkinc  # deferred, like scipy.optimize
 
-    if beta < b:
-        phi, k2 = math.asin(math.sqrt(beta / b)), (a - b) / (a - beta)
-    else:
-        phi, k2 = math.asin(math.sqrt(b / beta)), (a - beta) / (a - b)
+    phi, k2, _ = _caustic_modulus(a, b, beta)
     return float(ellipkinc(phi, k2)) / (2.0 * float(ellipk(k2)))
 
 

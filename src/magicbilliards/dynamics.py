@@ -14,9 +14,11 @@ The inner wall of an annulus always reflects classically.  Every map
 preserves the confocal caustic of the trajectory, which is the backbone
 invariant the whole package leans on.
 
-``step`` advances one state and is the reference; ``step_batch`` applies
-the same map to N states held in numpy arrays, for callers that bounce
-many seeds together.
+``step`` advances one state and is the reference.  ``level_orbits``
+gives many seeds' impacts on one caustic level at once, in closed form:
+on a regular level the map is a translation in the Jacobi phase of the
+outer wall, so a whole (seeds x steps) grid of impacts costs one
+evaluation of the Jacobi functions.
 """
 from __future__ import annotations
 
@@ -29,10 +31,7 @@ import numpy as np
 from .geometry import (
     CausticId,
     ConfocalFamily,
-    GRAZE_RTOL,
-    HIT_TMIN_RTOL,
     NoForwardHit,
-    NotOnConic,
     _first_hit_time,
     caustic_of_line,
     normal_at,
@@ -174,98 +173,6 @@ def step(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
     if comp == "outer":
         hit, v_out = apply_magic(table.outer_map, hit, v_out)
     return BoundaryPhase(hit, v_out, comp)
-
-
-def _hit_times(
-    fam: ConfocalFamily,
-    walls: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    vx: np.ndarray,
-    vy: np.ndarray,
-) -> np.ndarray:
-    """:func:`geometry._first_hit_time` for N rays against W walls at once.
-
-    ``walls`` is a (W, 1) column of wall parameters: the outer wall 0.0,
-    then, on an annulus, the inner wall, where a graze counts as a miss.
-    Returns the (W, N) hit times, with ``inf`` for a miss.
-    """
-    aa = fam.a - walls
-    bb = fam.b - walls
-    alpha = vx * vx / aa + vy * vy / bb
-    gamma = (x * vx) / aa + (y * vy) / bb
-    delta = x * x / aa + y * y / bb - 1.0
-    disc = gamma * gamma - alpha * delta
-    hit = disc >= 0.0
-    if len(walls) > 1:
-        hit[1:] &= disc[1:] / (alpha[1:] * alpha[1:]) >= GRAZE_RTOL * fam.a
-    q = -(gamma + np.copysign(np.sqrt(np.maximum(disc, 0.0)), gamma))
-    delta = (gamma * gamma - disc) / alpha
-    t1 = q / alpha
-    t2 = np.divide(delta, q, out=np.full_like(q, -np.inf), where=np.abs(q) > 1e-300)
-    tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
-    t = np.minimum(np.where(t1 > tmin, t1, np.inf), np.where(t2 > tmin, t2, np.inf))
-    return np.where(hit, t, np.inf)
-
-
-def step_batch(
-    table: TableSpec,
-    x: np.ndarray,
-    y: np.ndarray,
-    vx: np.ndarray,
-    vy: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One bounce of N states at once: :func:`step` on arrays of shape (N,).
-
-    Takes impact points and outgoing unit velocities and returns the next
-    ``(x, y, vx, vy, inner)``, where ``inner`` marks the states now on
-    the inner wall.  Like ``step`` it does not need the current wall.
-    It keeps every check of the scalar step, in its operation order: the
-    ``HIT_TMIN_RTOL`` advance, a graze of the inner wall counted as a
-    miss, NoForwardHit when any ray leaves the table, and NotOnConic
-    when any hit misses its wall by more than 1e-8.  The scalar ``step``
-    stays the reference; the two agree seed by seed to roundoff.
-    """
-    fam = table.fam
-    if table.inner_lam is None:
-        t = _hit_times(fam, np.zeros((1, 1)), x, y, vx, vy)[0]
-        inner = np.zeros(t.shape, dtype=bool)
-        lam = 0.0
-    else:
-        t, t_in = _hit_times(fam, np.array([[0.0], [table.inner_lam]]), x, y, vx, vy)
-        inner = t_in < t
-        t = np.where(inner, t_in, t)
-        lam = np.where(inner, table.inner_lam, 0.0)
-    lost = ~np.isfinite(t)
-    if lost.any():
-        k = int(np.argmax(lost))
-        raise NoForwardHit(
-            f"ray from {(float(x[k]), float(y[k]))} along "
-            f"{(float(vx[k]), float(vy[k]))} leaves the table"
-        )
-    hx = x + t * vx
-    hy = y + t * vy
-    # reflect_standard and its normal_at, on every hit at once
-    aa = fam.a - lam
-    bb = fam.b - lam
-    off = np.abs(hx * hx / aa + hy * hy / bb - 1.0) > 1e-8
-    if off.any():
-        k = int(np.argmax(off))
-        raise NotOnConic(f"{(float(hx[k]), float(hy[k]))} is not on its wall")
-    gx = hx / aa
-    gy = hy / bb
-    h = np.hypot(gx, gy)
-    nx = -gx / h
-    ny = -gy / h
-    d = vx * nx + vy * ny
-    ux = vx - 2.0 * d * nx
-    uy = vy - 2.0 * d * ny
-    if table.outer_map is not MagicKind.IDENTITY:
-        sx, sy = table.outer_map.signs
-        mx = np.where(inner, 1.0, sx)
-        my = np.where(inner, 1.0, sy)
-        hx, hy, ux, uy = mx * hx, my * hy, mx * ux, my * uy
-    return hx, hy, ux, uy, inner
 
 
 def step_inverse(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
@@ -411,3 +318,193 @@ def phase_at(
     p = table.fam.boundary_point(t)
     h = math.hypot(*direction)
     return BoundaryPhase(p, (direction[0] / h, direction[1] / h), "outer")
+
+
+# ---------------------------------------------------------------------------
+# caustic levels in closed form
+#
+# On a regular caustic level the motion is a translation on an elliptic
+# curve (Chang & Friedberg 1988; Dragovic & Radnovic, "Poncelet Porisms
+# and Beyond", 2011).  In the Jacobi phase u of the outer wall a bounce
+# adds a constant to u and each magic map is u -> +-u + 2K j, so every
+# impact point has a closed form.  Each modulus below comes with
+# m1 = 1 - m taken from (a, b, beta) directly, which keeps levels next
+# to the focal one (m -> 1) at full precision.
+
+# A seed's first closed-form impact must meet its scalar step within
+# sqrt(a) (ORBIT_MATCH_RTOL + FOCAL_SLACK a / |beta - b|).  Near the focal
+# level the phase advance amplifies the seed's roundoff in beta, some
+# 1e-16 a, by about 1 / |beta - b|; the slack is over 20 times the
+# largest miss seen on levels 1e-9 a to 1e-2 a from b.
+ORBIT_MATCH_RTOL = 1e-9
+FOCAL_SLACK = 1e-15
+
+
+class OrbitMismatch(ArithmeticError):
+    """No closed-form branch reproduces a seed's first scalar step within its bound."""
+
+
+def _caustic_modulus(a: float, b: float, beta: float) -> tuple[float, float, float]:
+    """(phi, m, m1) of the level beta: rotation number F(phi|m) / 2K(m), m1 = 1 - m."""
+    if beta < b:
+        return math.asin(math.sqrt(beta / b)), (a - b) / (a - beta), (b - beta) / (a - beta)
+    return math.asin(math.sqrt(b / beta)), (a - beta) / (a - b), (beta - b) / (a - b)
+
+
+def _carlson_rf(x, y, z) -> np.ndarray:
+    """Carlson's symmetric integral R_F(x, y, z), elementwise, by duplication."""
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    while True:
+        mu = (x + y + z) / 3.0
+        spread = np.maximum(np.abs(x - mu), np.maximum(np.abs(y - mu), np.abs(z - mu)))
+        if not np.any(spread > 1e-3 * mu):
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+    # fifth-order series: with a relative spread below 1e-3 its truncation
+    # error is of order 1e-18, below roundoff
+    ex, ey = 1.0 - x / mu, 1.0 - y / mu
+    ez = -ex - ey
+    e2 = ex * ey - ez * ez
+    e3 = ex * ey * ez
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mu)
+
+
+def _ellipf(phi, m1: float, quarter: float) -> np.ndarray:
+    """F(phi | m) for any real phi, from m1 = 1 - m and K(m) = ``quarter``."""
+    j = np.round(np.asarray(phi) / math.pi)
+    s, c = np.sin(phi - j * math.pi), np.cos(phi - j * math.pi)
+    return 2.0 * j * quarter + s * _carlson_rf(c * c, c * c + m1 * s * s, 1.0)
+
+
+def _jacobi(u: np.ndarray, m, m1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sn, cn, dn)(u | m) by the descending AGM (Landen) scheme.
+
+    m and m1 = 1 - m broadcast against u.  u is first reduced modulo 4K,
+    with K from the same AGM, so the error stays at roundoff for any |u|.
+    dn is sqrt(cn² + m1 sn²), which stays accurate as m -> 1 where
+    1 - m sn² cancels.
+    """
+    m1 = np.asarray(m1, dtype=float)
+    a, c = [np.ones_like(m1)], [np.sqrt(m)]
+    b = np.sqrt(m1)
+    while np.any(c[-1] > 1e-17 * a[-1]):
+        a_next = 0.5 * (a[-1] + b)
+        b = np.sqrt(a[-1] * b)
+        c.append(0.25 * c[-1] * c[-1] / a_next)
+        a.append(a_next)
+    period = 2.0 * math.pi / a[-1]
+    phi = (2.0 ** (len(a) - 1) * a[-1]) * (u - period * np.round(u / period))
+    for an, cn in zip(a[:0:-1], c[:0:-1]):
+        phi = 0.5 * (phi + np.arcsin(cn / an * np.sin(phi)))
+    sn, cn = np.sin(phi), np.cos(phi)
+    return sn, cn, np.sqrt(cn * cn + m1 * sn * sn)
+
+
+def level_orbits(
+    table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Impacts 1..steps of each seed's orbit on the caustic level beta, in closed form.
+
+    The seeds are outer-wall phases whose lines touch C_beta.  Returns
+    ``(x, y, qx, qy, inner)``, arrays of shape (len(seeds), steps): the
+    impact points after magic, the wall points before it, and which
+    impacts lie on the inner wall.  They agree with repeated :func:`step`
+    to roundoff.  With k = sqrt(m) and (phi, m) as for the rotation number:
+
+    * ellipse caustic: the point is (-sqrt(a) sn u, sqrt(b) cn u).  A
+      bounce adds sigma d to u, d = 2F(phi|m), sigma = +-1 the winding
+      sense.  Flip-short maps (u, sigma) to (-u, -sigma), flip-long to
+      (-u - 2K, -sigma), half-turn to (u + 2K, sigma).  These orbits never
+      reach an inner wall.
+    * hyperbola caustic: the point is (sqrt(a) k sn u, s sqrt(b) dn u),
+      s = +-1.  On the ellipse table a bounce maps (u, s) to (u + d, -s).
+      On an annulus every chord crosses the focal segment, so the walls
+      alternate; each step adds sqrt(a-b) (R_F(a-l, b-l, beta-l) -
+      R_F(a, b, beta)) to u, l the inner wall, whose points are the same
+      expression in a - l and b - l.  Flip-short adds 2K to u and
+      flip-long flips s, on outer hits only.
+
+    Each seed runs on the caustic of its own line, which is beta up to
+    the seed's roundoff: the advance d amplifies that roundoff, by
+    1 / |beta - b| near the focal level, and the scalar step follows the
+    seed's own caustic.  A seed fixes u only up to a branch: sigma, or u
+    against 2K - u.  The branch kept is the one whose first impact lies
+    nearer to ``step`` of the seed, so the scalar step's checks run at
+    every seed; it must lie within the ``ORBIT_MATCH_RTOL`` bound, or
+    OrbitMismatch is raised.  Both branches meet the step only at a wall
+    point where the two tangents to a hyperbola merge, and there they are
+    one orbit.
+    """
+    fam = table.fam
+    a, b, lam = fam.a, fam.b, table.inner_lam
+    sa, sb = math.sqrt(a), math.sqrt(b)
+    sx, sy = table.outer_map.signs
+    x0, y0, vx0, vy0 = (np.array(c)[:, None] for c in zip(*(s.at + s.v for s in seeds)))
+    # each seed's own caustic parameter: beta up to the seed's roundoff
+    own = [caustic_of_line(fam, s.at, s.v).lam for s in seeds]
+    phi, m, m1 = (np.array(c)[:, None] for c in zip(*(_caustic_modulus(a, b, x) for x in own)))
+    lev = np.array(own)[:, None]
+    quarter = _carlson_rf(0.0, m1, 1.0)  # K(m)
+    if beta < b:
+        d = 2.0 * _ellipf(phi, m1, quarter)
+        u0 = _ellipf(np.arctan2(-x0 / sa, y0 / sb), m1, quarter)
+        branches = [(u0, d), (u0, -d)]
+
+        def impacts(start, k):
+            u = start[0] + k * start[1]
+            odd = k % 2 == 1
+            if sx * sy < 0.0:
+                u = np.where(odd, -u, u)
+            if sy < 0.0:
+                u = u + 2.0 * quarter * odd
+            sn, cn, _ = _jacobi(u, m, m1)
+            return -sa * sn, sb * cn, np.zeros(u.shape, dtype=bool)
+
+    else:
+        # sn u from x; |cn u| from the angle between the seed's line and
+        # the wall, which stays well conditioned where the two tangents
+        # from a wall point merge and x alone does not fix u
+        lam2 = a - x0 * x0 * (a - b) / a
+        along = (vy0 * x0 / a - vx0 * y0 / b) / np.hypot(x0 / a, y0 / b)
+        cn0 = np.abs(along) * np.sqrt(lam2 / (a - lev))
+        w = _ellipf(np.arctan2(x0 / (sa * np.sqrt(m)), cn0), m1, quarter)
+        s0 = np.copysign(1.0, y0)
+        branches = [(w, s0), (2.0 * quarter - w, s0)]
+        if lam is None:
+            advance, turn = 2.0 * _ellipf(phi, m1, quarter), -sy
+            ax, ay = sa, sb
+        else:
+            rf_in = _carlson_rf(a - lam, b - lam, lev - lam) - _carlson_rf(a, b, lev)
+            advance, turn = math.sqrt(a - b) * rf_in, sy
+            ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
+
+        def impacts(start, k):
+            odd = (k if lam is None else k // 2) % 2 == 1  # an odd number of outer hits
+            u = start[0] + k * advance
+            if sx < 0.0:
+                u = u + 2.0 * quarter * odd
+            s = np.where(odd, turn * start[1], start[1])
+            inner = np.broadcast_to((k % 2 == 1) & (lam is not None), u.shape)
+            sn, _, dn = _jacobi(u, m, m1)
+            x = np.where(inner, ax, sa) * np.sqrt(m) * sn
+            return x, s * np.where(inner, ay, sb) * dn, inner
+
+    ref = np.array([step(table, s).at for s in seeds])
+    miss = []
+    for start in branches:
+        x1, y1, _ = impacts(start, np.ones((1, 1), dtype=int))
+        miss.append(np.hypot(x1[:, 0] - ref[:, 0], y1[:, 0] - ref[:, 1]))
+    best = np.minimum(*miss)
+    tol = sa * (ORBIT_MATCH_RTOL + FOCAL_SLACK * a / abs(beta - b))
+    if (best > tol).any():
+        i = int(np.argmax(best))
+        raise OrbitMismatch(
+            f"beta={beta}: the closed form misses the first step from {seeds[i].at} "
+            f"along {seeds[i].v} by {best[i]:.3g}, over the bound {tol:.3g}"
+        )
+    pick = (miss[0] <= miss[1])[:, None]
+    start = tuple(np.where(pick, p, q) for p, q in zip(*branches))
+    x, y, inner = impacts(start, np.arange(1, steps + 1)[None, :])
+    return x, y, np.where(inner, x, sx * x), np.where(inner, y, sy * y), inner

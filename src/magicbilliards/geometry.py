@@ -215,8 +215,8 @@ def _first_hit_time(
         return None
     sq = math.sqrt(disc)
     q = -(gamma + sq) if gamma >= 0.0 else -(gamma - sq)
-    # delta is taken back from disc, as in dynamics._hit_times, so the
-    # scalar and batched roots round alike
+    # delta is taken back from disc: trajectories, and the files the CLI
+    # writes from them, are pinned to the rounding this gives
     delta = (gamma * gamma - disc) / alpha
     roots = [q / alpha]
     if abs(q) > 1e-300:

@@ -24,9 +24,9 @@ from .dynamics import (
     MagicKind,
     TableSpec,
     _propagate,
+    level_orbits,
     phase_distance,
     step,
-    step_batch,
     step_inverse,
 )
 from .geometry import ConfocalFamily, tangent_directions
@@ -41,6 +41,9 @@ SEP_SEED_OFFSET = 1e-4
 # focus-line test degenerates in double precision
 SEP_MAX_SEGMENTS = 14
 DEGEN_RTOL = 1e-9
+# seeds labelled together: a seed's labels never depend on another's, and
+# small blocks keep the (seeds x steps) grids small
+SEED_BLOCK = 8
 
 _ATOM_LOOKUP = {
     (1, 0): "A",
@@ -134,23 +137,26 @@ def _tangent_seeds(table: TableSpec, beta: float, samples: int) -> list[Boundary
     Hyperbola caustics are reachable only from part of the boundary, so
     the scan oversamples the boundary parameter, then thins the
     admissible points to ``samples`` evenly spaced entries, alternating
-    the tangent branch from seed to seed.
+    the tangent branch from seed to seed.  A scan point is admissible
+    when :func:`tangent_directions` finds a tangent there: its vertical
+    case, or a discriminant >= 0, computed here for all points at once in
+    the same operation order; the directions are found only at the
+    points kept.
     """
     fam = table.fam
     scan = 8 * samples
-    hits: list[tuple[tuple[float, float], tuple]] = []
-    for k in range(scan):
-        t = 2.0 * math.pi * (k + 0.37) / scan
-        p = fam.boundary_point(t)
-        dirs = tangent_directions(fam, beta, p)
-        if dirs:
-            hits.append((p, dirs))
-    if not hits:
+    points = [fam.boundary_point(2.0 * math.pi * (k + 0.37) / scan) for k in range(scan)]
+    x, y = np.array(points).T
+    aq = fam.a - beta - x * x
+    bq = fam.b - beta - y * y
+    hits = np.flatnonzero((np.abs(aq) < 1e-12 * fam.a) | (x * x * y * y - aq * bq >= 0.0))
+    if not len(hits):
         return []
     stride = len(hits) / samples
     seeds: list[BoundaryPhase] = []
     for i in range(samples):
-        p, dirs = hits[min(int(i * stride), len(hits) - 1)]
+        p = points[hits[min(int(i * stride), len(hits) - 1)]]
+        dirs = tangent_directions(fam, beta, p)
         seeds.append(BoundaryPhase(p, dirs[i % len(dirs)]))
     return seeds
 
@@ -204,49 +210,42 @@ def _hyperbola_labels(
 def _level_signatures(
     table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps: int
 ) -> list[set[str]]:
-    """Labels observed along each seed's trajectory, all seeds stepped together.
+    """Labels observed along each seed's trajectory, read off its closed-form orbit.
 
     Ellipse caustics get winding labels {CW, CCW}: the polar angle of the
     impact points is summed over sliding windows of WINDING_WINDOW
-    segments, kept as a ring buffer of the last increments; a window
-    sweeping less than WINDING_MIN_SWEEP is indeterminate and contributes
-    no label.  Hyperbola caustics get the segment labels of
-    :func:`_hyperbola_labels`.
+    segments, checked for windows ending at segment WINDING_WINDOW
+    (0-based) and later; a window sweeping less than WINDING_MIN_SWEEP is
+    indeterminate and contributes no label.  Hyperbola caustics get the
+    segment labels of :func:`_hyperbola_labels`.
     """
     fam = table.fam
-    n = len(seeds)
-    x, y, vx, vy = (np.array(c, dtype=float) for c in zip(*(s.at + s.v for s in seeds)))
     winding = beta < fam.b
     names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
-    seen = np.zeros((n, len(names)), dtype=bool)
-    rows = np.arange(n)
-    ring = np.zeros((WINDING_WINDOW, n))
-    acc = np.zeros(n)
-    prev = np.arctan2(y, x)
-    sy = table.outer_map.signs[1]
-    for i in range(steps):
-        x1, y1, vx1, vy1, inner = step_batch(table, x, y, vx, vy)
+    out: list[set[str]] = []
+    for lo in range(0, len(seeds), SEED_BLOCK):
+        block = seeds[lo:lo + SEED_BLOCK]
+        x, y, qx, qy, _ = level_orbits(table, beta, block, steps)
+        # impact 0 is the seed; segment i runs from impact i to wall point i + 1
+        px = np.hstack([[[s.at[0]] for s in block], x])
+        py = np.hstack([[[s.at[1]] for s in block], y])
         if winding:
-            th = np.arctan2(y1, x1)
-            d = th - prev
+            d = np.diff(np.arctan2(py, px), axis=1)
             d = np.where(d > math.pi, d - 2.0 * math.pi, d)
             d = np.where(d < -math.pi, d + 2.0 * math.pi, d)
-            prev = th
-            acc += d
-            k = i % WINDING_WINDOW
-            if i >= WINDING_WINDOW:
-                acc -= ring[k]
-                seen[:, 0] |= acc > WINDING_MIN_SWEEP
-                seen[:, 1] |= acc < -WINDING_MIN_SWEEP
-            ring[k] = d
+            acc = np.cumsum(d, axis=1)
+            swept = acc[:, WINDING_WINDOW:] - acc[:, :-WINDING_WINDOW]
+            ccw = (swept > WINDING_MIN_SWEEP).any(axis=1)
+            cw = (swept < -WINDING_MIN_SWEEP).any(axis=1)
+            seen = np.stack([ccw, cw], axis=1)  # in _WINDING_LABELS order
         else:
-            # the wall point before magic, from the one after it
-            qy = np.where(inner, y1, sy * y1)
-            code = _hyperbola_labels(fam, beta, x, y, vx, vy, qy)
-            hit = code >= 0
-            seen[rows[hit], code[hit]] = True
-        x, y, vx, vy = x1, y1, vx1, vy1
-    return [{names[j] for j in np.flatnonzero(row)} for row in seen]
+            px, py = px[:, :-1], py[:, :-1]
+            vx, vy = qx - px, qy - py
+            h = np.hypot(vx, vy)
+            code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
+            seen = (code[:, :, None] == np.arange(len(names))).any(axis=1)
+        out += [{names[j] for j in np.flatnonzero(row)} for row in seen]
+    return out
 
 
 def _merge_count(signatures: list[set[str]]) -> tuple[int, list[tuple[str, str]]]:
@@ -282,10 +281,10 @@ def classify_level(
 ) -> LevelSetReport:
     """Number of connected components of the regular level at caustic beta.
 
-    Seeds ``samples`` tangent phases, simulates ``steps`` bounces of all
-    of them together with :func:`step_batch`, and merges the discrete
-    labels observed on a common trajectory; the component count is the
-    number of remaining label classes (1 when every trajectory stays
+    Seeds ``samples`` tangent phases, takes ``steps`` bounces of each in
+    closed form with :func:`level_orbits`, and merges the discrete labels
+    observed on a common trajectory; the component count is the number of
+    remaining label classes (1 when every trajectory stays
     indeterminate).
     """
     fam = table.fam

@@ -243,6 +243,18 @@ def test_periodic_near_circular_family_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n,system", [(4, "identity"), (3, "flip-long"), (2, "half-turn")])
+def test_periodic_near_circular_family_is_rejected_for_every_search(tmp_path, capsys, n, system):
+    # the family is rejected before any search, so no parity or system
+    # reaches a "verified" root next to the degenerate cubic
+    out = tmp_path / "roots.json"
+    rc = main(["periodic", "--a", "4.000000000000001", "--b", "4", "--n", str(n),
+               "--system", system, "--out", str(out)])
+    assert rc == 1
+    assert "repeated cubic root" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # topology
 

@@ -1,9 +1,10 @@
 """Magic billiard map tests: reflection, magic maps, closure, bookkeeping."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from magicbilliards import (
     BoundaryPhase,
@@ -15,16 +16,18 @@ from magicbilliards import (
     caustic_of_line,
     closure_defect,
     detect_closure,
+    level_orbits,
     phase_at,
     phase_distance,
     step,
-    step_batch,
     step_inverse,
     tangent_directions,
     tangent_phase,
     trajectory,
 )
+from magicbilliards.dynamics import ORBIT_MATCH_RTOL, OrbitMismatch, _jacobi
 from magicbilliards.geometry import _first_hit_time
+from magicbilliards.topology import _tangent_seeds
 
 FAM = ConfocalFamily(9.0, 4.0)
 ELL = {k: TableSpec(FAM, k) for k in MagicKind}
@@ -226,20 +229,7 @@ def test_trajectory_keeps_pre_magic_hits():
 
 
 # ---------------------------------------------------------------------------
-# the batched step against the scalar reference
-
-
-def _arrays(states):
-    return tuple(np.array(c) for c in zip(*(s.at + s.v for s in states)))
-
-
-def _assert_batch_matches(table, states, out):
-    x, y, vx, vy, inner = out
-    for i, s in enumerate(states):
-        ref = step(table, s)
-        assert ref.component == ("inner" if inner[i] else "outer")
-        got = (x[i], y[i], vx[i], vy[i])
-        assert max(abs(g - r) for g, r in zip(got, ref.at + ref.v)) <= 1e-12
+# the closed-form level orbit against the scalar reference
 
 
 @given(
@@ -247,33 +237,64 @@ def _assert_batch_matches(table, states, out):
     a=st.floats(1.0, 20.0),
     ratio=st.floats(0.15, 0.85),
     wall=st.one_of(st.none(), st.floats(0.2, 0.9)),
-    starts=st.lists(
-        st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(-1.4, 1.4), st.integers(0, 3)),
-        min_size=1,
-        max_size=12,
-    ),
+    hyperbola=st.booleans(),
+    where=st.floats(0.0, 1.0),
+)
+# a level where two seeds' lines carry 1e-12 of roundoff in beta (one of
+# their tangents is nearly vertical): the orbit must follow each seed's own
+# caustic, as the step does
+@example(
+    kind=MagicKind.HALF_TURN, a=4.297680868191241, ratio=0.5191325636742681,
+    wall=None, hyperbola=False, where=1.0,
 )
 @settings(max_examples=80, deadline=None)
-def test_step_batch_matches_step(kind, a, ratio, wall, starts):
+def test_level_orbits_match_step(kind, a, ratio, wall, hyperbola, where):
+    # any level classify_level accepts, kept 1e-3 a clear of {0, b, a} and
+    # of the inner wall, on either side of the focal level
     fam = ConfocalFamily(a, a * ratio)
     table = TableSpec(fam, kind, None if wall is None else wall * fam.b)
-    states = []
-    for t, psi, advance in starts:
-        # a boundary point, aimed psi off the inward normal, then a few
-        # scalar steps so that inner-wall states are covered too
-        p = fam.boundary_point(t)
-        nx, ny = -p[0] / fam.a, -p[1] / fam.b
-        h = math.hypot(nx, ny)
-        c, s = math.cos(psi), math.sin(psi)
-        state = BoundaryPhase(p, ((c * nx - s * ny) / h, (s * nx + c * ny) / h))
-        for _ in range(advance):
-            state = step(table, state)
-        states.append(state)
-    _assert_batch_matches(table, states, step_batch(table, *_arrays(states)))
+    margin = 1e-3 * a
+    if hyperbola:
+        lo, hi = fam.b + margin, fam.a - margin
+    else:
+        lo, hi = margin, (table.inner_lam or fam.b) - margin
+    assume(lo < hi)
+    beta = lo + where * (hi - lo)
+    seeds = _tangent_seeds(table, beta, 16)
+    x, y, qx, qy, inner = level_orbits(table, beta, seeds, 40)
+    tol = ORBIT_MATCH_RTOL * math.sqrt(a)
+    for i, s0 in enumerate(seeds):
+        traj = trajectory(table, s0, 40)
+        for k, (s, hit) in enumerate(zip(traj.states[1:], traj.hits)):
+            assert inner[i, k] == (s.component == "inner")
+            assert math.hypot(x[i, k] - s.at[0], y[i, k] - s.at[1]) <= tol
+            assert math.hypot(qx[i, k] - hit[0], qy[i, k] - hit[1]) <= tol
+
+
+def test_level_orbits_refuse_a_seed_the_closed_form_cannot_follow():
+    # a seed tangent to an ellipse caustic, given as a hyperbola level: no
+    # branch of the hyperbola form meets its first step
+    p = FAM.boundary_point(1.2)
+    seed = BoundaryPhase(p, tangent_directions(FAM, 2.5, p)[0])
+    with pytest.raises(OrbitMismatch):
+        level_orbits(ELL[MagicKind.IDENTITY], 6.0, [seed], 5)
+
+
+@pytest.mark.parametrize("m1", [0.5, 1e-3, 1e-6, 1e-9, 1e-12])
+def test_jacobi_functions_match_mpmath(m1):
+    u = np.concatenate([np.linspace(-7.0, 7.0, 15), np.linspace(0.0, 1000.0, 21)])
+    sn, cn, dn = _jacobi(u, 1.0 - m1, m1)
+    with mp.workdps(30):
+        m = 1 - mp.mpf(m1)
+        for i, ui in enumerate(u):
+            for name, got in (("sn", sn), ("cn", cn), ("dn", dn)):
+                assert abs(got[i] - float(mp.ellipfun(name, ui, m))) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(MagicKind))
 def test_inner_wall_graze_is_a_miss_on_both_paths(kind):
+    # the hit-time solver calls a graze a miss, and the step goes on to the
+    # outer wall
     table = ANN[kind]
     p = FAM.boundary_point(1.1)
     states = []
@@ -287,19 +308,20 @@ def test_inner_wall_graze_is_a_miss_on_both_paths(kind):
                 assert _first_hit_time(FAM, table.inner_lam, p, w, graze=True) is None
                 states.append(BoundaryPhase(p, w))
     assert len(states) == 2
-    out = step_batch(table, *_arrays(states))
-    assert not out[4].any()
-    _assert_batch_matches(table, states, out)
+    for s in states:
+        assert step(table, s).component == "outer"
 
 
 @pytest.mark.parametrize("table", [ELL[MagicKind.FLIP_LONG], ANN[MagicKind.HALF_TURN]])
 def test_ray_leaving_table_raises_on_both_paths(table):
-    good = phase_at(table, 0.4, (-0.6, -0.8))
+    # level_orbits runs the scalar step at every seed, so it raises too
+    p = FAM.boundary_point(1.2)
+    good = BoundaryPhase(p, tangent_directions(FAM, 6.0, p)[0])
     p = FAM.boundary_point(2.0)
     h = math.hypot(p[0] / FAM.a, p[1] / FAM.b)
     bad = BoundaryPhase(p, (p[0] / FAM.a / h, p[1] / FAM.b / h))  # outward normal
     with pytest.raises(NoForwardHit):
         step(table, bad)
     with pytest.raises(NoForwardHit):
-        step_batch(table, *_arrays([good, bad]))
-    step_batch(table, *_arrays([good]))  # the good state alone steps fine
+        level_orbits(table, 6.0, [good, bad], 5)
+    level_orbits(table, 6.0, [good], 5)  # the good seed alone runs fine

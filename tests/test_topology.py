@@ -1,6 +1,7 @@
 """Level-set classification tests: component counts, singular levels, graphs."""
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from magicbilliards import (
     BoundaryPhase,
     ConfocalFamily,
     DegenerateLevel,
+    LevelSetReport,
     MagicKind,
     TableSpec,
     UnknownSystem,
@@ -17,7 +19,14 @@ from magicbilliards import (
     fomenko_graph,
     singular_level_report,
 )
-from magicbilliards.dynamics import _propagate, apply_magic, step
+from magicbilliards.dynamics import (
+    FOCAL_SLACK,
+    ORBIT_MATCH_RTOL,
+    _propagate,
+    apply_magic,
+    level_orbits,
+    step,
+)
 from magicbilliards.geometry import caustic_of_line
 from magicbilliards.topology import (
     WINDING_MIN_SWEEP,
@@ -243,6 +252,77 @@ def test_every_hyperbola_segment_is_labelled(table):
     for row, code in zip(rows, codes):
         want = _scalar_label(fam, beta, *row)
         assert (_HYPERBOLA_LABELS[code] if code >= 0 else None) == want
+
+
+# whole reports at the default 64 seeds x 1000 bounces, pinned from the
+# step-by-step bounce loop that the closed-form orbit replaced
+REPORT_GOLDENS = [
+    (ELL[MagicKind.FLIP_LONG], 2.5, 1, [("CCW", "CW")]),
+    (ELL[MagicKind.FLIP_LONG], 6.0, 2, [("DLX", "DRX"), ("ULX", "URX")]),
+    (ELL[MagicKind.FLIP_SHORT], 2.5, 1, [("CCW", "CW")]),
+    (ELL[MagicKind.FLIP_SHORT], 6.0, 1, [("DLX", "DRX"), ("DLX", "ULX"), ("DLX", "URX")]),
+    (ELL[MagicKind.HALF_TURN], 2.5, 2, []),
+    (ELL[MagicKind.HALF_TURN], 6.0, 2, [("DLX", "DRX"), ("ULX", "URX")]),
+    (ANN[MagicKind.FLIP_LONG], 2.5, 1, [("CCW", "CW")]),
+    (ANN[MagicKind.FLIP_LONG], 6.0, 1, [
+        ("DLB", "DLT"), ("DLB", "DRB"), ("DLB", "DRT"), ("DLB", "ULB"),
+        ("DLB", "ULT"), ("DLB", "URB"), ("DLB", "URT"),
+    ]),
+    (ANN[MagicKind.FLIP_SHORT], 2.5, 1, [("CCW", "CW")]),
+    (ANN[MagicKind.FLIP_SHORT], 6.0, 2, [
+        ("DLT", "DRT"), ("DLT", "ULT"), ("DLT", "URT"),
+        ("DLB", "DRB"), ("DLB", "ULB"), ("DLB", "URB"),
+    ]),
+    (ANN[MagicKind.HALF_TURN], 2.5, 2, []),
+    (ANN[MagicKind.HALF_TURN], 6.0, 1, [
+        ("DLB", "DLT"), ("DLB", "DRB"), ("DLB", "DRT"), ("DLB", "ULB"),
+        ("DLB", "ULT"), ("DLB", "URB"), ("DLB", "URT"),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "table,beta,count,evidence",
+    REPORT_GOLDENS,
+    ids=[f"{_name(t)}-{b}" for t, b, _, _ in REPORT_GOLDENS],
+)
+def test_level_reports_match_goldens(table, beta, count, evidence):
+    kind = "ellipse" if beta < FAM.b else "hyperbola"
+    assert classify_level(table, beta) == LevelSetReport(beta, kind, count, 64, tuple(evidence))
+
+
+NEAR_FOCAL = [
+    (table, FAM.b + off * FAM.a)
+    for table, offsets in ((ELL[MagicKind.FLIP_LONG], (-1e-8, -1e-6, 1e-6, 1e-8)),
+                           (ANN[MagicKind.HALF_TURN], (1e-6, 1e-8)))
+    for off in offsets
+]
+
+
+@pytest.mark.parametrize(
+    "table,beta", NEAR_FOCAL, ids=[f"{_name(t)}-{b - FAM.b:+.0e}" for t, b in NEAR_FOCAL]
+)
+def test_near_focal_levels(table, beta):
+    # the scalar step's own roundoff in beta, some 1e-16 a per bounce,
+    # shifts every later phase advance by about 1e-16 a / |beta - b|, so
+    # its drift from the exact orbit grows faster than linearly: impact k
+    # is held to k² times the first impact's bound
+    seeds = _tangent_seeds(table, beta, 16)
+    x, y, _, _, _ = level_orbits(table, beta, seeds, 50)
+    tol = math.sqrt(FAM.a) * (ORBIT_MATCH_RTOL + FOCAL_SLACK * FAM.a / abs(beta - FAM.b))
+    for i, s in enumerate(seeds):
+        for k in range(50):
+            s = step(table, s)
+            assert math.hypot(x[i, k] - s.at[0], y[i, k] - s.at[1]) <= (k + 1) ** 2 * tol
+    assert classify_level(table, beta).sample_count == 64
+
+
+def test_classification_raises_no_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for table in SIX:
+            for beta in (2.5, 6.0):
+                classify_level(table, beta)
 
 
 # ---------------------------------------------------------------------------
