@@ -15,6 +15,12 @@ pass one.
 Exit codes: 0 success (including legitimately empty results), 1 usage
 errors (every ValueError), 2 numerical or topology failures.  Files are
 written atomically (write to a temporary sibling, then rename).
+
+``simulate`` serialises from array columns: the trajectory's states
+become float64 columns, the elliptic coordinates and caustic come from
+the array forms in ``geometry``, and each CSV row and SVG element is one
+``%`` format of a fixed template.  Its files are pinned byte for byte by
+SHA-256 in the tests.
 """
 from __future__ import annotations
 
@@ -24,14 +30,17 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .certificates import CertificateBundle, empty_reason, find_periodic_caustics
 from .dynamics import BoundaryPhase, MagicKind, TableSpec, trajectory
 from .geometry import (
+    CausticId,
     ConfocalFamily,
     NoForwardHit,
-    caustic_of_line,
+    caustic_column,
+    elliptic_columns,
     normal_at,
-    to_elliptic,
 )
 from .topology import TopologyMismatch, classify_level, fomenko_graph
 
@@ -57,10 +66,6 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -84,15 +89,30 @@ def _svg_path_hyperbola(a: float, b: float, beta: float, clip: float) -> list[st
     return out
 
 
+# one segment per bounce, one numbered marker per impact
+_SVG_SEGMENT = (
+    '<path d="M %.6f %.6f L %.6f %.6f" stroke="black" stroke-width="0.02" fill="none"/>'
+)
+_SVG_IMPACT = (
+    '<circle cx="%.6f" cy="%.6f" r="0.06" fill="black"/>\n'
+    '<text x="%.6f" y="%.6f" font-size="0.25" font-family="sans-serif">%d</text>'
+)
+_CSV_HEADER = "i,x,y,vx,vy,lambda1,lambda2,caustic\n"
+# %.17g round-trips every float64 and formats like f"{v:.17g}"
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
+
 def _render_svg(
     table: TableSpec,
-    states: list[BoundaryPhase],
-    hits: list[tuple[float, float]],
-    caustic_lam: float,
-    caustic_kind: str,
+    x: np.ndarray,
+    y: np.ndarray,
+    hx: np.ndarray,
+    hy: np.ndarray,
+    caustic: CausticId,
 ) -> str:
     """Draw the boundary, the caustic (dashed), segments, and numbered hits.
 
+    Segment i runs from (x[i], y[i]) to the wall point (hx[i], hy[i]).
     SVG's y axis points down, so every y coordinate is negated.
     """
     fam = table.fam
@@ -110,31 +130,24 @@ def _render_svg(
             f'ry="{math.sqrt(fam.b - table.inner_lam):.6f}" '
             f'fill="none" stroke="black" stroke-width="0.03"/>'
         )
-    if caustic_kind == "ellipse":
+    if caustic.kind == "ellipse":
         lines.append(
-            f'<ellipse cx="0" cy="0" rx="{math.sqrt(fam.a - caustic_lam):.6f}" '
-            f'ry="{math.sqrt(fam.b - caustic_lam):.6f}" fill="none" stroke="gray" '
+            f'<ellipse cx="0" cy="0" rx="{math.sqrt(fam.a - caustic.lam):.6f}" '
+            f'ry="{math.sqrt(fam.b - caustic.lam):.6f}" fill="none" stroke="gray" '
             f'stroke-width="0.02" stroke-dasharray="0.1,0.08"/>'
         )
-    elif caustic_kind == "hyperbola":
-        for pts in _svg_path_hyperbola(fam.a, fam.b, caustic_lam, pad):
+    elif caustic.kind == "hyperbola":
+        for pts in _svg_path_hyperbola(fam.a, fam.b, caustic.lam, pad):
             lines.append(
                 f'<polyline points="{pts}" fill="none" stroke="gray" '
                 f'stroke-width="0.02" stroke-dasharray="0.1,0.08"/>'
             )
-    for s, hit in zip(states, hits):
-        lines.append(
-            f'<path d="M {s.at[0]:.6f} {-s.at[1]:.6f} L {hit[0]:.6f} {-hit[1]:.6f}" '
-            f'stroke="black" stroke-width="0.02" fill="none"/>'
-        )
-    for i, hit in enumerate(hits, start=1):
-        lines.append(
-            f'<circle cx="{hit[0]:.6f}" cy="{-hit[1]:.6f}" r="0.06" fill="black"/>'
-        )
-        lines.append(
-            f'<text x="{hit[0] + 0.1:.6f}" y="{-hit[1] - 0.1:.6f}" '
-            f'font-size="0.25" font-family="sans-serif">{i}</text>'
-        )
+    flip_hy = (-hy).tolist()
+    lines.extend(map(_SVG_SEGMENT.__mod__, zip(x.tolist(), (-y).tolist(), hx.tolist(), flip_hy)))
+    labels = zip(
+        hx.tolist(), flip_hy, (hx + 0.1).tolist(), (-hy - 0.1).tolist(), range(1, len(hx) + 1)
+    )
+    lines.extend(map(_SVG_IMPACT.__mod__, labels))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -150,6 +163,9 @@ def cmd_simulate(
     out_svg: str | None = None,
 ) -> int:
     """Simulate and write the impact table as CSV (and optionally an SVG)."""
+    for flag, value in (("--x0", x0), ("--y0", y0), ("--dx", dx), ("--dy", dy)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     fam = table.fam
     if abs(fam.conic_residual(0.0, x0, y0)) > 1e-6:
         raise ValueError(f"({x0}, {y0}) is not on the outer boundary")
@@ -163,25 +179,17 @@ def cmd_simulate(
     if bounces < 1:
         raise ValueError("need --bounces >= 1")
 
-    s0 = BoundaryPhase((x0, y0), v)
-    traj = trajectory(table, s0, bounces)
-    rows = ["i,x,y,vx,vy,lambda1,lambda2,caustic"]
-    for i, s in enumerate(traj.states):
-        ell = to_elliptic(fam, s.at)
-        ca = caustic_of_line(fam, s.at, s.v)
-        rows.append(
-            f"{i},{_fmt(s.at[0])},{_fmt(s.at[1])},{_fmt(s.v[0])},{_fmt(s.v[1])},"
-            f"{_fmt(ell.lam1)},{_fmt(ell.lam2)},{_fmt(ca.lam)}"
-        )
-    _write_atomic(out_csv, "\n".join(rows) + "\n")
+    traj = trajectory(table, BoundaryPhase((x0, y0), v), bounces)
+    x, y, vx, vy = (np.array(c) for c in zip(*(s.at + s.v for s in traj.states)))
+    lam1, lam2 = elliptic_columns(fam, x, y)
+    caustic = caustic_column(fam, x, y, vx, vy)
+    columns = [c.tolist() for c in (x, y, vx, vy, lam1, lam2, caustic)]
+    rows = map(_CSV_ROW.__mod__, zip(range(len(x)), *columns))
+    _write_atomic(out_csv, _CSV_HEADER + "".join(rows))
 
     if out_svg is not None:
-        _write_atomic(
-            out_svg,
-            _render_svg(
-                table, list(traj.states[:-1]), list(traj.hits), traj.caustic.lam, traj.caustic.kind
-            ),
-        )
+        hx, hy = (np.array(c) for c in zip(*traj.hits))
+        _write_atomic(out_svg, _render_svg(table, x[:-1], y[:-1], hx, hy, traj.caustic))
     return 0
 
 

@@ -43,28 +43,25 @@ CLOSURE_RTOL = 1e-7
 
 
 class MagicKind(Enum):
-    IDENTITY = "identity"
-    FLIP_LONG = "flip-long"
-    FLIP_SHORT = "flip-short"
-    HALF_TURN = "half-turn"
+    """A magic map, by its CLI name; ``signs`` are its (x, y) sign factors."""
 
-    @property
-    def signs(self) -> tuple[float, float]:
-        return _MAGIC_SIGNS[self]
+    IDENTITY = "identity", (1.0, 1.0)
+    FLIP_LONG = "flip-long", (1.0, -1.0)
+    FLIP_SHORT = "flip-short", (-1.0, 1.0)
+    HALF_TURN = "half-turn", (-1.0, -1.0)
+
+    def __new__(cls, value: str, signs: tuple[float, float]):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        # a plain attribute: the step map reads it at every outer bounce
+        kind.signs = signs
+        return kind
 
     @property
     def orientation_reversing(self) -> bool:
         """True for the two axis flips, False for identity and half-turn."""
         sx, sy = self.signs
         return sx * sy < 0
-
-
-_MAGIC_SIGNS = {
-    MagicKind.IDENTITY: (1.0, 1.0),
-    MagicKind.FLIP_LONG: (1.0, -1.0),
-    MagicKind.FLIP_SHORT: (-1.0, 1.0),
-    MagicKind.HALF_TURN: (-1.0, -1.0),
-}
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ class TableSpec:
         return "ellipse" if self.inner_lam is None else "annulus"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryPhase:
     """Impact point, outgoing unit velocity, and which wall carries it."""
 
@@ -95,7 +92,7 @@ class BoundaryPhase:
     component: str = "outer"  # outer | inner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crossings:
     long_axis: int
     short_axis: int
@@ -195,42 +192,35 @@ def step_inverse(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
     return BoundaryPhase(fam_hit, v_in, comp)
 
 
-def _axis_crossings(
-    p0: tuple[float, float], p1: tuple[float, float]
-) -> tuple[int, int]:
-    """(long, short) axis crossings of the open segment p0 -> p1.
+def trajectory(table: TableSpec, s0: BoundaryPhase, n: int) -> Trajectory:
+    """n steps from s0, with axis-crossing and flip counts per physical segment.
 
     A segment crosses the long axis when its endpoint y-signs differ
     strictly; touching the axis at an endpoint does not count.  Interior
     chords never meet the axes outside the table, so the sign test is
-    complete.
+    complete.  Likewise for the short axis and the x-signs.
     """
-    long_c = 1 if p0[1] * p1[1] < 0.0 else 0
-    short_c = 1 if p0[0] * p1[0] < 0.0 else 0
-    return long_c, short_c
-
-
-def trajectory(table: TableSpec, s0: BoundaryPhase, n: int) -> Trajectory:
-    """n steps from s0, with axis-crossing and flip counts per physical segment."""
     if n < 1:
         raise ValueError("need n >= 1")
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
+    magic = table.outer_map
     states = [s0]
     hits = []
-    long_c = short_c = flips = 0
+    long_c = short_c = outer = 0
     s = s0
     for _ in range(n):
         hit, v_out, comp = _propagate(table, s)
         hits.append(hit)
-        dl, ds = _axis_crossings(s.at, hit)
-        long_c += dl
-        short_c += ds
+        if s.at[1] * hit[1] < 0.0:
+            long_c += 1
+        if s.at[0] * hit[0] < 0.0:
+            short_c += 1
         if comp == "outer":
-            if table.outer_map is not MagicKind.IDENTITY:
-                flips += 1
-            hit, v_out = apply_magic(table.outer_map, hit, v_out)
+            outer += 1
+            hit, v_out = apply_magic(magic, hit, v_out)
         s = BoundaryPhase(hit, v_out, comp)
         states.append(s)
+    flips = 0 if magic is MagicKind.IDENTITY else outer
     return Trajectory(
         tuple(states), caustic, Crossings(long_c, short_c, flips), tuple(hits)
     )

@@ -13,13 +13,17 @@ an ellipse for ``0 < lam < b``, a hyperbola for ``b < lam < a``, and
 degenerate at ``lam in {0, b, a}`` (the boundary itself, the focal
 segment, and the short axis).  The foci sit at ``(+-sqrt(a - b), 0)``.
 
-All functions are pure and operate on plain floats/tuples; nothing here
-owns mutable state.
+All functions are pure and operate on plain floats/tuples, except the
+array forms ``elliptic_columns`` and ``caustic_column``, which apply the
+scalar formulas elementwise to numpy columns; nothing here owns mutable
+state.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # |lam - {0, b, a}| < DEGENERATE_RTOL * a classifies a caustic as degenerate.
 DEGENERATE_RTOL = 1e-9
@@ -72,7 +76,7 @@ class ConfocalFamily:
         return x * x / (self.a - lam) + y * y / (self.b - lam) - 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CausticId:
     """A member of the confocal family, tagged by its geometric kind."""
 
@@ -81,7 +85,7 @@ class CausticId:
     #          | degenerate-short-axis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EllipticCoords:
     """Elliptic coordinates: lam1 on the ellipse sheet, lam2 on the hyperbola sheet."""
 
@@ -117,27 +121,48 @@ def to_elliptic(fam: ConfocalFamily, p: tuple[float, float]) -> EllipticCoords:
 
         λ² − Sλ + P = 0,  S = a + b − x² − y²,  P = ab − b x² − a y²,
 
-    sorted so that ``0 ≤ lam1 ≤ b ≤ lam2 ≤ a``.
+    sorted so that ``0 ≤ lam1 ≤ b ≤ lam2 ≤ a``.  Its array form, for many
+    points at once, is :func:`elliptic_columns`.
 
     Raises
     ------
     CenterDegenerate
         at the center, where the hyperbola sheet is undefined.
     """
-    x, y = p
-    if math.hypot(x, y) < 1e-12:
+    lam1, lam2 = elliptic_columns(fam, p[0], p[1])
+    return EllipticCoords(float(lam1), float(lam2))
+
+
+def elliptic_columns(fam: ConfocalFamily, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(lam1, lam2) of :func:`to_elliptic` for arrays of points, elementwise.
+
+    numpy's + − × ÷ and sqrt round correctly, and the operations run in
+    the scalar order, so every entry is the scalar result bit for bit.
+    Clamps use ``where`` so that ties and NaN keep the scalar choice.
+
+    Raises
+    ------
+    CenterDegenerate
+        if any point is at the center.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(np.hypot(x, y) < 1e-12):
         raise CenterDegenerate("elliptic coordinates are singular at the origin")
     s = fam.a + fam.b - x * x - y * y
     prod = fam.a * fam.b - fam.b * x * x - fam.a * y * y
-    disc = max(s * s - 4.0 * prod, 0.0)
-    root = math.sqrt(disc)
+    disc = s * s - 4.0 * prod
+    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
     lam2 = 0.5 * (s + root)
     # stable small root: product of roots / large root when possible
-    lam1 = prod / lam2 if abs(lam2) > 1e-300 else 0.5 * (s - root)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam1 = np.where(np.abs(lam2) > 1e-300, prod / lam2, 0.5 * (s - root))
     # clamp roundoff into the nominal ranges
-    lam1 = min(max(lam1, 0.0), fam.b)
-    lam2 = min(max(lam2, fam.b), fam.a)
-    return EllipticCoords(lam1, lam2)
+    lam1 = np.where(lam1 < 0.0, 0.0, lam1)
+    lam1 = np.where(lam1 > fam.b, fam.b, lam1)
+    lam2 = np.where(lam2 < fam.b, fam.b, lam2)
+    lam2 = np.where(lam2 > fam.a, fam.a, lam2)
+    return lam1, lam2
 
 
 def from_elliptic(
@@ -180,6 +205,33 @@ def caustic_of_line(
     return classify_caustic(fam, lam)
 
 
+def caustic_column(fam: ConfocalFamily, x, y, vx, vy) -> np.ndarray:
+    """The parameter of :func:`caustic_of_line` for arrays of lines, elementwise.
+
+    The same operations in the same order as the scalar form, so every
+    entry is its ``lam`` bit for bit.
+
+    Raises
+    ------
+    ValueError
+        from :func:`classify_caustic`, for the first line whose caustic it
+        rejects.
+    """
+    x, y, vx, vy = (np.asarray(c, dtype=float) for c in (x, y, vx, vy))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = vy / vx
+        m = y - k * x
+        lam = np.where(
+            np.abs(vx) < VERTICAL_VX,
+            fam.a - x * x,
+            (fam.a * k * k + fam.b - m * m) / (k * k + 1.0),
+        )
+    # classify_caustic accepts every lam in (0, a); it judges the rest
+    for v in lam[~((0.0 < lam) & (lam < fam.a))].tolist():
+        classify_caustic(fam, v)
+    return lam
+
+
 def _first_hit_time(
     fam: ConfocalFamily,
     lam: float,
@@ -218,12 +270,14 @@ def _first_hit_time(
     # delta is taken back from disc: trajectories, and the files the CLI
     # writes from them, are pinned to the rounding this gives
     delta = (gamma * gamma - disc) / alpha
-    roots = [q / alpha]
-    if abs(q) > 1e-300:
-        roots.append(delta / q)
     tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
-    good = [t for t in roots if t > tmin]
-    return min(good) if good else None
+    t = q / alpha
+    best = t if t > tmin else None
+    if abs(q) > 1e-300:
+        t = delta / q
+        if t > tmin and (best is None or t < best):
+            best = t
+    return best
 
 
 def ray_boundary_hit(
@@ -307,9 +361,11 @@ def tangent_directions(
         disc = x * x * y * y - aq * bq
         if disc < 0.0:
             return []
-        sq = math.sqrt(disc)
-        for sgn in (1.0, -1.0):
-            k = (-x * y + sgn * sq) / aq
+        # q/aq is the root of larger magnitude and bq/q, from the product of
+        # the roots, the other, so neither cancels; q = 0 only at a double root 0
+        xy = x * y
+        q = -xy - math.copysign(math.sqrt(disc), xy)
+        for k in (q / aq, bq / q) if q != 0.0 else (0.0, 0.0):
             h = math.hypot(1.0, k)
             keep(1.0 / h, k / h)
             keep(-1.0 / h, -k / h)

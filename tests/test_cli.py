@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import hashlib
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ import pytest
 
 import magicbilliards
 from magicbilliards.cli import _write_atomic, main
+from magicbilliards.geometry import VERTICAL_VX
 
 HEADER = "i,x,y,vx,vy,lambda1,lambda2,caustic"
 # a generic boundary point, exact to full precision (the on-boundary gate
@@ -151,6 +153,87 @@ def test_simulate_svg_annulus_draws_inner_wall(tmp_path):
     assert text.count('<ellipse cx="0" cy="0" rx=') >= 2  # outer and inner walls
 
 
+# SHA-256 of the CSV and SVG that ``simulate`` writes, 200 bounces each:
+# any change to the bounce kernel, the CSV columns or the serialisers that
+# moves one byte of these files fails here.  The last start's first bounce
+# leaves the wall with |vx| ~ 1e-16, below VERTICAL_VX.
+_ELLIPSE_START = ["--x0", X0, "--y0", Y0, "--dx", "1", "--dy", "-0.3"]
+_ANNULUS_START = ["--table", "annulus", "--inner-lambda", "3",
+                  "--x0", X0, "--y0", Y0, "--dx", "0.3", "--dy", "-1"]
+PINNED_OUTPUTS = {
+    "ellipse-identity": (
+        ["--system", "identity", *_ELLIPSE_START],
+        "e3e5dd8cfa970412778cdc855264d55912b3864de1f08bb30db48b59a926d052",
+        "dabfa6701010b9e3168c92138890a076acacfb0ac38f1db8e4f5f7ebc4cab55c",
+    ),
+    "ellipse-flip-long": (
+        ["--system", "flip-long", *_ELLIPSE_START],
+        "dc514510bbf02472da0aa1c174a8775a204b74fe3f9c8a193f071d4dd5461937",
+        "8e7108cd496b6f04b82aac918dfd645555ea854d1d5bce2d54950b2de81eb229",
+    ),
+    "ellipse-flip-short": (
+        ["--system", "flip-short", *_ELLIPSE_START],
+        "9da509b03eed8d5f7a5567b8e83a6a4553aa1248f2c1c0cfa4cf47af80fc3424",
+        "959e2bbcc986605101fe620e65e2ce754cb96ecd9e3e5080b1886d61a34392d2",
+    ),
+    "ellipse-half-turn": (
+        ["--system", "half-turn", *_ELLIPSE_START],
+        "e0fe3fb04a63a308de52fe64629549c263b587efa33fb1e010de69278aed813c",
+        "e220569d8be3ffc8c48bbb174403367e8686cadda34444aff0630645a76786b1",
+    ),
+    "annulus-identity": (
+        ["--system", "identity", *_ANNULUS_START],
+        "c90a17f3f10772fafdd81dc06cd93af55cd147c4789e5295eb11ec50c289cd5b",
+        "5b26870b7f3ca9fb7ea1628bb48cb42d5b1d339b2a3b1200b29d5cb53b7c3400",
+    ),
+    "annulus-flip-long": (
+        ["--system", "flip-long", *_ANNULUS_START],
+        "6f14b9bb2c970a9dd7cea2e9434b9b99f5524a06bf740c18f2f3026aa88eaa18",
+        "62927e57f66937d4f4e41c5014051aeb7c8eb01552e6e0ee60ceed84f90c8afb",
+    ),
+    "annulus-flip-short": (
+        ["--system", "flip-short", *_ANNULUS_START],
+        "e5333813ee85951c46b1d67e6b369dfe8d7b8d0251f83c6e4029f327dcec91cd",
+        "10f7fc3003cde6bdf13ca610a544054d5ee3581fa89b310110c737c51a00fa3b",
+    ),
+    "annulus-half-turn": (
+        ["--system", "half-turn", *_ANNULUS_START],
+        "cf9ead57aeba1c79afda6b27b8cf1fc542362110324c4aa326e618346071ae29",
+        "07f266de20ed8b7a85d532c071320218720003f6d0a4fb5a20a2d326c1f273f0",
+    ),
+    "vertical-chord": (
+        ["--x0", "0", "--y0", "2", "--dx", "0", "--dy", "-1"],
+        "2d18553b52d55792a2c83d64514c2de131f1c5ecde04f37d31f61e7c0b380c8c",
+        "f0c802777e843d9e4cfbb9b9fc01143ea8773e56247b076f64aebee1392fabda",
+    ),
+    "vertical-after-bounce": (
+        ["--x0", "-1.3705941471893437", "--y0", "-1.7790723779780815",
+         "--dx", "0.6085590996553581", "--dy", "0.7935085520816145"],
+        "d8665b404bab2d31acc66b585e809283b9d8e09836cfd28549b93bb965751a06",
+        "cda0806b0d5c399463bc260f39910332bd800b7c771f8a37ad66fa0ce16c8cf5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_simulate_outputs_are_pinned_byte_for_byte(tmp_path, case):
+    args, csv_sha, svg_sha = PINNED_OUTPUTS[case]
+    csv, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    rc = main(["simulate", *args, "--bounces", "200", "--out", str(csv), "--svg", str(svg)])
+    assert rc == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
+
+
+def test_pinned_matrix_reaches_the_vertical_branch(tmp_path):
+    """The vertical-after-bounce case sends a post-bounce row through |vx| < VERTICAL_VX."""
+    csv = tmp_path / "run.csv"
+    args = PINNED_OUTPUTS["vertical-after-bounce"][0]
+    assert main(["simulate", *args, "--bounces", "2", "--out", str(csv)]) == 0
+    vx = float(csv.read_text().splitlines()[2].split(",")[3])
+    assert 0.0 < abs(vx) < VERTICAL_VX
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -158,12 +241,28 @@ def test_simulate_svg_annulus_draws_inner_wall(tmp_path):
         ["--x0", "0", "--y0", "2", "--dx", "0", "--dy", "0"],  # zero direction
         ["--x0", "0", "--y0", "2", "--dx", "0", "--dy", "1"],  # points outward
         ["--x0", "0", "--y0", "2", "--dx", "0", "--dy", "-1", "--bounces", "0"],
+        ["--x0", "nan", "--y0", "2", "--dx", "0", "--dy", "-1"],
+        ["--x0", "0", "--y0", "2", "--dx", "nan", "--dy", "-1"],
+        ["--x0", "0", "--y0", "2", "--dx", "inf", "--dy", "-1"],
     ],
 )
 def test_simulate_usage_errors(tmp_path, args, capsys):
     out = tmp_path / "run.csv"
     assert main(["simulate", *args, "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--x0", "nan"), ("--y0", "inf"), ("--dx", "nan"), ("--dx", "inf"), ("--dy", "-inf")],
+)
+def test_simulate_rejects_non_finite_input_by_flag(tmp_path, capsys, flag, value):
+    """A non-finite start or direction is refused up front, naming its flag."""
+    out = tmp_path / "run.csv"
+    start = {"--x0": "0", "--y0": "2", "--dx": "0", "--dy": "-1", flag: value}
+    assert main(["simulate", *(f"{k}={v}" for k, v in start.items()), "--out", str(out)]) == 1
+    assert f"error: {flag} must be finite, got {float(value)!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magicbilliards import (
     CenterDegenerate,
@@ -16,6 +16,16 @@ from magicbilliards import (
     tangent_directions,
     to_elliptic,
 )
+from magicbilliards.dynamics import TableSpec
+from magicbilliards.geometry import (
+    GRAZE_RTOL,
+    HIT_TMIN_RTOL,
+    VERTICAL_VX,
+    _first_hit_time,
+    caustic_column,
+    elliptic_columns,
+)
+from magicbilliards.topology import _tangent_seeds
 
 FAM = ConfocalFamily(9.0, 4.0)
 
@@ -197,3 +207,153 @@ def test_tangent_directions_hyperbola_band():
         else:
             none += 1
     assert some > 0 and none > 0
+
+
+def test_tangent_slopes_stay_exact_next_to_a_vertical_tangent():
+    """Where a - beta - x² is small the finite slope is taken without cancellation.
+
+    At this family and level two seeds sit next to a nearly vertical
+    tangent; the slope form (-xy + sqrt(disc)) / aq put them 3.7e-13 a off
+    the level.
+    """
+    a = 4.297680868191241
+    fam = ConfocalFamily(a, 0.5191325636742681 * a)
+    beta = fam.b - 1e-3 * a
+    seeds = _tangent_seeds(TableSpec(fam), beta, 16)
+    assert len(seeds) == 16
+    for s in seeds:
+        assert abs(caustic_of_line(fam, s.at, s.v).lam - beta) <= 1e-14 * a
+
+
+# ---------------------------------------------------------------------------
+# array forms against their scalar twins, bit for bit
+
+
+def _to_elliptic_scalar(fam, x, y):
+    # the scalar formula of to_elliptic, written out
+    s = fam.a + fam.b - x * x - y * y
+    prod = fam.a * fam.b - fam.b * x * x - fam.a * y * y
+    disc = max(s * s - 4.0 * prod, 0.0)
+    root = math.sqrt(disc)
+    lam2 = 0.5 * (s + root)
+    lam1 = prod / lam2 if abs(lam2) > 1e-300 else 0.5 * (s - root)
+    return min(max(lam1, 0.0), fam.b), min(max(lam2, fam.b), fam.a)
+
+
+# axis points, where the clamps act, and generic ones
+_WALL_T = st.one_of(
+    st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
+    st.floats(0.0, 2.0 * math.pi),
+)
+# directions with |vx| below, at and just above VERTICAL_VX, and generic ones
+_SIGN = st.sampled_from([1.0, -1.0])
+_DIRECTION = st.one_of(
+    st.tuples(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]), _SIGN, _SIGN).map(
+        lambda c: (c[0] * c[1] * VERTICAL_VX, c[2])
+    ),
+    st.floats(0.0, 2.0 * math.pi).map(lambda th: (math.cos(th), math.sin(th))),
+)
+
+
+@given(
+    ratio=st.floats(0.15, 0.85),
+    inner=st.floats(0.1, 0.9),
+    walls=st.lists(st.tuples(st.booleans(), _WALL_T, _DIRECTION), min_size=1, max_size=12),
+)
+@example(ratio=4.0 / 9.0, inner=0.75, walls=[(False, 0.5 * math.pi, (0.0, -1.0))])
+@example(ratio=4.0 / 9.0, inner=0.75, walls=[(True, 0.0, (VERTICAL_VX, 1.0))])
+@settings(max_examples=300, deadline=None)
+def test_array_columns_match_the_scalar_functions(ratio, inner, walls):
+    """elliptic_columns and caustic_column equal the scalar forms by float.hex."""
+    fam = ConfocalFamily(9.0, 9.0 * ratio)
+    lam_in = inner * fam.b
+    x, y, vx, vy = [], [], [], []
+    for on_inner, t, (dx, dy) in walls:
+        shift = lam_in if on_inner else 0.0
+        x.append(math.sqrt(fam.a - shift) * math.cos(t))
+        y.append(math.sqrt(fam.b - shift) * math.sin(t))
+        vx.append(dx)
+        vy.append(dy)
+    lam1, lam2 = elliptic_columns(fam, x, y)
+    caustic = caustic_column(fam, x, y, vx, vy)
+    for i in range(len(x)):
+        want = _to_elliptic_scalar(fam, x[i], y[i])
+        assert (lam1[i].hex(), lam2[i].hex()) == (want[0].hex(), want[1].hex())
+        ell = to_elliptic(fam, (x[i], y[i]))
+        assert (ell.lam1.hex(), ell.lam2.hex()) == (want[0].hex(), want[1].hex())
+        assert caustic[i].hex() == caustic_of_line(fam, (x[i], y[i]), (vx[i], vy[i])).lam.hex()
+
+
+def test_array_columns_keep_the_scalar_checks():
+    with pytest.raises(CenterDegenerate):
+        elliptic_columns(FAM, [1.0, 0.0], [1.0, 0.0])
+    # rows 1 and 2 lie on lines that miss every member of the family
+    x, y, vx, vy = [0.0, 4.0, 5.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError) as want:
+        caustic_of_line(FAM, (x[1], y[1]), (vx[1], vy[1]))
+    with pytest.raises(ValueError) as got:
+        caustic_column(FAM, x, y, vx, vy)
+    assert str(got.value) == str(want.value) == "caustic parameter -7.0 outside [0, a=9.0]"
+    with pytest.raises(ValueError, match="caustic parameter nan"):
+        caustic_column(FAM, [math.nan], [0.0], [1.0], [0.0])
+
+
+def _first_hit_time_reference(fam, lam, p, v, graze=False):
+    # the list-and-min form of _first_hit_time, written out
+    aa = fam.a - lam
+    bb = fam.b - lam
+    x, y = p
+    vx, vy = v
+    alpha = vx * vx / aa + vy * vy / bb
+    gamma = (x * vx) / aa + (y * vy) / bb
+    delta = x * x / aa + y * y / bb - 1.0
+    disc = gamma * gamma - alpha * delta
+    if disc < 0.0:
+        return None
+    if graze and disc / (alpha * alpha) < GRAZE_RTOL * fam.a:
+        return None
+    sq = math.sqrt(disc)
+    q = -(gamma + sq) if gamma >= 0.0 else -(gamma - sq)
+    delta = (gamma * gamma - disc) / alpha
+    roots = [q / alpha]
+    if abs(q) > 1e-300:
+        roots.append(delta / q)
+    tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
+    good = [t for t in roots if t > tmin]
+    return min(good) if good else None
+
+
+def _hex_or_none(t):
+    return None if t is None else t.hex()
+
+
+@given(
+    ratio=st.floats(0.15, 0.85),
+    inner=st.floats(0.1, 0.9),
+    from_inner=st.booleans(),
+    t=_WALL_T,
+    turn=st.one_of(
+        st.floats(0.0, 2.0 * math.pi),
+        st.sampled_from([0.0, 1e-13, -1e-13, 1e-7, -1e-7]),
+    ),
+    tangent=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_first_hit_time_matches_the_list_and_min_rule(ratio, inner, from_inner, t, turn, tangent):
+    """Same time, by float.hex, or None: on both walls, with grazes and misses.
+
+    Rays leave a point of either wall in a generic direction, or along a
+    tangent to the inner wall turned by ``turn``: those graze it or miss.
+    """
+    fam = ConfocalFamily(9.0, 9.0 * ratio)
+    lam_in = inner * fam.b
+    shift = lam_in if from_inner else 0.0
+    p = (math.sqrt(fam.a - shift) * math.cos(t), math.sqrt(fam.b - shift) * math.sin(t))
+    dirs = tangent_directions(fam, lam_in, p) if tangent and not from_inner else []
+    base = math.atan2(dirs[0][1], dirs[0][0]) if dirs else 0.0
+    v = (math.cos(base + turn), math.sin(base + turn))
+    for lam in (0.0, lam_in):
+        for graze in (False, True):
+            assert _hex_or_none(_first_hit_time(fam, lam, p, v, graze)) == _hex_or_none(
+                _first_hit_time_reference(fam, lam, p, v, graze)
+            )
