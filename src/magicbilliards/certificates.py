@@ -32,6 +32,10 @@ from enum import Enum
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (
+    dps_to_prec, from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le,
+    mpf_lt, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest, to_float,
+)
 
 from .dynamics import MagicKind, TableSpec, _caustic_modulus, closure_defect, tangent_phase
 from .geometry import ConfocalFamily
@@ -144,6 +148,13 @@ def _check_distinct(*roots: float) -> None:
             raise DegenerateCubic(f"repeated cubic root: {u} ~ {v}")
 
 
+def _check_caustic(a: float, b: float, beta: float) -> None:
+    """The certificates' domain: a valid family and a caustic 0 < beta < a."""
+    ConfocalFamily(a, b)  # validates a > b > 0, both finite
+    if not (0.0 < beta < a):  # also rejects NaN
+        raise ValueError(f"caustic parameter {beta} outside (0, {a})")
+
+
 def _sqrt_cubic_coeffs(p: float, q: float, r: float, nterms: int) -> list[float]:
     """Taylor coefficients of sqrt((p-x)(q-x)(r-x)) about x=0.
 
@@ -212,6 +223,7 @@ def cayley_det(
     dimensionless coefficients keep entries O(1).  Only the root set in
     beta matters, and it is invariant under the scaling.
     """
+    _check_caustic(a, b, beta)
     if n < 2:
         raise ValueError("need n >= 2")
     if n % 2 == 0:
@@ -245,38 +257,64 @@ def cayley_det(
 
 # The curve y^2 = (a-x)(b-x)(beta-x) is brought to the monic model
 # y^2 = u^3 + s2 u^2 + s1 u + s0 by u = -x, so the chord-tangent formulas
-# take their textbook form.
+# take their textbook form.  The law runs on mpmath's raw mpf tuples
+# through mpmath.libmp: each operation is correctly rounded at _PREC
+# bits, so the results are those of mpf objects at EC_DPS digits
+# without the object overhead.
+
+_PREC = dps_to_prec(EC_DPS)
+_RND = round_nearest
+_ONE, _TWO, _THREE = from_int(1), from_int(2), from_int(3)
+_SNAP = from_float(_U_SNAP)
 
 
-def _curve_sums(a, b, beta):
-    a, b, beta = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
-    return a + b + beta, a * b + a * beta + b * beta, a * b * beta
+def _curve_sums(a: float, b: float, beta: float):
+    """s2, s1, s0 of the monic model (elementary symmetric functions of a, b, beta)."""
+    a, b, beta = from_float(a), from_float(b), from_float(beta)
+    ab = mpf_mul(a, b, _PREC, _RND)
+    s2 = mpf_add(mpf_add(a, b, _PREC, _RND), beta, _PREC, _RND)
+    s1 = mpf_add(ab, mpf_mul(a, beta, _PREC, _RND), _PREC, _RND)
+    s1 = mpf_add(s1, mpf_mul(b, beta, _PREC, _RND), _PREC, _RND)
+    return s2, s1, mpf_mul(ab, beta, _PREC, _RND)
 
 
 def _add_u(P, Q, s2, s1):
-    """Chord-tangent addition on the monic model; None is infinity."""
+    """Chord-tangent addition on the monic model; None is infinity.
+
+    Points are pairs of raw ``_mpf_`` values and every operation rounds
+    to nearest at ``_PREC`` bits, as mpf arithmetic under
+    ``mp.workdps(EC_DPS)`` would.
+    """
     if P is None:
         return Q
     if Q is None:
         return P
     u1, y1 = P
     u2, y2 = Q
-    if (u2, y2) < (u1, y1):  # canonical order makes addition commute bit-for-bit
+    # canonical order makes addition commute bit-for-bit
+    if (mpf_lt(y2, y1) if mpf_eq(u2, u1) else mpf_lt(u2, u1)):
         u1, y1, u2, y2 = u2, y2, u1, y1
     # Copies of one point reached through different addition chains agree
     # only to working precision, so a secant slope between them would be
     # catastrophically cancelled noise; snap to the tangent/vertical case.
-    near = abs(u1 - u2) <= _U_SNAP * (1 + abs(u1) + abs(u2))
-    if near:
-        if abs(y1 + y2) <= abs(y1 - y2):
+    scale = mpf_add(mpf_add(_ONE, mpf_abs(u1), _PREC, _RND), mpf_abs(u2), _PREC, _RND)
+    if mpf_le(mpf_abs(mpf_sub(u1, u2, _PREC, _RND)), mpf_mul(_SNAP, scale, _PREC, _RND)):
+        if mpf_le(mpf_abs(mpf_add(y1, y2, _PREC, _RND)), mpf_abs(mpf_sub(y1, y2, _PREC, _RND))):
             return None  # inverse pair (or doubled 2-torsion): vertical chord
-        u1 = u2 = (u1 + u2) / 2
-        y1 = (y1 + y2) / 2
-        lam = (3 * u1 * u1 + 2 * s2 * u1 + s1) / (2 * y1)
+        u1 = u2 = mpf_div(mpf_add(u1, u2, _PREC, _RND), _TWO, _PREC, _RND)
+        y1 = mpf_div(mpf_add(y1, y2, _PREC, _RND), _TWO, _PREC, _RND)
+        # lam = (3 u1^2 + 2 s2 u1 + s1) / (2 y1)
+        num = mpf_mul(mpf_mul(_THREE, u1, _PREC, _RND), u1, _PREC, _RND)
+        num = mpf_add(num, mpf_mul(mpf_mul(_TWO, s2, _PREC, _RND), u1, _PREC, _RND), _PREC, _RND)
+        num = mpf_add(num, s1, _PREC, _RND)
+        lam = mpf_div(num, mpf_mul(_TWO, y1, _PREC, _RND), _PREC, _RND)
     else:
-        lam = (y2 - y1) / (u2 - u1)
-    u3 = lam * lam - s2 - u1 - u2
-    return u3, lam * (u1 - u3) - y1
+        lam = mpf_div(mpf_sub(y2, y1, _PREC, _RND), mpf_sub(u2, u1, _PREC, _RND), _PREC, _RND)
+    # u3 = lam^2 - s2 - u1 - u2, y3 = lam (u1 - u3) - y1
+    u3 = mpf_sub(mpf_mul(lam, lam, _PREC, _RND), s2, _PREC, _RND)
+    u3 = mpf_sub(mpf_sub(u3, u1, _PREC, _RND), u2, _PREC, _RND)
+    y3 = mpf_mul(lam, mpf_sub(u1, u3, _PREC, _RND), _PREC, _RND)
+    return u3, mpf_sub(y3, y1, _PREC, _RND)
 
 
 def _mul_u(k: int, P, s2, s1):
@@ -290,6 +328,11 @@ def _mul_u(k: int, P, s2, s1):
     return acc
 
 
+def _raw(v) -> tuple:
+    """``v`` as a raw mpf value rounded to ``_PREC`` bits."""
+    return mp.mpf(v, prec=_PREC)._mpf_
+
+
 def ec_add(P: CurvePoint, Q: CurvePoint, a: float, b: float, beta: float) -> CurvePoint:
     """Group law on y^2 = (a-x)(b-x)(beta-x), identity at infinity.
 
@@ -300,14 +343,13 @@ def ec_add(P: CurvePoint, Q: CurvePoint, a: float, b: float, beta: float) -> Cur
         return Q
     if Q.is_infinity:
         return P
-    with mp.workdps(EC_DPS):
-        s2, s1, _ = _curve_sums(a, b, beta)
-        pu = (-mp.mpf(P.x), mp.mpf(P.y))
-        qu = (-mp.mpf(Q.x), mp.mpf(Q.y))
-        r = _add_u(pu, qu, s2, s1)
-        if r is None:
-            return INFINITY
-        return CurvePoint(-r[0], r[1])
+    s2, s1, _ = _curve_sums(a, b, beta)
+    pu = (mpf_neg(_raw(P.x)), _raw(P.y))
+    qu = (mpf_neg(_raw(Q.x)), _raw(Q.y))
+    r = _add_u(pu, qu, s2, s1)
+    if r is None:
+        return INFINITY
+    return CurvePoint(mp.make_mpf(mpf_neg(r[0])), mp.make_mpf(r[1]))
 
 
 def ec_neg(P: CurvePoint) -> CurvePoint:
@@ -327,6 +369,7 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
     1/(1+|x|) of the resulting point — 0 at infinity — to be compared
     against ``TORSION_TOL``.
     """
+    _check_caustic(a, b, beta)
     if n < 2:
         raise ValueError("need n >= 2")
     odd = n % 2 == 1
@@ -334,16 +377,15 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
         raise UnsupportedParity(f"{system.value}: no odd-period torsion condition")
     if odd and system is MagicKind.FLIP_LONG and not (b < beta < a):
         raise ValueError("odd flip-long certificate needs a hyperbola caustic")
-    with mp.workdps(EC_DPS):
-        s2, s1, s0 = _curve_sums(a, b, beta)
-        q0 = (mp.mpf(0), mp.sqrt(s0))
-        t = _mul_u(n, q0, s2, s1)
-        if odd and system is MagicKind.FLIP_LONG:
-            # [n](Q0 - Q_b) = [n]Q0 + Q_b since Q_b is 2-torsion and n is odd
-            t = _add_u(t, (-mp.mpf(b), mp.mpf(0)), s2, s1)
-        if t is None:
-            return 0.0
-        return float(1 / (1 + abs(t[0])))
+    s2, s1, s0 = _curve_sums(a, b, beta)
+    t = _mul_u(n, (fzero, mpf_sqrt(s0, _PREC, _RND)), s2, s1)
+    if odd and system is MagicKind.FLIP_LONG:
+        # [n](Q0 - Q_b) = [n]Q0 + Q_b since Q_b is 2-torsion and n is odd
+        t = _add_u(t, (mpf_neg(from_float(b)), fzero), s2, s1)
+    if t is None:
+        return 0.0
+    denom = mpf_add(_ONE, mpf_abs(t[0]), _PREC, _RND)
+    return to_float(mpf_div(_ONE, denom, _PREC, _RND), rnd=_RND)
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +502,14 @@ def pell_solve(
     Odd flip-long: (s-1/b) p^2 - s(s-1/a)(s-1/beta) q^2 = -1, (m, m-1).
     Odd half-turn: s p^2 - (s-1/a)(s-1/b)(s-1/beta) q^2 = 1, (m, m-1).
 
-    The series seed is polished by Levenberg-Marquardt on the defect
-    coefficients, with their exact Jacobian; returns None when no identity
-    exists for the parity or the polished residual stays above ``PELL_TOL``.
+    The series seed is polished by MINPACK's Levenberg-Marquardt (lmder,
+    Jacobian column scaling) on the defect coefficients, with their exact
+    Jacobian; returns None when no identity exists for the parity or the
+    polished residual stays above ``PELL_TOL``.
     """
-    from scipy.optimize import least_squares  # deferred: scipy.optimize is slow to import
+    from scipy.optimize import leastsq  # deferred: scipy.optimize is slow to import
 
+    _check_caustic(a, b, beta)
     if n < 2:
         raise ValueError("need n >= 2")
     seed = _pell_seed(system, n, a, b, beta)
@@ -474,10 +518,10 @@ def pell_solve(
     p0, q0 = seed
     defect, jac, plen = _pell_defect(system, n, a, b, beta)
     z0 = np.concatenate([p0, q0])
-    fit = least_squares(
-        defect, z0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15
+    # maxfev as least_squares(method="lm") sets it; leastsq's own default is 100 (n + 1)
+    z, _ = leastsq(
+        defect, z0, Dfun=jac, ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=100 * len(z0)
     )
-    z = fit.x
     residual = float(np.max(np.abs(defect(z))))
     if residual > PELL_TOL:
         return None

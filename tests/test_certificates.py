@@ -6,14 +6,17 @@ Pell pairs by evaluating their defining identity at sample points, and
 every root set against the trajectory closure residual; the closed-form
 rotation number against a ratio measured by simulation.
 """
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import magicbilliards
 from magicbilliards import (
@@ -37,7 +40,14 @@ from magicbilliards import (
     tangent_phase,
     torsion_check,
 )
-from magicbilliards.certificates import CLOSURE_TOL, PELL_TOL, _pell_defect
+from magicbilliards.certificates import (
+    CLOSURE_TOL,
+    EC_DPS,
+    PELL_TOL,
+    _U_SNAP,
+    _pell_defect,
+    _pell_seed,
+)
 
 A, B = 9.0, 4.0
 
@@ -294,6 +304,139 @@ def test_torsion_counterexample_identity_odd():
     assert closure_defect(table, BoundaryPhase(p, v), 3) > 0.1
 
 
+# The chord-tangent law on mpf objects at EC_DPS digits, written out:
+# torsion_check must return the same residual, bit for bit.  ``branches``
+# counts how often the snap and the vertical chord ran.
+
+
+def _add_reference(P, Q, s2, s1, branches):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    u1, y1 = P
+    u2, y2 = Q
+    if (u2, y2) < (u1, y1):
+        u1, y1, u2, y2 = u2, y2, u1, y1
+    near = abs(u1 - u2) <= _U_SNAP * (1 + abs(u1) + abs(u2))
+    if near:
+        if (u1, y1) != (u2, y2):
+            branches["snap"] += 1  # two copies of one point
+        if abs(y1 + y2) <= abs(y1 - y2):
+            branches["vertical"] += 1
+            return None
+        u1 = u2 = (u1 + u2) / 2
+        y1 = (y1 + y2) / 2
+        lam = (3 * u1 * u1 + 2 * s2 * u1 + s1) / (2 * y1)
+    else:
+        lam = (y2 - y1) / (u2 - u1)
+    u3 = lam * lam - s2 - u1 - u2
+    return u3, lam * (u1 - u3) - y1
+
+
+def _mul_reference(k, P, s2, s1, branches):
+    acc = None
+    addend = P
+    while k:
+        if k & 1:
+            acc = _add_reference(acc, addend, s2, s1, branches)
+        addend = _add_reference(addend, addend, s2, s1, branches)
+        k >>= 1
+    return acc
+
+
+def _torsion_reference(system, n, a, b, beta, branches=None):
+    branches = Counter() if branches is None else branches
+    with mp.workdps(EC_DPS):
+        ma, mb, mbeta = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+        s2, s1, s0 = ma + mb + mbeta, ma * mb + ma * mbeta + mb * mbeta, ma * mb * mbeta
+        t = _mul_reference(n, (mp.mpf(0), mp.sqrt(s0)), s2, s1, branches)
+        if n % 2 == 1 and system is MagicKind.FLIP_LONG:
+            t = _add_reference(t, (-mp.mpf(b), mp.mpf(0)), s2, s1, branches)
+        if t is None:
+            return 0.0
+        return float(1 / (1 + abs(t[0])))
+
+
+def _has_certificate(kind, n, a, b, beta):
+    if n % 2 == 0:
+        return True
+    return kind is MagicKind.HALF_TURN or (kind is MagicKind.FLIP_LONG and b < beta < a)
+
+
+@given(
+    a=st.floats(2.0, 20.0),
+    ratio=st.floats(0.15, 0.85),
+    hyperbola=st.booleans(),
+    frac=st.floats(0.001, 0.999),
+    n=st.integers(2, 16),
+    kind=st.sampled_from(list(MagicKind)),
+)
+@settings(max_examples=300, deadline=None)
+def test_torsion_matches_the_mpf_reference_bit_for_bit(a, ratio, hyperbola, frac, n, kind):
+    """Both caustic windows, every system and parity with a certificate."""
+    b = a * ratio
+    beta = b + frac * (a - b) if hyperbola else frac * b
+    assume(_has_certificate(kind, n, a, b, beta))
+    got = torsion_check(kind, n, a, b, beta)
+    assert got.hex() == _torsion_reference(kind, n, a, b, beta).hex()
+    # The residual is rounded to double, which hides most last-digit
+    # changes: hold the chord and the tangent step to all EC_DPS digits
+    # along [k]Q0.
+    with mp.workdps(EC_DPS):
+        ma, mb, mbeta = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+        s2, s1 = ma + mb + mbeta, ma * mb + ma * mbeta + mb * mbeta
+        ref = q0 = (mp.mpf(0), mp.sqrt(ma * mb * mbeta))
+    def as_point(u_y):  # x = -u, exactly
+        return CurvePoint(mp.fneg(u_y[0], exact=True), u_y[1])
+
+    for _ in range(n - 1):
+        for other in (q0, ref):
+            step = ec_add(as_point(ref), as_point(other), a, b, beta)
+            with mp.workdps(EC_DPS):
+                want = _add_reference(ref, other, s2, s1, Counter())
+            assert step.is_infinity == (want is None)
+            if want is not None:
+                assert step == as_point(want)
+        with mp.workdps(EC_DPS):
+            ref = _add_reference(ref, q0, s2, s1, Counter())
+        if ref is None:
+            break
+
+
+# (9, 4) scaled by k so that a root becomes exactly 36: 36/13 and 7.2
+# (n = 4) and 1.44 (half-turn n = 3) times 13, 5 and 25.  There copies of
+# one point agree to working precision, the snap joins them, and [n]Q0
+# lands on infinity through a vertical chord.
+EXACT_ROOTS = [
+    (13, MagicKind.IDENTITY, 4),
+    (5, MagicKind.FLIP_SHORT, 8),
+    (25, MagicKind.HALF_TURN, 3),
+    (25, MagicKind.HALF_TURN, 15),
+    (25, MagicKind.IDENTITY, 12),
+]
+
+
+def test_torsion_matches_the_reference_at_every_9_4_root():
+    """The roots of (9, 4) for n <= 16, and exact roots of its scaled copies."""
+    branches = Counter()
+    count = 0
+    for kind in MagicKind:
+        for n in range(3, 17):
+            if n % 2 == 1 and kind in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT):
+                continue
+            for r in find_periodic_caustics(kind, n, A, B, (0.0, A)):
+                got = torsion_check(kind, n, A, B, r.beta)
+                want = _torsion_reference(kind, n, A, B, r.beta, branches)
+                assert got.hex() == want.hex(), (kind, n)
+                count += 1
+    assert count > 100
+    for k, kind, n in EXACT_ROOTS:
+        assert torsion_check(kind, n, k * A, k * B, 36.0) == 0.0
+        assert _torsion_reference(kind, n, k * A, k * B, 36.0, branches) == 0.0
+    assert branches["snap"] > 0 and branches["vertical"] > 0
+
+
 # ---------------------------------------------------------------------------
 # Pell pairs
 
@@ -404,6 +547,104 @@ def test_pell_solves_at_every_low_period_root(a, b):
     for r in roots:
         assert r.pell_residual is not None, (r.system, r.n, r.beta)
         assert r.pell_residual < PELL_TOL, (r.system, r.n, r.beta)
+
+
+def _pell_reference(system, n, a, b, beta):
+    """pell_solve through least_squares(method="lm") with Jacobian column scaling."""
+    from scipy.optimize import least_squares
+
+    seed = _pell_seed(system, n, a, b, beta)
+    if seed is None:
+        return None
+    defect, jac, plen = _pell_defect(system, n, a, b, beta)
+    fit = least_squares(
+        defect, np.concatenate(seed), jac=jac, method="lm", x_scale="jac",
+        ftol=1e-15, xtol=1e-15, gtol=1e-15,
+    )
+    z = fit.x
+    residual = float(np.max(np.abs(defect(z))))
+    if residual > PELL_TOL:
+        return None
+    p, q = z[:plen], z[plen:]
+    if p[-1] < 0.0:
+        p = -p
+    if len(q) and q[np.argmax(np.abs(q))] < 0.0:
+        q = -q
+    return [c.hex() for c in p], [c.hex() for c in q], residual.hex()
+
+
+@pytest.mark.parametrize("a, b", [(9.0, 4.0), (20.0, 3.0)])
+def test_pell_matches_the_least_squares_reference_bit_for_bit(a, b):
+    """Every root for n <= 6 and the four systems; residuals lie far below PELL_TOL."""
+    count = 0
+    for kind in MagicKind:
+        for n in range(3, 7):
+            if n % 2 == 1 and kind is MagicKind.IDENTITY:
+                continue
+            for r in find_periodic_caustics(kind, n, a, b, (0.0, a)):
+                pair = pell_solve(kind, n, a, b, r.beta)
+                want = _pell_reference(kind, n, a, b, r.beta)
+                got = None if pair is None else (
+                    [c.hex() for c in pair.p], [c.hex() for c in pair.q], pair.residual.hex()
+                )
+                assert got == want, (kind, n, r.beta)
+                count += pair is not None
+    assert count >= 20
+
+
+# ---------------------------------------------------------------------------
+# argument checks shared by the evaluators
+
+BAD_CAUSTICS = [
+    (A, B, 0.0),
+    (A, B, -1.0),
+    (A, B, math.nan),
+    (A, B, math.inf),
+    (A, B, A),
+    (B, A, 2.5),  # a < b
+    (math.inf, B, 2.5),
+]
+
+
+@pytest.mark.parametrize("evaluator", [cayley_det, torsion_check, pell_solve])
+@pytest.mark.parametrize("a, b, beta", BAD_CAUSTICS)
+def test_evaluators_reject_an_invalid_family_or_caustic(evaluator, a, b, beta):
+    with pytest.raises(ValueError, match="caustic parameter|need finite a > b > 0"):
+        evaluator(MagicKind.IDENTITY, 4, a, b, beta)
+
+
+# ---------------------------------------------------------------------------
+# regression pin for the periodic sweep
+
+SWEEP = [(s, n) for n in range(4, 13, 2) for s in ("identity", "flip-short")] + [
+    (s, n) for n in range(3, 13) for s in ("half-turn", "flip-long")
+]
+SWEEP_9_4_SHA256 = "73a2f25d9e1fb1acd9f5898e8cff984edf3ef0ab154b2826e7a57b4271b38d56"
+
+
+def test_sweep_certificates_are_pinned_on_9_4():
+    """SHA-256 of every CertificateBundle field of the benchmark sweep on (9, 4).
+
+    Identity and flip-short at even n = 4..12, half-turn and flip-long at
+    n = 3..12: 124 roots, each field as float.hex or None.  (20, 3)
+    stays out: at two of its roots (beta = 3.000739966621415, n = 8, and
+    beta = 2.999850981215205, half-turn n = 9) the Pell residual sits on
+    the round-off floor next to PELL_TOL, and whether pell_solve passes
+    there varies from one call to the next.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for system, n in SWEEP:
+        for r in find_periodic_caustics(MagicKind(system), n, A, B, (0.0, A)):
+            pell = "None" if r.pell_residual is None else r.pell_residual.hex()
+            fields = [
+                r.system.value, str(r.n), r.beta.hex(), r.cayley_value.hex(),
+                r.torsion_residual.hex(), pell, r.closure_residual.hex(),
+            ]
+            digest.update((" ".join(fields) + "\n").encode())
+            count += 1
+    assert count == 124
+    assert digest.hexdigest() == SWEEP_9_4_SHA256
 
 
 # ---------------------------------------------------------------------------
