@@ -13,13 +13,16 @@ byte-identical files; --seed is accepted and ignored, for callers that
 pass one.
 
 Exit codes: 0 success (including legitimately empty results), 1 usage
-errors (every ValueError), 2 numerical or topology failures.  Files are
-written atomically (write to a temporary sibling, then rename).
+errors (every ValueError, among them an output path whose directory is
+missing, checked before any computation) and failed writes (OSError), 2
+numerical or topology failures.  Files are written atomically (write to
+a temporary sibling, then rename).
 
-``simulate`` serialises from array columns: the trajectory's states
-become float64 columns, the elliptic coordinates and caustic come from
-the array forms in ``geometry``, and each CSV row and SVG element is one
-``%`` format of a fixed template.  Its files are pinned byte for byte by
+``simulate`` serialises from columns: it takes the trajectory's float
+columns as they are, the elliptic coordinates and caustic come from the
+array forms in ``geometry``, and each CSV row and SVG element is one
+``%`` format of a fixed template (each wall point is formatted once, for
+its segment and its marker).  Its files are pinned byte for byte by
 SHA-256 in the tests.
 """
 from __future__ import annotations
@@ -29,8 +32,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from .certificates import CertificateBundle, empty_reason, find_periodic_caustics
 from .dynamics import BoundaryPhase, MagicKind, TableSpec, trajectory
@@ -89,25 +90,27 @@ def _svg_path_hyperbola(a: float, b: float, beta: float, clip: float) -> list[st
     return out
 
 
-# one segment per bounce, one numbered marker per impact
+# one segment per bounce, one numbered marker per impact; both take the
+# wall point as its formatted strings
 _SVG_SEGMENT = (
-    '<path d="M %.6f %.6f L %.6f %.6f" stroke="black" stroke-width="0.02" fill="none"/>'
+    '<path d="M %.6f %.6f L %s %s" stroke="black" stroke-width="0.02" fill="none"/>'
 )
 _SVG_IMPACT = (
-    '<circle cx="%.6f" cy="%.6f" r="0.06" fill="black"/>\n'
+    '<circle cx="%s" cy="%s" r="0.06" fill="black"/>\n'
     '<text x="%.6f" y="%.6f" font-size="0.25" font-family="sans-serif">%d</text>'
 )
 _CSV_HEADER = "i,x,y,vx,vy,lambda1,lambda2,caustic\n"
 # %.17g round-trips every float64 and formats like f"{v:.17g}"
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+_SVG_COORD = "%.6f".__mod__
 
 
 def _render_svg(
     table: TableSpec,
-    x: np.ndarray,
-    y: np.ndarray,
-    hx: np.ndarray,
-    hy: np.ndarray,
+    x: list[float],
+    y: list[float],
+    hx: list[float],
+    hy: list[float],
     caustic: CausticId,
 ) -> str:
     """Draw the boundary, the caustic (dashed), segments, and numbered hits.
@@ -142,11 +145,10 @@ def _render_svg(
                 f'<polyline points="{pts}" fill="none" stroke="gray" '
                 f'stroke-width="0.02" stroke-dasharray="0.1,0.08"/>'
             )
-    flip_hy = (-hy).tolist()
-    lines.extend(map(_SVG_SEGMENT.__mod__, zip(x.tolist(), (-y).tolist(), hx.tolist(), flip_hy)))
-    labels = zip(
-        hx.tolist(), flip_hy, (hx + 0.1).tolist(), (-hy - 0.1).tolist(), range(1, len(hx) + 1)
-    )
+    wall_x = list(map(_SVG_COORD, hx))
+    wall_y = [_SVG_COORD(-v) for v in hy]
+    lines.extend(map(_SVG_SEGMENT.__mod__, zip(x, [-v for v in y], wall_x, wall_y)))
+    labels = zip(wall_x, wall_y, [v + 0.1 for v in hx], [-v - 0.1 for v in hy], range(1, len(hx) + 1))
     lines.extend(map(_SVG_IMPACT.__mod__, labels))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -180,16 +182,16 @@ def cmd_simulate(
         raise ValueError("need --bounces >= 1")
 
     traj = trajectory(table, BoundaryPhase((x0, y0), v), bounces)
-    x, y, vx, vy = (np.array(c) for c in zip(*(s.at + s.v for s in traj.states)))
-    lam1, lam2 = elliptic_columns(fam, x, y)
-    caustic = caustic_column(fam, x, y, vx, vy)
-    columns = [c.tolist() for c in (x, y, vx, vy, lam1, lam2, caustic)]
-    rows = map(_CSV_ROW.__mod__, zip(range(len(x)), *columns))
+    states = [traj.x, traj.y, traj.vx, traj.vy]
+    lam1, lam2 = elliptic_columns(fam, traj.x, traj.y)
+    caustic = caustic_column(fam, *states)
+    columns = [*states, lam1.tolist(), lam2.tolist(), caustic.tolist()]
+    rows = map(_CSV_ROW.__mod__, zip(range(bounces + 1), *columns))
     _write_atomic(out_csv, _CSV_HEADER + "".join(rows))
 
     if out_svg is not None:
-        hx, hy = (np.array(c) for c in zip(*traj.hits))
-        _write_atomic(out_svg, _render_svg(table, x[:-1], y[:-1], hx, hy, traj.caustic))
+        svg = _render_svg(table, traj.x[:-1], traj.y[:-1], traj.hx, traj.hy, traj.caustic)
+        _write_atomic(out_svg, svg)
     return 0
 
 
@@ -332,9 +334,24 @@ def _table_spec(args: argparse.Namespace) -> TableSpec:
     return TableSpec(fam, system)
 
 
+def _check_outputs(out: str, svg: str | None) -> None:
+    """Refuse output paths that cannot be written, before any computation."""
+    for path in (out, svg):
+        if path is None:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise ValueError(f"output directory {folder} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path} is a directory")
+    if svg is not None and os.path.realpath(svg) == os.path.realpath(out):
+        raise ValueError(f"--svg names the same file as --out: {out}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_outputs(args.out, getattr(args, "svg", None))
         table = _table_spec(args)
         if args.command == "simulate":
             return cmd_simulate(
@@ -345,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
             interval = args.interval if args.interval is not None else (0.0, args.a)
             return cmd_periodic(table, args.n, interval, args.out)
         return cmd_topology(table, args.beta, args.out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:

@@ -14,7 +14,9 @@ The inner wall of an annulus always reflects classically.  Every map
 preserves the confocal caustic of the trajectory, which is the backbone
 invariant the whole package leans on.
 
-``step`` advances one state and is the reference.  ``level_orbits``
+One loop over plain floats, ``_walk``, carries out every bounce:
+``step``, ``trajectory`` and ``closure_defect`` all run on it, and
+``Trajectory`` keeps its float columns.  ``level_orbits``
 gives many seeds' impacts on one caustic level at once, in closed form:
 on a regular level the map is a translation in the Jacobi phase of the
 outer wall, so a whole (seeds x steps) grid of impacts costs one
@@ -24,15 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
 
 from .geometry import (
+    GRAZE_RTOL,
+    HIT_TMIN_RTOL,
     CausticId,
     ConfocalFamily,
     NoForwardHit,
-    _first_hit_time,
+    _hit_time,
+    _inward_normal,
     caustic_of_line,
     normal_at,
     tangent_directions,
@@ -101,12 +107,35 @@ class Crossings:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States 0..n, plus ``hits[i]``: the wall point of bounce i before magic."""
+    """States 0..n and the wall points of bounces 0..n-1, as float columns.
 
-    states: tuple[BoundaryPhase, ...]
+    ``x, y, vx, vy`` and ``component`` describe the states: the impact
+    point after magic, the outgoing velocity and the wall.  ``hx, hy``
+    hold the wall point of each bounce before magic.  ``states`` and
+    ``hits`` build the same data as ``BoundaryPhase`` objects and points
+    when first read.
+    """
+
+    x: list[float]
+    y: list[float]
+    vx: list[float]
+    vy: list[float]
+    component: list[str]
+    hx: list[float]
+    hy: list[float]
     caustic: CausticId
     crossings: Crossings
-    hits: tuple[tuple[float, float], ...]
+
+    @cached_property
+    def states(self) -> tuple[BoundaryPhase, ...]:
+        return tuple(
+            BoundaryPhase((x, y), (vx, vy), c)
+            for x, y, vx, vy, c in zip(self.x, self.y, self.vx, self.vy, self.component)
+        )
+
+    @cached_property
+    def hits(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.hx, self.hy))
 
 
 @dataclass(frozen=True)
@@ -140,6 +169,52 @@ def reflect_standard(
     return v_in[0] - 2.0 * d * nx, v_in[1] - 2.0 * d * ny
 
 
+def _walk(table: TableSpec, s: BoundaryPhase, n: int) -> list:
+    """n bounces from s, as one flat list of floats and wall labels.
+
+    The list holds state 0 as (x, y, vx, vy, component), then for each
+    bounce the wall point before magic and the new state after it,
+    (hx, hy, x, y, vx, vy, component).  So ``out[k::7]`` is a column for
+    k = 0..6, in that order, and ``out[-5:]`` is the last state.
+
+    A bounce takes the first forward hit of the outer wall or, on an
+    annulus, of the inner wall (where a graze counts as a miss), reflects
+    classically, and applies the magic signs on the outer wall; the inner
+    wall's signs are (1, 1), which leave every float as it is.
+
+    Raises
+    ------
+    NoForwardHit
+        when a ray reaches neither wall.
+    """
+    fam = table.fam
+    a, b, lam = fam.a, fam.b, table.inner_lam
+    tmin = HIT_TMIN_RTOL * math.sqrt(a)
+    outer = (a, b, 0.0, *table.outer_map.signs, "outer")
+    if lam is not None:
+        ai, bi, graze = a - lam, b - lam, GRAZE_RTOL * a
+        inner = (ai, bi, lam, 1.0, 1.0, "inner")
+    (x, y), (vx, vy) = s.at, s.v
+    out = [x, y, vx, vy, s.component]
+    for _ in range(n):
+        t = _hit_time(a, b, tmin, 0.0, x, y, vx, vy)
+        t_in = None if lam is None else _hit_time(ai, bi, tmin, graze, x, y, vx, vy)
+        if t_in is not None and (t is None or t_in < t):
+            t, wall = t_in, inner
+        elif t is None:
+            raise NoForwardHit(f"ray from {(x, y)} along {(vx, vy)} leaves the table")
+        else:
+            wall = outer
+        aa, bb, wall_lam, mx, my, comp = wall
+        hx, hy = x + t * vx, y + t * vy
+        nx, ny = _inward_normal(aa, bb, hx, hy, wall_lam)
+        d = vx * nx + vy * ny
+        x, y = mx * hx, my * hy
+        vx, vy = mx * (vx - 2.0 * d * nx), my * (vy - 2.0 * d * ny)
+        out += (hx, hy, x, y, vx, vy, comp)
+    return out
+
+
 def _propagate(
     table: TableSpec, s: BoundaryPhase
 ) -> tuple[tuple[float, float], tuple[float, float], str]:
@@ -148,28 +223,18 @@ def _propagate(
     Magic is *not* applied here; callers that need the physical segment
     endpoint (pre-magic) use this directly.
     """
-    fam = table.fam
-    t_outer = _first_hit_time(fam, 0.0, s.at, s.v)
-    t_inner = None
-    if table.inner_lam is not None:
-        t_inner = _first_hit_time(fam, table.inner_lam, s.at, s.v, graze=True)
-    if t_outer is None and t_inner is None:
-        raise NoForwardHit(f"ray from {s.at} along {s.v} leaves the table")
-    if t_inner is not None and (t_outer is None or t_inner < t_outer):
-        t, lam, comp = t_inner, table.inner_lam, "inner"
-    else:
-        t, lam, comp = t_outer, 0.0, "outer"
-    hit = (s.at[0] + t * s.v[0], s.at[1] + t * s.v[1])
-    v_out = reflect_standard(fam, lam, hit, s.v)
-    return hit, v_out, comp
+    hx, hy, _, _, vx, vy, comp = _walk(table, s, 1)[5:]
+    if comp == "outer":
+        # the magic signs are ±1, so applying them again undoes them exactly
+        sx, sy = table.outer_map.signs
+        vx, vy = sx * vx, sy * vy
+    return (hx, hy), (vx, vy), comp
 
 
 def step(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
     """One bounce: propagate, reflect, and apply magic on the outer wall."""
-    hit, v_out, comp = _propagate(table, s)
-    if comp == "outer":
-        hit, v_out = apply_magic(table.outer_map, hit, v_out)
-    return BoundaryPhase(hit, v_out, comp)
+    x, y, vx, vy, comp = _walk(table, s, 1)[-5:]
+    return BoundaryPhase((x, y), (vx, vy), comp)
 
 
 def step_inverse(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
@@ -203,27 +268,12 @@ def trajectory(table: TableSpec, s0: BoundaryPhase, n: int) -> Trajectory:
     if n < 1:
         raise ValueError("need n >= 1")
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
-    magic = table.outer_map
-    states = [s0]
-    hits = []
-    long_c = short_c = outer = 0
-    s = s0
-    for _ in range(n):
-        hit, v_out, comp = _propagate(table, s)
-        hits.append(hit)
-        if s.at[1] * hit[1] < 0.0:
-            long_c += 1
-        if s.at[0] * hit[0] < 0.0:
-            short_c += 1
-        if comp == "outer":
-            outer += 1
-            hit, v_out = apply_magic(magic, hit, v_out)
-        s = BoundaryPhase(hit, v_out, comp)
-        states.append(s)
-    flips = 0 if magic is MagicKind.IDENTITY else outer
-    return Trajectory(
-        tuple(states), caustic, Crossings(long_c, short_c, flips), tuple(hits)
-    )
+    out = _walk(table, s0, n)
+    x, y, vx, vy, comp, hx, hy = (out[k::7] for k in range(7))
+    long_c = sum(1 for p, q in zip(y, hy) if p * q < 0.0)
+    short_c = sum(1 for p, q in zip(x, hx) if p * q < 0.0)
+    flips = 0 if table.outer_map is MagicKind.IDENTITY else comp[1:].count("outer")
+    return Trajectory(x, y, vx, vy, comp, hx, hy, caustic, Crossings(long_c, short_c, flips))
 
 
 def phase_distance(fam: ConfocalFamily, s1: BoundaryPhase, s2: BoundaryPhase) -> float:
@@ -242,10 +292,8 @@ def phase_distance(fam: ConfocalFamily, s1: BoundaryPhase, s2: BoundaryPhase) ->
 
 def closure_defect(table: TableSpec, s0: BoundaryPhase, n: int) -> float:
     """Phase distance between state n and state 0 (no minimality search)."""
-    s = s0
-    for _ in range(n):
-        s = step(table, s)
-    return phase_distance(table.fam, s, s0)
+    x, y, vx, vy, _ = _walk(table, s0, n)[-5:]
+    return phase_distance(table.fam, BoundaryPhase((x, y), (vx, vy)), s0)
 
 
 def detect_closure(

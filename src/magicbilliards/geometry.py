@@ -232,6 +232,42 @@ def caustic_column(fam: ConfocalFamily, x, y, vx, vy) -> np.ndarray:
     return lam
 
 
+def _hit_time(
+    aa: float, bb: float, tmin: float, graze_tol: float, x: float, y: float, vx: float, vy: float
+) -> float | None:
+    """Smallest time t > tmin along (x, y) + t (vx, vy) to reach C_lam, or None.
+
+    The intersection times solve alpha t² + 2 gamma t + delta = 0 with
+
+        alpha = vx²/A + vy²/B,  gamma = (x vx)/A + (y vy)/B,
+        delta = x²/A + y²/B − 1,        A = aa = a−λ, B = bb = b−λ.
+
+    The quadratic is solved in the cancellation-safe form t = q/alpha,
+    delta/q.  A nonzero ``graze_tol`` treats a near-tangent crossing —
+    normalized discriminant disc/alpha² below it — as a miss.
+    """
+    alpha = vx * vx / aa + vy * vy / bb
+    gamma = (x * vx) / aa + (y * vy) / bb
+    delta = x * x / aa + y * y / bb - 1.0
+    disc = gamma * gamma - alpha * delta
+    if disc < 0.0:
+        return None
+    if graze_tol and disc / (alpha * alpha) < graze_tol:
+        return None
+    sq = math.sqrt(disc)
+    q = -(gamma + sq) if gamma >= 0.0 else -(gamma - sq)
+    # delta is taken back from disc: trajectories, and the files the CLI
+    # writes from them, are pinned to the rounding this gives
+    delta = (gamma * gamma - disc) / alpha
+    t = q / alpha
+    best = t if t > tmin else None
+    if abs(q) > 1e-300:
+        t = delta / q
+        if t > tmin and (best is None or t < best):
+            best = t
+    return best
+
+
 def _first_hit_time(
     fam: ConfocalFamily,
     lam: float,
@@ -241,43 +277,14 @@ def _first_hit_time(
 ) -> float | None:
     """Smallest admissible time along p + t v to reach C_lam, or None.
 
-    The intersection times solve alpha t² + 2 gamma t + delta = 0 with
-
-        alpha = vx²/A + vy²/B,  gamma = (x vx)/A + (y vy)/B,
-        delta = x²/A + y²/B − 1,        A = a−λ, B = b−λ.
-
     Admissible means beyond ``t_min = HIT_TMIN_RTOL * sqrt(a)``, which lets
-    a ray leave the wall point it currently sits on.  The quadratic is
-    solved in the cancellation-safe form t = q/alpha, delta/q.  With
-    ``graze=True`` (inner annulus wall) a near-tangent crossing —
-    normalized discriminant disc/alpha² below ``GRAZE_RTOL * a`` — is
-    treated as a miss.
+    a ray leave the wall point it currently sits on.  With ``graze=True``
+    (inner annulus wall) a crossing whose normalized discriminant lies
+    below ``GRAZE_RTOL * a`` is a miss.  The arithmetic is :func:`_hit_time`.
     """
-    aa = fam.a - lam
-    bb = fam.b - lam
-    x, y = p
-    vx, vy = v
-    alpha = vx * vx / aa + vy * vy / bb
-    gamma = (x * vx) / aa + (y * vy) / bb
-    delta = x * x / aa + y * y / bb - 1.0
-    disc = gamma * gamma - alpha * delta
-    if disc < 0.0:
-        return None
-    if graze and disc / (alpha * alpha) < GRAZE_RTOL * fam.a:
-        return None
-    sq = math.sqrt(disc)
-    q = -(gamma + sq) if gamma >= 0.0 else -(gamma - sq)
-    # delta is taken back from disc: trajectories, and the files the CLI
-    # writes from them, are pinned to the rounding this gives
-    delta = (gamma * gamma - disc) / alpha
+    graze_tol = GRAZE_RTOL * fam.a if graze else 0.0
     tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
-    t = q / alpha
-    best = t if t > tmin else None
-    if abs(q) > 1e-300:
-        t = delta / q
-        if t > tmin and (best is None or t < best):
-            best = t
-    return best
+    return _hit_time(fam.a - lam, fam.b - lam, tmin, graze_tol, *p, *v)
 
 
 def ray_boundary_hit(
@@ -299,6 +306,20 @@ def ray_boundary_hit(
     return p[0] + t * v[0], p[1] + t * v[1]
 
 
+def _inward_normal(aa: float, bb: float, x: float, y: float, lam: float) -> tuple[float, float]:
+    """Unit normal −∇/|∇| of C_lam at (x, y), ``aa = a − λ``, ``bb = b − λ``.
+
+    The float core of :func:`normal_at`; ``lam`` only names the conic in
+    the NotOnConic error, raised off the conic by more than 1e-8.
+    """
+    if abs(x * x / aa + y * y / bb - 1.0) > 1e-8:
+        raise NotOnConic(f"{(x, y)} is not on C_{lam}")
+    gx = x / aa
+    gy = y / bb
+    h = math.hypot(gx, gy)
+    return -gx / h, -gy / h
+
+
 def normal_at(
     fam: ConfocalFamily,
     lam: float,
@@ -317,14 +338,10 @@ def normal_at(
     NotOnConic
         if ``p`` violates the conic equation by more than 1e-8.
     """
-    if abs(fam.conic_residual(lam, *p)) > 1e-8:
-        raise NotOnConic(f"{p} is not on C_{lam}")
-    gx = p[0] / (fam.a - lam)
-    gy = p[1] / (fam.b - lam)
-    h = math.hypot(gx, gy)
+    nx, ny = _inward_normal(fam.a - lam, fam.b - lam, *p, lam)
     if inner:
-        return gx / h, gy / h
-    return -gx / h, -gy / h
+        return -nx, -ny
+    return nx, ny
 
 
 def tangent_directions(

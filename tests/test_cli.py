@@ -478,3 +478,109 @@ def test_outputs_are_byte_deterministic(tmp_path):
         pairs.append((csv.read_bytes(), svg.read_bytes(), per.read_bytes(),
                       topo.read_bytes()))
     assert pairs[0] == pairs[1]
+
+
+# ---------------------------------------------------------------------------
+# long byte pins
+
+
+# SHA-256 of 2,000-bounce ``simulate`` files on the family (12.5, 3.5),
+# recorded before the bounce loop became one float loop and unchanged in
+# fresh processes.  Both starts leave the wall at t = 0.7; the ellipse
+# orbit has an ellipse caustic and crosses both axes about 1,000 times, the
+# annulus orbit alternates walls on a hyperbola caustic.
+_LONG_A_B = ["--a", "12.5", "--b", "3.5"]
+_LONG_POINT = ["--x0", "2.704125485832066", "--y0", "1.2052209340716655"]
+_LONG_ELLIPSE = [*_LONG_POINT, "--dx", "0.1352648027483647", "--dy", "-0.383507811258491"]
+_LONG_ANNULUS = ["--table", "annulus", "--inner-lambda", "2", *_LONG_POINT,
+                 "--dx", "-0.08513807382544002", "--dy", "-0.39765099841962714"]
+LONG_PINNED_OUTPUTS = {
+    "ellipse-identity": (
+        ["--system", "identity", *_LONG_ELLIPSE],
+        "3ecd4113ff671d11d4b6e14ac06889347235a5aa32b0469bac7a806a66fb2feb",
+        "1cb15ed18a57ddd66c1f4361aaaa584e1dd2d257134678c6d36d593b8ce81abd",
+    ),
+    "ellipse-flip-long": (
+        ["--system", "flip-long", *_LONG_ELLIPSE],
+        "f569e26db3fe39a07247209a8946b2ccaa10af21ecfe4d4fad0255e772321ab1",
+        "7e96c8cc4f30b5c759e2e54a3565b3e6f0dfe2ff6d343d80fc64ba43b0a35d1a",
+    ),
+    "annulus-identity": (
+        ["--system", "identity", *_LONG_ANNULUS],
+        "a0d7f4c20e70cda709a3b2e68154205b114f5ad698fb3cb4d3ea26edd6962960",
+        "9836ce3eaded3fdc79d1e100b42576eb0bf0b6f796d6f46c13376d0d7e610001",
+    ),
+    "annulus-flip-long": (
+        ["--system", "flip-long", *_LONG_ANNULUS],
+        "80217126ec1b9bbff0c8b19d9335bec270c44ede91b34bc2ea8a71f7af3c6832",
+        "ef3dd208c18c3e20558537cde7ec6fec4b643bb03e118869d30afe92982f2b87",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_PINNED_OUTPUTS))
+def test_long_simulate_outputs_are_pinned_byte_for_byte(tmp_path, case):
+    args, csv_sha, svg_sha = LONG_PINNED_OUTPUTS[case]
+    csv, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    rc = main(["simulate", *_LONG_A_B, *args, "--bounces", "2000",
+               "--out", str(csv), "--svg", str(svg)])
+    assert rc == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == svg_sha
+
+
+# ---------------------------------------------------------------------------
+# output paths
+
+
+_SIMULATE = ["simulate", "--x0", "0", "--y0", "2", "--dx", "0", "--dy", "-1"]
+
+
+@pytest.mark.parametrize(
+    "command, svg",
+    [
+        (_SIMULATE, False),
+        (_SIMULATE, True),  # a good --out and a bad --svg
+        (["periodic", "--n", "3"], False),
+        (["topology"], False),
+    ],
+    ids=["simulate-out", "simulate-svg", "periodic", "topology"],
+)
+def test_missing_output_directory_fails_before_computing(tmp_path, capsys, command, svg):
+    """Exit 1 with an error line and no traceback, and nothing is written."""
+    missing = str(tmp_path / "missing" / "out.file")
+    good = str(tmp_path / "run.csv")
+    paths = ["--out", good, "--svg", missing] if svg else ["--out", missing]
+    assert main([*command, *paths]) == 1
+    err = capsys.readouterr().err
+    assert f"error: output directory {tmp_path / 'missing'} does not exist" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert main([*_SIMULATE, "--out", str(tmp_path)]) == 1
+    assert f"error: output path {tmp_path} is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def full(path, data):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr("magicbilliards.cli._write_atomic", full)
+    assert main([*_SIMULATE, "--out", str(tmp_path / "run.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 28] No space left on device")
+    assert "Traceback" not in err
+
+
+def test_svg_naming_the_csv_file_is_a_usage_error(tmp_path, capsys):
+    """Compared by real path, so a symlink to the CSV is caught too."""
+    csv = tmp_path / "run.csv"
+    link = tmp_path / "link.svg"
+    link.symlink_to(csv)
+    for svg in (csv, tmp_path / "." / "run.csv", link):
+        assert main([*_SIMULATE, "--out", str(csv), "--svg", str(svg)]) == 1
+        assert "error: --svg names the same file as --out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg"]
