@@ -20,7 +20,6 @@ from .certificates import (
     DegenerateFocal,
     INFINITY,
     PellPair,
-    PowerSeries,
     UnsupportedParity,
     cayley_det,
     ec_add,
@@ -28,8 +27,6 @@ from .certificates import (
     find_periodic_caustics,
     pell_solve,
     rotation_number,
-    series_divide_linear,
-    series_sqrt_cubic,
     torsion_check,
 )
 from .dynamics import (
@@ -39,13 +36,11 @@ from .dynamics import (
     MagicKind,
     TableSpec,
     Trajectory,
-    apply_magic,
     closure_defect,
     detect_closure,
     level_orbits,
     phase_at,
     phase_distance,
-    reflect_standard,
     step,
     step_inverse,
     tangent_phase,
@@ -62,7 +57,6 @@ from .geometry import (
     classify_caustic,
     from_elliptic,
     normal_at,
-    ray_boundary_hit,
     tangent_directions,
     to_elliptic,
 )
@@ -105,14 +99,12 @@ __all__ = [
     "NoForwardHit",
     "NotOnConic",
     "PellPair",
-    "PowerSeries",
     "SingularReport",
     "TableSpec",
     "TopologyMismatch",
     "Trajectory",
     "UnknownSystem",
     "UnsupportedParity",
-    "apply_magic",
     "caustic_of_line",
     "cayley_det",
     "classify_caustic",
@@ -129,11 +121,7 @@ __all__ = [
     "pell_solve",
     "phase_at",
     "phase_distance",
-    "ray_boundary_hit",
-    "reflect_standard",
     "rotation_number",
-    "series_divide_linear",
-    "series_sqrt_cubic",
     "singular_level_report",
     "step",
     "step_inverse",

@@ -72,17 +72,6 @@ class CayleyMarker(Enum):
 
 
 @dataclass(frozen=True)
-class PowerSeries:
-    """Truncated real power series, ascending coefficients c0..cN."""
-
-    coeffs: tuple[float, ...]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     """Affine point on y^2 = (a-x)(b-x)(beta-x), or the point at infinity.
 
@@ -176,16 +165,6 @@ def _sqrt_cubic_coeffs(p: float, q: float, r: float, nterms: int) -> list[float]
     return out
 
 
-def series_sqrt_cubic(a: float, b: float, beta: float, N: int) -> PowerSeries:
-    """B-series: coefficients B0..BN of sqrt((a-x)(b-x)(beta-x)), B0 = +sqrt(a b beta)."""
-    if min(a, b, beta) <= 0.0:
-        raise ValueError("cubic roots must be positive")
-    if N < 2:
-        raise ValueError("need N >= 2")
-    _check_distinct(a, b, beta)
-    return PowerSeries(tuple(_sqrt_cubic_coeffs(a, b, beta, N + 1)))
-
-
 def _divide_linear(coeffs: list[float], b: float) -> list[float]:
     """Coefficients of series/(b-x): C_k = (B_k + C_{k-1})/b."""
     out: list[float] = []
@@ -194,13 +173,6 @@ def _divide_linear(coeffs: list[float], b: float) -> list[float]:
         prev = (ck + prev) / b
         out.append(prev)
     return out
-
-
-def series_divide_linear(s: PowerSeries, b: float) -> PowerSeries:
-    """C-series: the B-series divided by (b-x), same truncation order."""
-    if b <= 0.0:
-        raise ValueError("need b > 0")
-    return PowerSeries(tuple(_divide_linear(list(s.coeffs), b)))
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +625,7 @@ def rotation_number(a: float, b: float, beta: float) -> float:
     Hyperbola caustics: the libration ratio 1/2 - rho, the rate of sign
     changes of the polar increment per bounce, halved.
     """
-    ConfocalFamily(a, b)  # validates a > b > 0
-    if not (0.0 < beta < a):
-        raise ValueError(f"caustic parameter {beta} outside (0, {a})")
+    _check_caustic(a, b, beta)
     if abs(beta - b) < 1e-9 * a:
         raise DegenerateFocal("beta = b is the focal segment; no rotation number")
     rho = _rho(a, b, beta)

@@ -15,8 +15,8 @@ preserves the confocal caustic of the trajectory, which is the backbone
 invariant the whole package leans on.
 
 One loop over plain floats, ``_walk``, carries out every bounce:
-``step``, ``trajectory`` and ``closure_defect`` all run on it, and
-``Trajectory`` keeps its float columns.  ``level_orbits``
+``step``, ``step_inverse``, ``trajectory`` and ``closure_defect`` all
+run on it, and ``Trajectory`` keeps its float columns.  ``level_orbits``
 gives many seeds' impacts on one caustic level at once, in closed form:
 on a regular level the map is a translation in the Jacobi phase of the
 outer wall, so a whole (seeds x steps) grid of impacts costs one
@@ -40,7 +40,6 @@ from .geometry import (
     _hit_time,
     _inward_normal,
     caustic_of_line,
-    normal_at,
     tangent_directions,
 )
 
@@ -145,30 +144,6 @@ class ClosureReport:
     winding: int | None
 
 
-def apply_magic(
-    kind: MagicKind, p: tuple[float, float], v: tuple[float, float]
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The boundary involution phi and its velocity companion phi*."""
-    sx, sy = kind.signs
-    return (sx * p[0], sy * p[1]), (sx * v[0], sy * v[1])
-
-
-def reflect_standard(
-    fam: ConfocalFamily,
-    lam: float,
-    p: tuple[float, float],
-    v_in: tuple[float, float],
-) -> tuple[float, float]:
-    """Classical reflection v - 2(v.n)n at a point of C_lam.
-
-    The sign of the normal cancels, so the same formula serves the outer
-    and inner walls.
-    """
-    nx, ny = normal_at(fam, lam, p)
-    d = v_in[0] * nx + v_in[1] * ny
-    return v_in[0] - 2.0 * d * nx, v_in[1] - 2.0 * d * ny
-
-
 def _walk(table: TableSpec, s: BoundaryPhase, n: int) -> list:
     """n bounces from s, as one flat list of floats and wall labels.
 
@@ -178,9 +153,12 @@ def _walk(table: TableSpec, s: BoundaryPhase, n: int) -> list:
     k = 0..6, in that order, and ``out[-5:]`` is the last state.
 
     A bounce takes the first forward hit of the outer wall or, on an
-    annulus, of the inner wall (where a graze counts as a miss), reflects
-    classically, and applies the magic signs on the outer wall; the inner
-    wall's signs are (1, 1), which leave every float as it is.
+    annulus, of the inner wall, reflects classically, and applies the
+    magic signs on the outer wall; the inner wall's signs are (1, 1),
+    which leave every float as it is.  A hit must lie beyond
+    ``HIT_TMIN_RTOL * sqrt(a)``, which lets a ray leave the wall point it
+    sits on, and an inner-wall crossing whose normalized discriminant is
+    below ``GRAZE_RTOL * a`` is a graze, counted as a miss.
 
     Raises
     ------
@@ -215,22 +193,6 @@ def _walk(table: TableSpec, s: BoundaryPhase, n: int) -> list:
     return out
 
 
-def _propagate(
-    table: TableSpec, s: BoundaryPhase
-) -> tuple[tuple[float, float], tuple[float, float], str]:
-    """Ray to first wall hit; returns (hit point, reflected velocity, component).
-
-    Magic is *not* applied here; callers that need the physical segment
-    endpoint (pre-magic) use this directly.
-    """
-    hx, hy, _, _, vx, vy, comp = _walk(table, s, 1)[5:]
-    if comp == "outer":
-        # the magic signs are ±1, so applying them again undoes them exactly
-        sx, sy = table.outer_map.signs
-        vx, vy = sx * vx, sy * vy
-    return (hx, hy), (vx, vy), comp
-
-
 def step(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
     """One bounce: propagate, reflect, and apply magic on the outer wall."""
     x, y, vx, vy, comp = _walk(table, s, 1)[-5:]
@@ -241,20 +203,23 @@ def step_inverse(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
     """Previous state of ``s``: undoes magic, un-reflects, traces backward.
 
     Both the magic maps and classical reflection are involutions, so the
-    inverse step reuses the forward building blocks.  Round-trips with
-    :func:`step` to ~1e-13.
+    inverse step undoes the magic signs, reflects at ``s`` and takes the
+    wall point of one :func:`_walk` bounce along the reversed velocity.
+    Round-trips with :func:`step` to ~1e-13.
     """
     fam = table.fam
-    p, v = s.at, s.v
+    (x, y), (vx, vy) = s.at, s.v
     if s.component == "outer":
-        p, v = apply_magic(table.outer_map, p, v)
+        sx, sy = table.outer_map.signs
+        x, y, vx, vy = sx * x, sy * y, sx * vx, sy * vy
         lam = 0.0
     else:
         lam = table.inner_lam
-    v_in = reflect_standard(fam, lam, p, v)
-    back = BoundaryPhase(p, (-v_in[0], -v_in[1]), s.component)
-    fam_hit, _, comp = _propagate(table, back)
-    return BoundaryPhase(fam_hit, v_in, comp)
+    nx, ny = _inward_normal(fam.a - lam, fam.b - lam, x, y, lam)
+    d = vx * nx + vy * ny
+    vx, vy = vx - 2.0 * d * nx, vy - 2.0 * d * ny
+    out = _walk(table, BoundaryPhase((x, y), (-vx, -vy), s.component), 1)
+    return BoundaryPhase((out[5], out[6]), (vx, vy), out[-1])
 
 
 def trajectory(table: TableSpec, s0: BoundaryPhase, n: int) -> Trajectory:
@@ -292,6 +257,8 @@ def phase_distance(fam: ConfocalFamily, s1: BoundaryPhase, s2: BoundaryPhase) ->
 
 def closure_defect(table: TableSpec, s0: BoundaryPhase, n: int) -> float:
     """Phase distance between state n and state 0 (no minimality search)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     x, y, vx, vy, _ = _walk(table, s0, n)[-5:]
     return phase_distance(table.fam, BoundaryPhase((x, y), (vx, vy)), s0)
 
@@ -310,6 +277,8 @@ def detect_closure(
     the rounding is ambiguous (error >= 0.01 turns) or the caustic is
     not an ellipse.
     """
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     if tol is None:
         tol = CLOSURE_RTOL * math.sqrt(table.fam.a)
     caustic = caustic_of_line(table.fam, s0.at, s0.v)

@@ -268,44 +268,6 @@ def _hit_time(
     return best
 
 
-def _first_hit_time(
-    fam: ConfocalFamily,
-    lam: float,
-    p: tuple[float, float],
-    v: tuple[float, float],
-    graze: bool = False,
-) -> float | None:
-    """Smallest admissible time along p + t v to reach C_lam, or None.
-
-    Admissible means beyond ``t_min = HIT_TMIN_RTOL * sqrt(a)``, which lets
-    a ray leave the wall point it currently sits on.  With ``graze=True``
-    (inner annulus wall) a crossing whose normalized discriminant lies
-    below ``GRAZE_RTOL * a`` is a miss.  The arithmetic is :func:`_hit_time`.
-    """
-    graze_tol = GRAZE_RTOL * fam.a if graze else 0.0
-    tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
-    return _hit_time(fam.a - lam, fam.b - lam, tmin, graze_tol, *p, *v)
-
-
-def ray_boundary_hit(
-    fam: ConfocalFamily,
-    lam: float,
-    p: tuple[float, float],
-    v: tuple[float, float],
-) -> tuple[float, float]:
-    """First forward intersection of the ray p + t v (t > t_min) with C_lam.
-
-    Raises
-    ------
-    NoForwardHit
-        when the ray misses the conic or only touches it behind t_min.
-    """
-    t = _first_hit_time(fam, lam, p, v)
-    if t is None:
-        raise NoForwardHit(f"ray from {p} along {v} has no forward hit on C_{lam}")
-    return p[0] + t * v[0], p[1] + t * v[1]
-
-
 def _inward_normal(aa: float, bb: float, x: float, y: float, lam: float) -> tuple[float, float]:
     """Unit normal −∇/|∇| of C_lam at (x, y), ``aa = a − λ``, ``bb = b − λ``.
 

@@ -23,7 +23,7 @@ from .dynamics import (
     BoundaryPhase,
     MagicKind,
     TableSpec,
-    _propagate,
+    _walk,
     level_orbits,
     phase_distance,
     step,
@@ -290,6 +290,9 @@ def classify_level(
     fam = table.fam
     if samples < 16:
         raise ValueError("need samples >= 16")
+    if steps <= WINDING_WINDOW:
+        # no winding window fits, so every ellipse level would read 1
+        raise ValueError(f"need steps > {WINDING_WINDOW}")
     if not (0.0 < beta < fam.a):
         raise ValueError(f"caustic parameter {beta} outside (0, {fam.a})")
     tol = DEGEN_RTOL * fam.a
@@ -361,12 +364,12 @@ def _sep_label(table: TableSpec, s: BoundaryPhase) -> str | None:
     if abs(vy) < 1e-9:
         return None
     ud = "U" if vy > 0.0 else "D"
-    q = _propagate(table, s)[0]
-    if py > 0.0 and q[1] > 0.0:
+    qy = _walk(table, s, 1)[6]  # the wall point's y, before magic
+    if py > 0.0 and qy > 0.0:
         side = "T"
-    elif py < 0.0 and q[1] < 0.0:
+    elif py < 0.0 and qy < 0.0:
         side = "B"
-    elif py * q[1] < 0.0:
+    elif py * qy < 0.0:
         side = "X"
     else:
         return None

@@ -34,8 +34,6 @@ from magicbilliards import (
     find_periodic_caustics,
     pell_solve,
     rotation_number,
-    series_divide_linear,
-    series_sqrt_cubic,
     step,
     tangent_phase,
     torsion_check,
@@ -45,8 +43,10 @@ from magicbilliards.certificates import (
     EC_DPS,
     PELL_TOL,
     _U_SNAP,
+    _divide_linear,
     _pell_defect,
     _pell_seed,
+    _sqrt_cubic_coeffs,
 )
 
 A, B = 9.0, 4.0
@@ -69,27 +69,27 @@ def _sqrt_cubic(x, beta):
 def test_series_value_oracle():
     """Partial sums converge to the actual square root near x = 0."""
     beta = 2.5
-    s = series_sqrt_cubic(A, B, beta, 14)
+    s = _sqrt_cubic_coeffs(A, B, beta, 15)
     for x in (0.0, 0.01, -0.02, 0.05):
-        val = sum(c * x**k for k, c in enumerate(s.coeffs))
+        val = sum(c * x**k for k, c in enumerate(s))
         assert val == pytest.approx(_sqrt_cubic(x, beta), rel=1e-12)
 
 
 def test_series_derivative_oracle():
     """Low-order coefficients match central finite differences."""
     beta = 2.5
-    s = series_sqrt_cubic(A, B, beta, 6)
+    s = _sqrt_cubic_coeffs(A, B, beta, 7)
     h = 1e-5
     d1 = (_sqrt_cubic(h, beta) - _sqrt_cubic(-h, beta)) / (2.0 * h)
     d2 = (_sqrt_cubic(h, beta) - 2.0 * _sqrt_cubic(0.0, beta) + _sqrt_cubic(-h, beta)) / h**2
-    assert s.coeffs[1] == pytest.approx(d1, rel=1e-6)
-    assert s.coeffs[2] == pytest.approx(d2 / 2.0, rel=1e-4)
+    assert s[1] == pytest.approx(d1, rel=1e-6)
+    assert s[2] == pytest.approx(d2 / 2.0, rel=1e-4)
 
 
 def test_series_square_reproduces_cubic():
     beta = 3.3
-    s = series_sqrt_cubic(A, B, beta, 12)
-    sq = np.convolve(s.coeffs, s.coeffs)
+    s = _sqrt_cubic_coeffs(A, B, beta, 13)
+    sq = np.convolve(s, s)
     cubic = [A * B * beta, -(A * B + A * beta + B * beta), A + B + beta, -1.0]
     for k, want in enumerate(cubic):
         assert sq[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -97,19 +97,14 @@ def test_series_square_reproduces_cubic():
         assert abs(sq[k]) < 1e-9 * A * B * beta
 
 
-def test_series_requires_two_terms():
-    with pytest.raises(ValueError):
-        series_sqrt_cubic(A, B, 2.5, 1)
-
-
 def test_divide_linear_identity():
     """(b - x) * (B(x)/(b - x)) recovers B(x) numerically."""
     beta = 6.1
-    s = series_sqrt_cubic(A, B, beta, 16)
-    c = series_divide_linear(s, B)
+    s = _sqrt_cubic_coeffs(A, B, beta, 17)
+    c = _divide_linear(s, B)
     x = 0.03
-    cval = sum(ck * x**k for k, ck in enumerate(c.coeffs))
-    sval = sum(sk * x**k for k, sk in enumerate(s.coeffs[: len(c.coeffs)]))
+    cval = sum(ck * x**k for k, ck in enumerate(c))
+    sval = sum(sk * x**k for k, sk in enumerate(s[: len(c)]))
     assert (B - x) * cval == pytest.approx(sval, rel=1e-10)
 
 

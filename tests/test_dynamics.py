@@ -12,7 +12,6 @@ from magicbilliards import (
     MagicKind,
     NoForwardHit,
     TableSpec,
-    apply_magic,
     caustic_of_line,
     closure_defect,
     detect_closure,
@@ -26,7 +25,7 @@ from magicbilliards import (
     trajectory,
 )
 from magicbilliards.dynamics import ORBIT_MATCH_RTOL, OrbitMismatch, _jacobi
-from magicbilliards.geometry import _first_hit_time
+from magicbilliards.geometry import GRAZE_RTOL, HIT_TMIN_RTOL, _hit_time
 from magicbilliards.topology import _tangent_seeds
 
 FAM = ConfocalFamily(9.0, 4.0)
@@ -35,11 +34,10 @@ ANN = {k: TableSpec(FAM, k, 3.0) for k in MagicKind}
 
 
 def test_magic_signs():
-    p, v = (1.0, 2.0), (0.3, -0.4)
-    assert apply_magic(MagicKind.IDENTITY, p, v) == (p, v)
-    assert apply_magic(MagicKind.FLIP_LONG, p, v) == ((1.0, -2.0), (0.3, 0.4))
-    assert apply_magic(MagicKind.FLIP_SHORT, p, v) == ((-1.0, 2.0), (-0.3, -0.4))
-    assert apply_magic(MagicKind.HALF_TURN, p, v) == ((-1.0, -2.0), (-0.3, 0.4))
+    assert MagicKind.IDENTITY.signs == (1.0, 1.0)
+    assert MagicKind.FLIP_LONG.signs == (1.0, -1.0)
+    assert MagicKind.FLIP_SHORT.signs == (-1.0, 1.0)
+    assert MagicKind.HALF_TURN.signs == (-1.0, -1.0)
 
 
 @given(
@@ -51,8 +49,9 @@ def test_magic_signs():
 )
 @settings(max_examples=100, deadline=None)
 def test_magic_is_involution(kind, x, y, vx, vy):
-    p2, v2 = apply_magic(kind, *apply_magic(kind, (x, y), (vx, vy)))
-    assert p2 == (x, y) and v2 == (vx, vy)
+    sx, sy = kind.signs
+    assert (sx * (sx * x), sy * (sy * y)) == (x, y)
+    assert (sx * (sx * vx), sy * (sy * vy)) == (vx, vy)
 
 
 def test_orientation_flags():
@@ -185,6 +184,18 @@ def test_closure_defect_at_exact_period():
     assert closure_defect(ELL[MagicKind.IDENTITY], s0, 1) > 0.1
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_closure_needs_a_bounce(n):
+    # zero bounces would read as a perfect closure
+    table, s0 = ELL[MagicKind.FLIP_LONG], tangent_phase(FAM, 2.5)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        closure_defect(table, s0, n)
+    with pytest.raises(ValueError, match="need n_max >= 1"):
+        detect_closure(table, s0, n)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        trajectory(table, s0, n)
+
+
 def test_detect_closure_winding():
     # a 4-periodic orbit of the plain billiard with an ellipse caustic
     beta = 36.0 / 13.0
@@ -223,7 +234,8 @@ def test_trajectory_keeps_pre_magic_hits():
         assert len(traj.hits) == 40
         for hit, s in zip(traj.hits, traj.states[1:]):
             if s.component == "outer":
-                assert apply_magic(table.outer_map, hit, s.v)[0] == s.at
+                sx, sy = table.outer_map.signs
+                assert (sx * hit[0], sy * hit[1]) == s.at
             else:
                 assert hit == s.at
 
@@ -296,6 +308,8 @@ def test_inner_wall_graze_is_a_miss_on_both_paths(kind):
     # the hit-time solver calls a graze a miss, and the step goes on to the
     # outer wall
     table = ANN[kind]
+    aa, bb = FAM.a - table.inner_lam, FAM.b - table.inner_lam
+    tmin, graze = HIT_TMIN_RTOL * math.sqrt(FAM.a), GRAZE_RTOL * FAM.a
     p = FAM.boundary_point(1.1)
     states = []
     for v in tangent_directions(FAM, table.inner_lam, p):
@@ -304,8 +318,8 @@ def test_inner_wall_graze_is_a_miss_on_both_paths(kind):
         ang = math.atan2(v[1], v[0])
         for turn in (1e-13, -1e-13):
             w = (math.cos(ang + turn), math.sin(ang + turn))
-            if _first_hit_time(FAM, table.inner_lam, p, w) is not None:
-                assert _first_hit_time(FAM, table.inner_lam, p, w, graze=True) is None
+            if _hit_time(aa, bb, tmin, 0.0, *p, *w) is not None:
+                assert _hit_time(aa, bb, tmin, graze, *p, *w) is None
                 states.append(BoundaryPhase(p, w))
     assert len(states) == 2
     for s in states:

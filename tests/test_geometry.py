@@ -7,12 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from magicbilliards import (
     CenterDegenerate,
     ConfocalFamily,
-    NoForwardHit,
     caustic_of_line,
     classify_caustic,
     from_elliptic,
     normal_at,
-    ray_boundary_hit,
     tangent_directions,
     to_elliptic,
 )
@@ -21,13 +19,15 @@ from magicbilliards.geometry import (
     GRAZE_RTOL,
     HIT_TMIN_RTOL,
     VERTICAL_VX,
-    _first_hit_time,
+    _hit_time,
     caustic_column,
     elliptic_columns,
 )
 from magicbilliards.topology import _tangent_seeds
 
 FAM = ConfocalFamily(9.0, 4.0)
+# the bounce loop's minimum advance, which lets a ray leave its wall point
+TMIN = HIT_TMIN_RTOL * math.sqrt(FAM.a)
 
 
 def test_family_validation():
@@ -126,7 +126,8 @@ def test_caustic_of_line_parametrization_invariant(t, th, shift, scale):
     if v[0] * nx + v[1] * ny > -1e-3:  # keep rays that enter the table
         return
     lam0 = caustic_of_line(FAM, p, v).lam
-    hit = ray_boundary_hit(FAM, 0.0, p, v)
+    t_hit = _hit_time(FAM.a, FAM.b, TMIN, 0.0, *p, *v)
+    hit = (p[0] + t_hit * v[0], p[1] + t_hit * v[1])
     q = (p[0] + shift * (hit[0] - p[0]), p[1] + shift * (hit[1] - p[1]))
     lam1 = caustic_of_line(FAM, q, (scale * v[0], scale * v[1])).lam
     assert lam1 == pytest.approx(lam0, abs=1e-9)
@@ -146,10 +147,11 @@ def test_caustic_interval_law():
     assert c2.kind == "ellipse" and 0.0 < c2.lam < FAM.b
 
 
-def test_ray_boundary_hit_lands_on_conic():
+def test_hit_time_lands_on_conic():
     p = FAM.boundary_point(0.4)
     v = (-0.6, -0.8)
-    hit = ray_boundary_hit(FAM, 0.0, p, v)
+    t = _hit_time(FAM.a, FAM.b, TMIN, 0.0, *p, *v)
+    hit = (p[0] + t * v[0], p[1] + t * v[1])
     assert abs(FAM.conic_residual(0.0, hit[0], hit[1])) < 1e-10
     # and the hit is ahead of p, not p itself
     assert math.hypot(hit[0] - p[0], hit[1] - p[1]) > 1e-6
@@ -159,8 +161,7 @@ def test_ray_misses_inner_conic():
     # a chord tangent to C_2.5 stays outside C_3.0
     p = FAM.boundary_point(1.2)
     v = tangent_directions(FAM, 2.5, p)[0]
-    with pytest.raises(NoForwardHit):
-        ray_boundary_hit(FAM, 3.0, p, v)
+    assert _hit_time(FAM.a - 3.0, FAM.b - 3.0, TMIN, 0.0, *p, *v) is None
 
 
 def test_normal_at_is_inward_unit():
@@ -298,8 +299,8 @@ def test_array_columns_keep_the_scalar_checks():
         caustic_column(FAM, [math.nan], [0.0], [1.0], [0.0])
 
 
-def _first_hit_time_reference(fam, lam, p, v, graze=False):
-    # the list-and-min form of _first_hit_time, written out
+def _hit_time_reference(fam, lam, p, v, graze=False):
+    # the list-and-min form of _hit_time, written out
     aa = fam.a - lam
     bb = fam.b - lam
     x, y = p
@@ -339,7 +340,7 @@ def _hex_or_none(t):
     tangent=st.booleans(),
 )
 @settings(max_examples=400, deadline=None)
-def test_first_hit_time_matches_the_list_and_min_rule(ratio, inner, from_inner, t, turn, tangent):
+def test_hit_time_matches_the_list_and_min_rule(ratio, inner, from_inner, t, turn, tangent):
     """Same time, by float.hex, or None: on both walls, with grazes and misses.
 
     Rays leave a point of either wall in a generic direction, or along a
@@ -352,8 +353,9 @@ def test_first_hit_time_matches_the_list_and_min_rule(ratio, inner, from_inner, 
     dirs = tangent_directions(fam, lam_in, p) if tangent and not from_inner else []
     base = math.atan2(dirs[0][1], dirs[0][0]) if dirs else 0.0
     v = (math.cos(base + turn), math.sin(base + turn))
+    tmin = HIT_TMIN_RTOL * math.sqrt(fam.a)
     for lam in (0.0, lam_in):
         for graze in (False, True):
-            assert _hex_or_none(_first_hit_time(fam, lam, p, v, graze)) == _hex_or_none(
-                _first_hit_time_reference(fam, lam, p, v, graze)
-            )
+            graze_tol = GRAZE_RTOL * fam.a if graze else 0.0
+            got = _hit_time(fam.a - lam, fam.b - lam, tmin, graze_tol, *p, *v)
+            assert _hex_or_none(got) == _hex_or_none(_hit_time_reference(fam, lam, p, v, graze))

@@ -18,23 +18,24 @@ from magicbilliards import (
     classify_level,
     fomenko_graph,
     singular_level_report,
+    trajectory,
 )
 from magicbilliards.dynamics import (
     FOCAL_SLACK,
     ORBIT_MATCH_RTOL,
-    _propagate,
-    apply_magic,
     level_orbits,
     step,
 )
 from magicbilliards.geometry import caustic_of_line
 from magicbilliards.topology import (
+    SEP_SEED_OFFSET,
     WINDING_MIN_SWEEP,
     WINDING_WINDOW,
     _HYPERBOLA_LABELS,
     _hyperbola_labels,
     _level_signatures,
     _merge_count,
+    _sep_label,
     _tangent_seeds,
 )
 
@@ -129,6 +130,10 @@ def test_classify_argument_errors():
         classify_level(ELL[MagicKind.FLIP_LONG], -1.0)
     with pytest.raises(ValueError):
         classify_level(ELL[MagicKind.FLIP_LONG], 11.0)
+    # no winding window fits in WINDING_WINDOW steps or fewer
+    for steps in (WINDING_WINDOW, 1, 0, -5):
+        with pytest.raises(ValueError, match="need steps > 32"):
+            classify_level(ELL[MagicKind.FLIP_LONG], 2.5, steps=steps)
 
 
 def test_seeds_cover_boundary_and_branches():
@@ -150,15 +155,8 @@ def test_seeds_cover_boundary_and_branches():
 
 def _segments(table, s0, steps):
     """(x, y, vx, vy, hit y before magic) of each scalar segment from s0."""
-    rows = []
-    s = s0
-    for _ in range(steps):
-        hit, v_out, comp = _propagate(table, s)
-        rows.append(s.at + s.v + (hit[1],))
-        if comp == "outer":
-            hit, v_out = apply_magic(table.outer_map, hit, v_out)
-        s = BoundaryPhase(hit, v_out, comp)
-    return rows
+    traj = trajectory(table, s0, steps)
+    return list(zip(traj.x, traj.y, traj.vx, traj.vy, traj.hy))
 
 
 def _tangency_x(fam, beta, x, y, vx, vy):
@@ -351,6 +349,42 @@ def test_singular_reports(table, expected):
         rep = singular_level_report(table, lam)
         assert rep.closed_orbits == expected[lam]
         assert rep.separatrices == 0
+        assert rep.atom == {1: "A", 2: "A,A"}[rep.closed_orbits]
+
+
+def test_separatrix_labels_read_the_segment_before_magic():
+    # a label describes the physical segment from the state, so on the
+    # ellipse it is the same for every magic map
+    c = FAM.focal_distance
+    p = FAM.boundary_point(SEP_SEED_OFFSET)
+    for fx in (c, -c):
+        h = math.hypot(fx - p[0], p[1])
+        s0 = BoundaryPhase(p, ((fx - p[0]) / h, -p[1] / h))
+        labels = {_sep_label(ELL[k], s0) for k in MagicKind}
+        assert labels == {"F1-DX" if fx > 0.0 else "F2-DX"}
+
+
+# other families give the same counts and atoms as (9, 4), table by table;
+# the annulus inner wall sits at 0.6 b
+OTHER_FAMILIES = [
+    (TableSpec(ConfocalFamily(a, b), t.outer_map, None if t.inner_lam is None else 0.6 * b), expected)
+    for a, b in ((10.0, 5.0), (10.0, 8.0))
+    for t, expected in SINGULAR_TABLE
+]
+
+
+@pytest.mark.parametrize(
+    "table,expected",
+    OTHER_FAMILIES,
+    ids=[f"{t.fam.b:g}-{_name(t)}" for t, _ in OTHER_FAMILIES],
+)
+def test_singular_reports_beyond_9_4(table, expected):
+    fam = table.fam
+    rep = singular_level_report(table, fam.b)
+    assert (rep.closed_orbits, rep.separatrices, rep.atom) == expected[4.0]
+    for lam, key in ((0.0, 0.0), (fam.a, 9.0)):
+        rep = singular_level_report(table, lam)
+        assert (rep.closed_orbits, rep.separatrices) == (expected[key], 0)
         assert rep.atom == {1: "A", 2: "A,A"}[rep.closed_orbits]
 
 
