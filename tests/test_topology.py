@@ -289,6 +289,158 @@ def test_level_reports_match_goldens(table, beta, count, evidence):
     assert classify_level(table, beta) == LevelSetReport(beta, kind, count, 64, tuple(evidence))
 
 
+# Whole reports on three more families (b/a = 0.18, 0.5 and 0.82, inner
+# wall 0.6 b), both caustic kinds of each of the six tables, at levels
+# from 4 % to 96 % of each caustic range.  Every level of one (shape, map,
+# caustic kind) gives the same report, so the expected fields are listed
+# once per key.
+PINNED_COUNTS = {
+    ("ellipse", MagicKind.FLIP_LONG, "ellipse"): (1, [("CCW", "CW")]),
+    ("ellipse", MagicKind.FLIP_LONG, "hyperbola"): (2, [("DLX", "DRX"), ("ULX", "URX")]),
+    ("ellipse", MagicKind.FLIP_SHORT, "ellipse"): (1, [("CCW", "CW")]),
+    ("ellipse", MagicKind.FLIP_SHORT, "hyperbola"): (
+        1, [("DLX", "DRX"), ("DLX", "ULX"), ("DLX", "URX")]
+    ),
+    ("ellipse", MagicKind.HALF_TURN, "ellipse"): (2, []),
+    ("ellipse", MagicKind.HALF_TURN, "hyperbola"): (2, [("DLX", "DRX"), ("ULX", "URX")]),
+    ("annulus", MagicKind.FLIP_LONG, "ellipse"): (1, [("CCW", "CW")]),
+    ("annulus", MagicKind.FLIP_LONG, "hyperbola"): (1, [
+        ("DLB", "DLT"), ("DLB", "DRB"), ("DLB", "DRT"), ("DLB", "ULB"),
+        ("DLB", "ULT"), ("DLB", "URB"), ("DLB", "URT"),
+    ]),
+    ("annulus", MagicKind.FLIP_SHORT, "ellipse"): (1, [("CCW", "CW")]),
+    ("annulus", MagicKind.FLIP_SHORT, "hyperbola"): (2, [
+        ("DLT", "DRT"), ("DLT", "ULT"), ("DLT", "URT"),
+        ("DLB", "DRB"), ("DLB", "ULB"), ("DLB", "URB"),
+    ]),
+    ("annulus", MagicKind.HALF_TURN, "ellipse"): (2, []),
+    ("annulus", MagicKind.HALF_TURN, "hyperbola"): (1, [
+        ("DLB", "DLT"), ("DLB", "DRB"), ("DLB", "DRT"), ("DLB", "ULB"),
+        ("DLB", "ULT"), ("DLB", "URB"), ("DLB", "URT"),
+    ]),
+}
+# (a, b, inner wall, map, beta, caustic kind)
+PINNED_LEVELS = [
+    (10.0, 1.8, None, MagicKind.FLIP_LONG, 0.072, "ellipse"),
+    (10.0, 1.8, None, MagicKind.FLIP_LONG, 5.9, "hyperbola"),
+    (10.0, 1.8, None, MagicKind.FLIP_SHORT, 0.9, "ellipse"),
+    (10.0, 1.8, None, MagicKind.FLIP_SHORT, 9.672, "hyperbola"),
+    (10.0, 1.8, None, MagicKind.HALF_TURN, 1.728, "ellipse"),
+    (10.0, 1.8, None, MagicKind.HALF_TURN, 2.128, "hyperbola"),
+    (10.0, 1.8, 1.08, MagicKind.FLIP_LONG, 0.54, "ellipse"),
+    (10.0, 1.8, 1.08, MagicKind.FLIP_LONG, 9.672, "hyperbola"),
+    (10.0, 1.8, 1.08, MagicKind.FLIP_SHORT, 1.0368, "ellipse"),
+    (10.0, 1.8, 1.08, MagicKind.FLIP_SHORT, 2.128, "hyperbola"),
+    (10.0, 1.8, 1.08, MagicKind.HALF_TURN, 0.0432, "ellipse"),
+    (10.0, 1.8, 1.08, MagicKind.HALF_TURN, 5.9, "hyperbola"),
+    (8.0, 4.0, None, MagicKind.FLIP_LONG, 2.0, "ellipse"),
+    (8.0, 4.0, None, MagicKind.FLIP_LONG, 4.16, "hyperbola"),
+    (8.0, 4.0, None, MagicKind.FLIP_SHORT, 3.84, "ellipse"),
+    (8.0, 4.0, None, MagicKind.FLIP_SHORT, 6.0, "hyperbola"),
+    (8.0, 4.0, None, MagicKind.HALF_TURN, 0.16, "ellipse"),
+    (8.0, 4.0, None, MagicKind.HALF_TURN, 7.84, "hyperbola"),
+    (8.0, 4.0, 2.4, MagicKind.FLIP_LONG, 2.304, "ellipse"),
+    (8.0, 4.0, 2.4, MagicKind.FLIP_LONG, 6.0, "hyperbola"),
+    (8.0, 4.0, 2.4, MagicKind.FLIP_SHORT, 0.096, "ellipse"),
+    (8.0, 4.0, 2.4, MagicKind.FLIP_SHORT, 7.84, "hyperbola"),
+    (8.0, 4.0, 2.4, MagicKind.HALF_TURN, 1.2, "ellipse"),
+    (8.0, 4.0, 2.4, MagicKind.HALF_TURN, 4.16, "hyperbola"),
+    (6.0, 4.9, None, MagicKind.FLIP_LONG, 4.704, "ellipse"),
+    (6.0, 4.9, None, MagicKind.FLIP_LONG, 5.956, "hyperbola"),
+    (6.0, 4.9, None, MagicKind.FLIP_SHORT, 0.196, "ellipse"),
+    (6.0, 4.9, None, MagicKind.FLIP_SHORT, 4.944, "hyperbola"),
+    (6.0, 4.9, None, MagicKind.HALF_TURN, 2.45, "ellipse"),
+    (6.0, 4.9, None, MagicKind.HALF_TURN, 5.45, "hyperbola"),
+    (6.0, 4.9, 2.94, MagicKind.FLIP_LONG, 0.1176, "ellipse"),
+    (6.0, 4.9, 2.94, MagicKind.FLIP_LONG, 4.944, "hyperbola"),
+    (6.0, 4.9, 2.94, MagicKind.FLIP_SHORT, 1.47, "ellipse"),
+    (6.0, 4.9, 2.94, MagicKind.FLIP_SHORT, 5.45, "hyperbola"),
+    (6.0, 4.9, 2.94, MagicKind.HALF_TURN, 2.8224, "ellipse"),
+    (6.0, 4.9, 2.94, MagicKind.HALF_TURN, 5.956, "hyperbola"),
+]
+
+
+@pytest.mark.parametrize(
+    "a,b,inner,kind,beta,caustic",
+    PINNED_LEVELS,
+    ids=[f"{a}-{b}-{inner}-{k.value}-{beta}" for a, b, inner, k, beta, _ in PINNED_LEVELS],
+)
+def test_level_reports_are_pinned_across_families(a, b, inner, kind, beta, caustic):
+    table = TableSpec(ConfocalFamily(a, b), kind, inner)
+    count, evidence = PINNED_COUNTS[(table.shape, kind, caustic)]
+    assert classify_level(table, beta) == LevelSetReport(
+        beta, caustic, count, 64, tuple(evidence)
+    )
+
+
+def _graph_doc(system, atoms, edges, n, levels, provenance):
+    return {
+        "system": system,
+        "atoms": [{"id": i, "type": t} for i, t in atoms],
+        "edges": [{"from": s, "to": d, "r": r, "eps": e} for s, d, r, e in edges],
+        "n": n,
+        "singular_levels": levels,
+        "provenance": provenance,
+    }
+
+
+PINNED_GRAPHS = {
+    ELL[MagicKind.FLIP_LONG]: _graph_doc(
+        "ellipse:flip-long",
+        [("t1", "A"), ("c", "B"), ("t2", "A"), ("t3", "A")],
+        [("c", "t1", "0", 1), ("c", "t2", "1/2", 1), ("c", "t3", "1/2", 1)],
+        -2,
+        {"0": ["t1"], "b": ["c"], "a": ["t2", "t3"]},
+        "transcribed figure data",
+    ),
+    ELL[MagicKind.FLIP_SHORT]: _graph_doc(
+        "ellipse:flip-short",
+        [("t1", "A"), ("c", "A**"), ("t2", "A")],
+        [("c", "t1", "0", 1), ("c", "t2", "0", 1)],
+        0,
+        {"0": ["t1"], "b": ["c"], "a": ["t2"]},
+        "transcribed figure data",
+    ),
+    ELL[MagicKind.HALF_TURN]: _graph_doc(
+        "ellipse:half-turn",
+        [("t1", "A"), ("t2", "A"), ("c", "C2"), ("t3", "A"), ("t4", "A")],
+        [("c", "t1", "0", 1), ("c", "t2", "0", 1), ("c", "t3", "0", 1), ("c", "t4", "0", 1)],
+        -4,
+        {"0": ["t1", "t2"], "b": ["c"], "a": ["t3", "t4"]},
+        "transcribed figure data",
+    ),
+    ANN[MagicKind.FLIP_LONG]: _graph_doc(
+        "annulus:flip-long",
+        [("t1", "A"), ("c", "A**"), ("t2", "A")],
+        [("c", "t1", None, None), ("c", "t2", None, None)],
+        None,
+        {"0": ["t1"], "b": ["c"], "a": ["t2"]},
+        "transcribed figure data; marks unavailable",
+    ),
+    ANN[MagicKind.FLIP_SHORT]: _graph_doc(
+        "annulus:flip-short",
+        [("t1", "A"), ("c", "B"), ("t2", "A"), ("t3", "A")],
+        [("c", "t1", None, None), ("c", "t2", None, None), ("c", "t3", None, None)],
+        None,
+        {"0": ["t1"], "b": ["c"], "a": ["t2", "t3"]},
+        "transcribed figure data; marks unavailable",
+    ),
+    ANN[MagicKind.HALF_TURN]: _graph_doc(
+        "annulus:half-turn",
+        [("t1", "A"), ("t2", "A"), ("c", "B"), ("t3", "A")],
+        [("c", "t1", "1/2", 1), ("c", "t2", "1/2", 1), ("c", "t3", "inf", 1)],
+        None,
+        {"0": ["t1", "t2"], "b": ["c"], "a": ["t3"]},
+        "transcribed figure data",
+    ),
+}
+
+
+@pytest.mark.parametrize("table", SIX, ids=[_name(t) for t in SIX])
+def test_graph_documents_are_pinned(table):
+    assert fomenko_graph(table).to_dict() == PINNED_GRAPHS[table]
+
+
 NEAR_FOCAL = [
     (table, FAM.b + off * FAM.a)
     for table, offsets in ((ELL[MagicKind.FLIP_LONG], (-1e-8, -1e-6, 1e-6, 1e-8)),
