@@ -33,6 +33,7 @@ from .dynamics import (
     BoundaryPhase,
     ClosureReport,
     Crossings,
+    DegenerateLevel,
     MagicKind,
     TableSpec,
     Trajectory,
@@ -61,7 +62,6 @@ from .geometry import (
     to_elliptic,
 )
 from .topology import (
-    DegenerateLevel,
     FomenkoGraph,
     GraphAtom,
     GraphEdge,

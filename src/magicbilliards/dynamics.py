@@ -19,8 +19,10 @@ One loop over plain floats, ``_walk``, carries out every bounce:
 run on it, and ``Trajectory`` keeps its float columns.  ``level_orbits``
 gives many seeds' impacts on one caustic level at once, in closed form:
 on a regular level the map is a translation in the Jacobi phase of the
-outer wall, so a whole (seeds x steps) grid of impacts costs one
-evaluation of the Jacobi functions.
+outer wall, and each magic map an exact symmetry of the Jacobi
+functions.  A level is set up once for all its seeds, and the addition
+theorem builds each seed's (steps) impacts from about 2 sqrt(steps)
+Jacobi values.
 """
 from __future__ import annotations
 
@@ -144,6 +146,22 @@ class ClosureReport:
     winding: int | None
 
 
+def _start_wall(table: TableSpec, s: BoundaryPhase) -> float:
+    """The confocal parameter of the wall that carries s: 0 outer, the inner wall's.
+
+    Raises
+    ------
+    ValueError
+        when s is labelled neither "outer" nor "inner", or "inner" on the
+        ellipse table.
+    """
+    if s.component == "outer":
+        return 0.0
+    if s.component == "inner" and table.inner_lam is not None:
+        return table.inner_lam
+    raise ValueError(f"wall label {s.component!r} names no wall of the {table.shape} table")
+
+
 def _walk(table: TableSpec, s: BoundaryPhase, n: int) -> list:
     """n bounces from s, as one flat list of floats and wall labels.
 
@@ -164,7 +182,10 @@ def _walk(table: TableSpec, s: BoundaryPhase, n: int) -> list:
     ------
     NoForwardHit
         when a ray reaches neither wall.
+    ValueError
+        when the wall label of s names no wall of the table.
     """
+    _start_wall(table, s)
     fam = table.fam
     a, b, lam = fam.a, fam.b, table.inner_lam
     tmin = HIT_TMIN_RTOL * math.sqrt(a)
@@ -208,13 +229,11 @@ def step_inverse(table: TableSpec, s: BoundaryPhase) -> BoundaryPhase:
     Round-trips with :func:`step` to ~1e-13.
     """
     fam = table.fam
+    lam = _start_wall(table, s)
     (x, y), (vx, vy) = s.at, s.v
     if s.component == "outer":
         sx, sy = table.outer_map.signs
         x, y, vx, vy = sx * x, sy * y, sx * vx, sy * vy
-        lam = 0.0
-    else:
-        lam = table.inner_lam
     nx, ny = _inward_normal(fam.a - lam, fam.b - lam, x, y, lam)
     d = vx * nx + vy * ny
     vx, vy = vx - 2.0 * d * nx, vy - 2.0 * d * ny
@@ -338,6 +357,7 @@ def phase_at(
 # m1 = 1 - m taken from (a, b, beta) directly, which keeps levels next
 # to the focal one (m -> 1) at full precision.
 
+
 # A seed's first closed-form impact must meet its scalar step within
 # sqrt(a) (ORBIT_MATCH_RTOL + FOCAL_SLACK a / |beta - b|).  Near the focal
 # level the phase advance amplifies the seed's roundoff in beta, some
@@ -345,10 +365,30 @@ def phase_at(
 # largest miss seen on levels 1e-9 a to 1e-2 a from b.
 ORBIT_MATCH_RTOL = 1e-9
 FOCAL_SLACK = 1e-15
+# a level within DEGEN_RTOL a of a singular level {0, b, a} counts as singular
+DEGEN_RTOL = 1e-9
 
 
 class OrbitMismatch(ArithmeticError):
     """No closed-form branch reproduces a seed's first scalar step within its bound."""
+
+
+class DegenerateLevel(ValueError):
+    """The requested caustic level is singular (or empty for this table)."""
+
+
+def _check_level(table: TableSpec, beta: float) -> None:
+    """Raise unless beta is a regular caustic level that carries orbits of the table."""
+    fam = table.fam
+    if not (0.0 < beta < fam.a):
+        raise ValueError(f"caustic parameter {beta} outside (0, {fam.a})")
+    tol = DEGEN_RTOL * fam.a
+    if min(abs(beta), abs(beta - fam.b), abs(beta - fam.a)) < tol:
+        raise DegenerateLevel(f"beta={beta} is a singular level")
+    if table.inner_lam is not None and table.inner_lam - tol <= beta < fam.b:
+        raise DegenerateLevel(
+            f"beta={beta}: ellipse caustics inside the inner wall carry no annulus trajectories"
+        )
 
 
 def _caustic_modulus(a: float, b: float, beta: float) -> tuple[float, float, float]:
@@ -409,6 +449,133 @@ def _jacobi(u: np.ndarray, m, m1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sn, cn, np.sqrt(cn * cn + m1 * sn * sn)
 
 
+def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
+    """(sn, cn, dn)(u0 + k h | m) for k = 1..steps, by the addition theorem.
+
+    u0, h, m and m1 are columns with one row per orbit.  With
+    B = ceil(sqrt(steps + 1)), k = g B + j splits each phase into a baby
+    step u0 + j h, j < B, and a giant step g (B h), and :func:`_jacobi`
+    evaluates each table once.  The addition theorem (DLMF 22.8.1-2)
+    joins them, its denominator 1 - m sn1² sn2² written as
+    dn1² + m sn1² cn2², a sum of non-negative terms that does not cancel
+    as m -> 1; dn is sqrt(cn² + m1 sn²), as in :func:`_jacobi`.  Where
+    both terms are small the quotient still loses about 1e-16 / sqrt(m1):
+    some 4e-12 at m1 = 1e-9, the smallest m1 of a regular level (see
+    ``DEGEN_RTOL``), and 2e-10 at m1 = 1e-12.
+
+    Returns a function of a row slice that gives those rows as
+    (rows, steps) arrays.  The tables are built once for every row, and
+    the join is elementwise, so a row's values do not depend on the slice.
+    """
+    baby = math.isqrt(steps) + 1  # ceil(sqrt(steps + 1))
+    giant = -(-(steps + 1) // baby)
+    s1, c1, d1 = _jacobi(u0 + np.arange(baby) * h, m, m1)
+    s2, c2, d2 = _jacobi(np.arange(giant) * (baby * h), m, m1)
+    # the factors of each term: baby steps run along the last axis and
+    # giant steps along the middle one, so k = g B + j reads row-major
+    ones = (s1, c1 * d1, c1, s1 * d1, d1 * d1, m * s1 * s1)
+    twos = (c2 * d2, s2, c2, s2 * d2, c2 * c2)
+
+    def at(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        s1, c1d1, c1, s1d1, d1d1, ms1s1 = (t[rows, None, :] for t in ones)
+        c2d2, s2, c2, s2d2, c2c2 = (t[rows, :, None] for t in twos)
+        den = d1d1 + ms1s1 * c2c2
+        sn, cn = ((num / den).reshape(len(den), -1)[:, 1:steps + 1] for num in (
+            s1 * c2d2 + c1d1 * s2, c1 * c2 - s1d1 * s2d2
+        ))
+        return sn, cn, np.sqrt(cn * cn + m1[rows] * sn * sn)
+
+    return at
+
+
+def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps: int):
+    """The per-level set-up of :func:`level_orbits`.
+
+    Returns a function of a row slice of ``seeds`` that gives those
+    seeds' ``(x, y, qx, qy, inner)``, as :func:`level_orbits` does.
+    """
+    fam = table.fam
+    a, b, lam = fam.a, fam.b, table.inner_lam
+    sa, sb = math.sqrt(a), math.sqrt(b)
+    sx, sy = table.outer_map.signs
+    x0, y0, vx0, vy0 = (np.array(c)[:, None] for c in zip(*(s.at + s.v for s in seeds)))
+    # each seed's own caustic parameter: beta up to the seed's roundoff
+    own = [caustic_of_line(fam, s.at, s.v).lam for s in seeds]
+    phi, m, m1 = (np.array(c)[:, None] for c in zip(*(_caustic_modulus(a, b, x) for x in own)))
+    lev = np.array(own)[:, None]
+    quarter = _carlson_rf(0.0, m1, 1.0)  # K(m)
+    # Each branch is (u0, h): impact k sits at phase u0 + k h before the
+    # magic maps, which act on sn, cn, dn as exact symmetries: u -> -u
+    # flips the sign of sn, u -> u + 2K those of sn and cn.
+    if beta < b:
+        d = 2.0 * _ellipf(phi, m1, quarter)
+        u0 = _ellipf(np.arctan2(-x0 / sa, y0 / sb), m1, quarter)
+        branches = [(u0, d), (u0, -d)]
+
+        def impacts(sn, cn, dn, k, rows):
+            # after an odd number of bounces the flips have sent u to -u
+            # and flip-long and half-turn have added 2K: the point changes
+            # sign as the map's (sx, sy)
+            odd = k % 2 == 1
+            x = -sa * np.where(odd, sx, 1.0) * sn
+            return x, sb * np.where(odd, sy, 1.0) * cn, np.zeros(x.shape, dtype=bool)
+
+    else:
+        # sn u from x; |cn u| from the angle between the seed's line and
+        # the wall, which stays well conditioned where the two tangents
+        # from a wall point merge and x alone does not fix u
+        lam2 = a - x0 * x0 * (a - b) / a
+        along = (vy0 * x0 / a - vx0 * y0 / b) / np.hypot(x0 / a, y0 / b)
+        cn0 = np.abs(along) * np.sqrt(lam2 / (a - lev))
+        root_m = np.sqrt(m)
+        w = _ellipf(np.arctan2(x0 / (sa * root_m), cn0), m1, quarter)
+        s0 = np.copysign(1.0, y0)
+        if lam is None:
+            advance, turn = 2.0 * _ellipf(phi, m1, quarter), -sy
+            ax, ay = sa, sb
+        else:
+            rf_in = _carlson_rf(a - lam, b - lam, lev - lam) - _carlson_rf(a, b, lev)
+            advance, turn = math.sqrt(a - b) * rf_in, sy
+            ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
+        branches = [(w, advance), (2.0 * quarter - w, advance)]
+
+        def impacts(sn, cn, dn, k, rows):
+            # after an odd number of outer hits flip-short and half-turn
+            # have added 2K to u (x changes sign as sx) and the branch
+            # sign s has turned
+            odd = (k if lam is None else k // 2) % 2 == 1
+            inner = (k % 2 == 1) & (lam is not None)
+            x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m[rows] * sn
+            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * s0[rows] * dn
+            return x, y, np.broadcast_to(inner, x.shape)
+
+    # the first step of each branch against the scalar bounce loop, whose
+    # checks thus run at every seed
+    ref = np.array([_walk(table, s, 1)[7:9] for s in seeds])
+    sn, cn, dn = _jacobi(np.hstack([u + h for u, h in branches]), m, m1)
+    x1, y1, _ = impacts(sn, cn, dn, np.ones((1, 1), dtype=int), slice(None))
+    miss = np.hypot(x1 - ref[:, :1], y1 - ref[:, 1:])
+    best = miss.min(axis=1)
+    tol = sa * (ORBIT_MATCH_RTOL + FOCAL_SLACK * a / abs(beta - b))
+    if (best > tol).any():
+        i = int(np.argmax(best))
+        raise OrbitMismatch(
+            f"beta={beta}: the closed form misses the first step from {seeds[i].at} "
+            f"along {seeds[i].v} by {best[i]:.3g}, over the bound {tol:.3g}"
+        )
+    pick = miss[:, :1] <= miss[:, 1:]
+    u0, h = (np.where(pick, p, q) for p, q in zip(*branches))
+    tables = _jacobi_steps(u0, h, steps, m, m1)
+    k = np.arange(1, steps + 1)[None, :]
+
+    def grid(rows: slice):
+        x, y, inner = impacts(*tables(rows), k, rows)
+        wx, wy = np.where(inner, 1.0, sx), np.where(inner, 1.0, sy)
+        return x, y, wx * x, wy * y, inner
+
+    return grid
+
+
 def level_orbits(
     table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -433,85 +600,34 @@ def level_orbits(
       expression in a - l and b - l.  Flip-short adds 2K to u and
       flip-long flips s, on outer hits only.
 
+    So impact k is a point at phase u0 + k h, with its signs set by the
+    magic maps: -u and +2K act on sn, cn and dn as exact sign changes.
+    The phases u0 + k h come from a table of about 2 sqrt(steps) Jacobi
+    values per seed by the addition theorem (:func:`_jacobi_steps`), and
+    the moduli, advances, branch starts and tables are set up once for
+    all the seeds.
+
     Each seed runs on the caustic of its own line, which is beta up to
     the seed's roundoff: the advance d amplifies that roundoff, by
     1 / |beta - b| near the focal level, and the scalar step follows the
     seed's own caustic.  A seed fixes u only up to a branch: sigma, or u
     against 2K - u.  The branch kept is the one whose first impact lies
-    nearer to ``step`` of the seed, so the scalar step's checks run at
-    every seed; it must lie within the ``ORBIT_MATCH_RTOL`` bound, or
-    OrbitMismatch is raised.  Both branches meet the step only at a wall
-    point where the two tangents to a hyperbola merge, and there they are
-    one orbit.
+    nearer to the seed's first scalar bounce, so the bounce loop's checks
+    run at every seed; it must lie within the ``ORBIT_MATCH_RTOL`` bound,
+    or OrbitMismatch is raised.  Both branches meet the bounce only at a
+    wall point where the two tangents to a hyperbola merge, and there
+    they are one orbit.
+
+    Raises
+    ------
+    ValueError
+        when steps < 1, there are no seeds, or beta is not a regular
+        level of the table (:class:`DegenerateLevel` near {0, b, a} or
+        inside an annulus' inner wall).
     """
-    fam = table.fam
-    a, b, lam = fam.a, fam.b, table.inner_lam
-    sa, sb = math.sqrt(a), math.sqrt(b)
-    sx, sy = table.outer_map.signs
-    x0, y0, vx0, vy0 = (np.array(c)[:, None] for c in zip(*(s.at + s.v for s in seeds)))
-    # each seed's own caustic parameter: beta up to the seed's roundoff
-    own = [caustic_of_line(fam, s.at, s.v).lam for s in seeds]
-    phi, m, m1 = (np.array(c)[:, None] for c in zip(*(_caustic_modulus(a, b, x) for x in own)))
-    lev = np.array(own)[:, None]
-    quarter = _carlson_rf(0.0, m1, 1.0)  # K(m)
-    if beta < b:
-        d = 2.0 * _ellipf(phi, m1, quarter)
-        u0 = _ellipf(np.arctan2(-x0 / sa, y0 / sb), m1, quarter)
-        branches = [(u0, d), (u0, -d)]
-
-        def impacts(start, k):
-            u = start[0] + k * start[1]
-            odd = k % 2 == 1
-            if sx * sy < 0.0:
-                u = np.where(odd, -u, u)
-            if sy < 0.0:
-                u = u + 2.0 * quarter * odd
-            sn, cn, _ = _jacobi(u, m, m1)
-            return -sa * sn, sb * cn, np.zeros(u.shape, dtype=bool)
-
-    else:
-        # sn u from x; |cn u| from the angle between the seed's line and
-        # the wall, which stays well conditioned where the two tangents
-        # from a wall point merge and x alone does not fix u
-        lam2 = a - x0 * x0 * (a - b) / a
-        along = (vy0 * x0 / a - vx0 * y0 / b) / np.hypot(x0 / a, y0 / b)
-        cn0 = np.abs(along) * np.sqrt(lam2 / (a - lev))
-        w = _ellipf(np.arctan2(x0 / (sa * np.sqrt(m)), cn0), m1, quarter)
-        s0 = np.copysign(1.0, y0)
-        branches = [(w, s0), (2.0 * quarter - w, s0)]
-        if lam is None:
-            advance, turn = 2.0 * _ellipf(phi, m1, quarter), -sy
-            ax, ay = sa, sb
-        else:
-            rf_in = _carlson_rf(a - lam, b - lam, lev - lam) - _carlson_rf(a, b, lev)
-            advance, turn = math.sqrt(a - b) * rf_in, sy
-            ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
-
-        def impacts(start, k):
-            odd = (k if lam is None else k // 2) % 2 == 1  # an odd number of outer hits
-            u = start[0] + k * advance
-            if sx < 0.0:
-                u = u + 2.0 * quarter * odd
-            s = np.where(odd, turn * start[1], start[1])
-            inner = np.broadcast_to((k % 2 == 1) & (lam is not None), u.shape)
-            sn, _, dn = _jacobi(u, m, m1)
-            x = np.where(inner, ax, sa) * np.sqrt(m) * sn
-            return x, s * np.where(inner, ay, sb) * dn, inner
-
-    ref = np.array([step(table, s).at for s in seeds])
-    miss = []
-    for start in branches:
-        x1, y1, _ = impacts(start, np.ones((1, 1), dtype=int))
-        miss.append(np.hypot(x1[:, 0] - ref[:, 0], y1[:, 0] - ref[:, 1]))
-    best = np.minimum(*miss)
-    tol = sa * (ORBIT_MATCH_RTOL + FOCAL_SLACK * a / abs(beta - b))
-    if (best > tol).any():
-        i = int(np.argmax(best))
-        raise OrbitMismatch(
-            f"beta={beta}: the closed form misses the first step from {seeds[i].at} "
-            f"along {seeds[i].v} by {best[i]:.3g}, over the bound {tol:.3g}"
-        )
-    pick = (miss[0] <= miss[1])[:, None]
-    start = tuple(np.where(pick, p, q) for p, q in zip(*branches))
-    x, y, inner = impacts(start, np.arange(1, steps + 1)[None, :])
-    return x, y, np.where(inner, x, sx * x), np.where(inner, y, sy * y), inner
+    if steps < 1:
+        raise ValueError("need steps >= 1")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    _check_level(table, beta)
+    return _level_grid(table, beta, seeds, steps)(slice(None))

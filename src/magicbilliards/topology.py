@@ -20,11 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    DEGEN_RTOL,
     BoundaryPhase,
+    DegenerateLevel,
     MagicKind,
     TableSpec,
+    _check_level,
+    _level_grid,
     _walk,
-    level_orbits,
     phase_distance,
     step,
     step_inverse,
@@ -40,7 +43,6 @@ SEP_SEED_OFFSET = 1e-4
 # how many segments a focal trajectory stays resolvable before the
 # focus-line test degenerates in double precision
 SEP_MAX_SEGMENTS = 14
-DEGEN_RTOL = 1e-9
 # seeds labelled together: a seed's labels never depend on another's, and
 # small blocks keep the (seeds x steps) grids small
 SEED_BLOCK = 8
@@ -52,10 +54,6 @@ _ATOM_LOOKUP = {
     (2, 2): "A**",
     (2, 4): "C2",
 }
-
-
-class DegenerateLevel(ValueError):
-    """The requested caustic level is singular (or empty for this table)."""
 
 
 class UnknownSystem(ValueError):
@@ -222,10 +220,11 @@ def _level_signatures(
     fam = table.fam
     winding = beta < fam.b
     names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
+    grid = _level_grid(table, beta, seeds, steps)
     out: list[set[str]] = []
     for lo in range(0, len(seeds), SEED_BLOCK):
         block = seeds[lo:lo + SEED_BLOCK]
-        x, y, qx, qy, _ = level_orbits(table, beta, block, steps)
+        x, y, qx, qy, _ = grid(slice(lo, lo + SEED_BLOCK))
         # impact 0 is the seed; segment i runs from impact i to wall point i + 1
         px = np.hstack([[[s.at[0]] for s in block], x])
         py = np.hstack([[[s.at[1]] for s in block], y])
@@ -287,22 +286,13 @@ def classify_level(
     remaining label classes (1 when every trajectory stays
     indeterminate).
     """
-    fam = table.fam
     if samples < 16:
         raise ValueError("need samples >= 16")
     if steps <= WINDING_WINDOW:
         # no winding window fits, so every ellipse level would read 1
         raise ValueError(f"need steps > {WINDING_WINDOW}")
-    if not (0.0 < beta < fam.a):
-        raise ValueError(f"caustic parameter {beta} outside (0, {fam.a})")
-    tol = DEGEN_RTOL * fam.a
-    if min(abs(beta), abs(beta - fam.b), abs(beta - fam.a)) < tol:
-        raise DegenerateLevel(f"beta={beta} is a singular level")
-    if table.inner_lam is not None and table.inner_lam - tol <= beta < fam.b:
-        raise DegenerateLevel(
-            f"beta={beta}: ellipse caustics inside the inner wall carry no annulus trajectories"
-        )
-    kind = "ellipse" if beta < fam.b else "hyperbola"
+    _check_level(table, beta)
+    kind = "ellipse" if beta < table.fam.b else "hyperbola"
     seeds = _tangent_seeds(table, beta, samples)
     signatures = _level_signatures(table, beta, seeds, steps) if seeds else []
     count, evidence = _merge_count([sig for sig in signatures if sig])

@@ -24,7 +24,13 @@ from magicbilliards import (
     tangent_phase,
     trajectory,
 )
-from magicbilliards.dynamics import ORBIT_MATCH_RTOL, OrbitMismatch, _jacobi
+from magicbilliards.dynamics import (
+    ORBIT_MATCH_RTOL,
+    DegenerateLevel,
+    OrbitMismatch,
+    _jacobi,
+    _jacobi_steps,
+)
 from magicbilliards.geometry import GRAZE_RTOL, HIT_TMIN_RTOL, _hit_time
 from magicbilliards.topology import _tangent_seeds
 
@@ -136,6 +142,20 @@ def test_step_inverse_roundtrip():
             for _ in range(7):
                 s = step_inverse(table, s)
             assert phase_distance(FAM, s, s0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "table,label",
+    [(ELL[MagicKind.FLIP_LONG], "inner"), (ELL[MagicKind.FLIP_LONG], "bogus"),
+     (ANN[MagicKind.HALF_TURN], "bogus")],
+)
+def test_wall_label_must_name_a_wall_of_the_table(table, label):
+    # "inner" names no wall of the ellipse table; any label other than
+    # "outer" and "inner" names none at all
+    s = BoundaryPhase((3.0, 0.0), (-1.0, 0.0), label)
+    for call in (step, step_inverse, lambda t, s: trajectory(t, s, 3)):
+        with pytest.raises(ValueError, match="names no wall"):
+            call(table, s)
 
 
 def test_trajectory_shape_and_crossings():
@@ -301,6 +321,46 @@ def test_jacobi_functions_match_mpmath(m1):
         for i, ui in enumerate(u):
             for name, got in (("sn", sn), ("cn", cn), ("dn", dn)):
                 assert abs(got[i] - float(mp.ellipfun(name, ui, m))) <= 1e-12
+
+
+@pytest.mark.parametrize("m1", [0.5, 1e-3, 1e-6, 1e-9])
+def test_jacobi_steps_match_mpmath(m1):
+    # baby and giant steps joined by the addition theorem, over 1000 steps
+    # of phases up to |u0| + 1000 |h| = 12020
+    u0 = np.array([[-20.0], [-3.7], [0.9], [20.0]])
+    h = np.array([[12.0], [-0.31], [5.5], [-7.25]])
+    ones = np.ones_like(u0)
+    sn, cn, dn = _jacobi_steps(u0, h, 1000, (1.0 - m1) * ones, m1 * ones)(slice(None))
+    assert sn.shape == cn.shape == dn.shape == (4, 1000)
+    ks = list(range(1, 70)) + list(range(70, 1000, 31)) + [1000]
+    with mp.workdps(30):
+        m = 1 - mp.mpf(m1)
+        for i in range(len(u0)):
+            for k in ks:
+                u = mp.mpf(u0[i, 0]) + k * mp.mpf(h[i, 0])
+                for name, got in (("sn", sn), ("cn", cn), ("dn", dn)):
+                    assert abs(got[i, k - 1] - float(mp.ellipfun(name, u, m))) <= 1e-11
+
+
+def test_level_orbits_check_their_inputs():
+    table = ELL[MagicKind.FLIP_LONG]
+    p = FAM.boundary_point(1.2)
+    seeds = [BoundaryPhase(p, tangent_directions(FAM, 6.0, p)[0])]
+    with pytest.raises(ValueError, match="at least one seed"):
+        level_orbits(table, 6.0, [], 5)
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="need steps >= 1"):
+            level_orbits(table, 6.0, seeds, steps)
+    for beta in (FAM.b, 1e-12, FAM.a - 1e-12):
+        with pytest.raises(DegenerateLevel, match="singular level"):
+            level_orbits(table, beta, seeds, 5)
+    for beta in (math.nan, math.inf, -1.0, 0.0, FAM.a, 11.0):
+        with pytest.raises(ValueError, match="outside"):
+            level_orbits(table, beta, seeds, 5)
+    # ellipse caustics inside an annulus' inner wall carry no orbit of it
+    with pytest.raises(DegenerateLevel, match="inside the inner wall"):
+        level_orbits(ANN[MagicKind.FLIP_LONG], 3.5, seeds, 5)
+    assert level_orbits(table, 6.0, seeds, 1)[0].shape == (1, 1)
 
 
 @pytest.mark.parametrize("kind", list(MagicKind))

@@ -23,11 +23,13 @@ from magicbilliards import (
 from magicbilliards.dynamics import (
     FOCAL_SLACK,
     ORBIT_MATCH_RTOL,
+    _level_grid,
     level_orbits,
     step,
 )
 from magicbilliards.geometry import caustic_of_line
 from magicbilliards.topology import (
+    SEED_BLOCK,
     SEP_SEED_OFFSET,
     WINDING_MIN_SWEEP,
     WINDING_WINDOW,
@@ -228,6 +230,28 @@ def test_batched_labels_match_scalar_reference(table, beta):
     count, evidence = _merge_count([sig for sig in want if sig])
     rep = classify_level(table, beta, samples=16, steps=400)
     assert (rep.component_count, rep.merge_evidence) == (count, tuple(evidence))
+
+
+BLOCK_LEVELS = [
+    (ELL[MagicKind.FLIP_LONG], 2.5),
+    (ELL[MagicKind.HALF_TURN], 6.0),
+    (ANN[MagicKind.FLIP_SHORT], 2.5),
+    (ANN[MagicKind.HALF_TURN], 6.0),
+]
+
+
+@pytest.mark.parametrize(
+    "table,beta", BLOCK_LEVELS, ids=[f"{_name(t)}-{b}" for t, b in BLOCK_LEVELS]
+)
+def test_block_grids_are_rows_of_the_whole_grid(table, beta):
+    # _level_signatures reads the grid block by block; each seed's orbit
+    # must be bit for bit the one level_orbits gives with every seed
+    seeds = _tangent_seeds(table, beta, 64)
+    whole = level_orbits(table, beta, seeds, 1000)
+    grid = _level_grid(table, beta, seeds, 1000)
+    for lo in range(0, len(seeds), SEED_BLOCK):
+        for w, part in zip(whole, grid(slice(lo, lo + SEED_BLOCK))):
+            assert np.array_equal(w[lo:lo + SEED_BLOCK], part)
 
 
 HYPERBOLA_TABLES = SIX + [ELL[MagicKind.IDENTITY], TableSpec(OTHER, MagicKind.HALF_TURN, 2.0)]
