@@ -473,12 +473,12 @@ def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
     s2, c2, d2 = _jacobi(np.arange(giant) * (baby * h), m, m1)
     # the factors of each term: baby steps run along the last axis and
     # giant steps along the middle one, so k = g B + j reads row-major
-    ones = (s1, c1 * d1, c1, s1 * d1, d1 * d1, m * s1 * s1)
-    twos = (c2 * d2, s2, c2, s2 * d2, c2 * c2)
+    by_baby = (s1, c1 * d1, c1, s1 * d1, d1 * d1, m * s1 * s1)
+    by_giant = (c2 * d2, s2, c2, s2 * d2, c2 * c2)
 
     def at(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s1, c1d1, c1, s1d1, d1d1, ms1s1 = (t[rows, None, :] for t in ones)
-        c2d2, s2, c2, s2d2, c2c2 = (t[rows, :, None] for t in twos)
+        s1, c1d1, c1, s1d1, d1d1, ms1s1 = (t[rows, None, :] for t in by_baby)
+        c2d2, s2, c2, s2d2, c2c2 = (t[rows, :, None] for t in by_giant)
         den = d1d1 + ms1s1 * c2c2
         sn, cn = ((num / den).reshape(len(den), -1)[:, 1:steps + 1] for num in (
             s1 * c2d2 + c1d1 * s2, c1 * c2 - s1d1 * s2d2
@@ -504,9 +504,8 @@ def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps
     phi, m, m1 = (np.array(c)[:, None] for c in zip(*(_caustic_modulus(a, b, x) for x in own)))
     lev = np.array(own)[:, None]
     quarter = _carlson_rf(0.0, m1, 1.0)  # K(m)
-    # Each branch is (u0, h): impact k sits at phase u0 + k h before the
-    # magic maps, which act on sn, cn, dn as exact symmetries: u -> -u
-    # flips the sign of sn, u -> u + 2K those of sn and cn.
+    # A branch (u0, h) puts impact k at phase u0 + k h before magic; the
+    # maps' u -> -u flips the sign of sn, and u -> u + 2K those of sn and cn.
     if beta < b:
         d = 2.0 * _ellipf(phi, m1, quarter)
         u0 = _ellipf(np.arctan2(-x0 / sa, y0 / sb), m1, quarter)

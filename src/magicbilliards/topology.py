@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import (
     DEGEN_RTOL,
     BoundaryPhase,
-    DegenerateLevel,
+    DegenerateLevel,  # the error classify_level raises through _check_level
     MagicKind,
     TableSpec,
     _check_level,
@@ -34,8 +34,12 @@ from .dynamics import (
 )
 from .geometry import ConfocalFamily, tangent_directions
 
-# sliding-window length (in segments) and minimum swept angle for a
-# winding label; windows sweeping less stay Indeterminate
+# The tests' independent reference for the winding labels: the polar angle
+# swept over sliding windows of WINDING_WINDOW segments, a window sweeping
+# less than WINDING_MIN_SWEEP giving no label.  The labels themselves are
+# each segment's own sense (see _level_signatures): where the rotation
+# number lies near a rational with a small denominator, every window of a
+# flip map's orbit sweeps the same way, and CW and CCW never meet.
 WINDING_WINDOW = 32
 WINDING_MIN_SWEEP = math.pi / 8
 # angular offset of the separatrix seeds from the long-axis vertices
@@ -210,12 +214,14 @@ def _level_signatures(
 ) -> list[set[str]]:
     """Labels observed along each seed's trajectory, read off its closed-form orbit.
 
-    Ellipse caustics get winding labels {CW, CCW}: the polar angle of the
-    impact points is summed over sliding windows of WINDING_WINDOW
-    segments, checked for windows ending at segment WINDING_WINDOW
-    (0-based) and later; a window sweeping less than WINDING_MIN_SWEEP is
-    indeterminate and contributes no label.  Hyperbola caustics get the
-    segment labels of :func:`_hyperbola_labels`.
+    The level is set up once for all seeds, as in :func:`level_orbits`,
+    and its grid is read in blocks of SEED_BLOCK seeds.
+
+    Ellipse caustics get winding labels {CW, CCW}: the sense in which
+    each segment turns about the center, the sign of px qy - py qx for a
+    segment from p to q.  The segment's line touches an ellipse caustic,
+    which surrounds the center, so the sign is never zero.  Hyperbola
+    caustics get the segment labels of :func:`_hyperbola_labels`.
     """
     fam = table.fam
     winding = beta < fam.b
@@ -226,19 +232,12 @@ def _level_signatures(
         block = seeds[lo:lo + SEED_BLOCK]
         x, y, qx, qy, _ = grid(slice(lo, lo + SEED_BLOCK))
         # impact 0 is the seed; segment i runs from impact i to wall point i + 1
-        px = np.hstack([[[s.at[0]] for s in block], x])
-        py = np.hstack([[[s.at[1]] for s in block], y])
+        px = np.hstack([[[s.at[0]] for s in block], x[:, :-1]])
+        py = np.hstack([[[s.at[1]] for s in block], y[:, :-1]])
         if winding:
-            d = np.diff(np.arctan2(py, px), axis=1)
-            d = np.where(d > math.pi, d - 2.0 * math.pi, d)
-            d = np.where(d < -math.pi, d + 2.0 * math.pi, d)
-            acc = np.cumsum(d, axis=1)
-            swept = acc[:, WINDING_WINDOW:] - acc[:, :-WINDING_WINDOW]
-            ccw = (swept > WINDING_MIN_SWEEP).any(axis=1)
-            cw = (swept < -WINDING_MIN_SWEEP).any(axis=1)
-            seen = np.stack([ccw, cw], axis=1)  # in _WINDING_LABELS order
+            spin = px * qy - py * qx
+            seen = np.stack([spin > 0.0, spin < 0.0], axis=1).any(axis=2)  # CCW, CW
         else:
-            px, py = px[:, :-1], py[:, :-1]
             vx, vy = qx - px, qy - py
             h = np.hypot(vx, vy)
             code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
@@ -281,15 +280,14 @@ def classify_level(
     """Number of connected components of the regular level at caustic beta.
 
     Seeds ``samples`` tangent phases, takes ``steps`` bounces of each in
-    closed form with :func:`level_orbits`, and merges the discrete labels
+    closed form as :func:`level_orbits` does, and merges the discrete labels
     observed on a common trajectory; the component count is the number of
-    remaining label classes (1 when every trajectory stays
-    indeterminate).
+    remaining label classes (1 when no trajectory carries a label).
     """
     if samples < 16:
         raise ValueError("need samples >= 16")
     if steps <= WINDING_WINDOW:
-        # no winding window fits, so every ellipse level would read 1
+        # the windowed reference of the winding labels needs a whole window
         raise ValueError(f"need steps > {WINDING_WINDOW}")
     _check_level(table, beta)
     kind = "ellipse" if beta < table.fam.b else "hyperbola"

@@ -232,6 +232,62 @@ def test_batched_labels_match_scalar_reference(table, beta):
     assert (rep.component_count, rep.merge_evidence) == (count, tuple(evidence))
 
 
+# ellipse levels whose rotation number lies near 1/8 or 9/64 (within 5e-6)
+# or is 1/4: the orbits are nearly periodic, and every window of polar
+# sweep along one of them turns the same way
+RESONANT = [
+    (TableSpec(ConfocalFamily(6.876833835212345, 2.9613487089936457), MagicKind.FLIP_LONG),
+     0.7950831923614773),
+    (TableSpec(ConfocalFamily(8.194381935070608, 1.2369701522387293), MagicKind.FLIP_SHORT),
+     0.39528944994110243),
+    (TableSpec(ConfocalFamily(11.316688592416039, 6.90945957812054), MagicKind.FLIP_LONG,
+               4.126603227522196), 1.2802530003157027),
+    (TableSpec(ConfocalFamily(10.0, 6.0), MagicKind.FLIP_SHORT), 3.75),
+    (TableSpec(ConfocalFamily(10.0, 6.0), MagicKind.HALF_TURN), 3.75),
+]
+SENSE_LEVELS = [
+    (ELL[MagicKind.FLIP_LONG], 2.5),
+    (ELL[MagicKind.IDENTITY], 3.9),
+    (ANN[MagicKind.HALF_TURN], 2.0),
+    (TableSpec(OTHER, MagicKind.FLIP_SHORT), 1.2),
+] + RESONANT
+
+
+@pytest.mark.parametrize(
+    "table,beta", SENSE_LEVELS, ids=[f"{_name(t)}-{b}" for t, b in SENSE_LEVELS]
+)
+def test_winding_labels_are_the_senses_of_the_scalar_segments(table, beta):
+    # a segment from p to the wall point q turns counter-clockwise about
+    # the center when px qy - py qx > 0
+    seeds = _tangent_seeds(table, beta, 16)
+    want = []
+    for s0 in seeds:
+        traj = trajectory(table, s0, 400)
+        spins = [x * qy - y * qx for x, y, qx, qy in zip(traj.x, traj.y, traj.hx, traj.hy)]
+        want.append({lab for lab, on in (("CCW", max(spins) > 0.0), ("CW", min(spins) < 0.0)) if on})
+    assert _level_signatures(table, beta, seeds, 400) == want
+
+
+@pytest.mark.parametrize(
+    "table,beta", RESONANT, ids=[f"{_name(t)}-{b}" for t, b in RESONANT]
+)
+def test_resonant_ellipse_levels_count_as_the_map_orients(table, beta):
+    # a flip reverses the winding sense at every outer bounce, so CW and CCW
+    # lie on one torus; the half-turn keeps them apart
+    rep = classify_level(table, beta)
+    if table.outer_map.orientation_reversing:
+        assert (rep.component_count, rep.merge_evidence) == (1, (("CCW", "CW"),))
+    else:
+        assert (rep.component_count, rep.merge_evidence) == (2, ())
+
+
+def test_graphs_build_where_the_ellipse_probe_level_is_resonant():
+    # fomenko_graph probes the ellipse caustic 0.625 b, which on (10, 6) has
+    # rotation number 1/4
+    for kind in (MagicKind.FLIP_LONG, MagicKind.FLIP_SHORT):
+        fomenko_graph(TableSpec(ConfocalFamily(10.0, 6.0), kind))
+
+
 BLOCK_LEVELS = [
     (ELL[MagicKind.FLIP_LONG], 2.5),
     (ELL[MagicKind.HALF_TURN], 6.0),
