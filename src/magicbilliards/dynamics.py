@@ -147,14 +147,7 @@ class ClosureReport:
 
 
 def _start_wall(table: TableSpec, s: BoundaryPhase) -> float:
-    """The confocal parameter of the wall that carries s: 0 outer, the inner wall's.
-
-    Raises
-    ------
-    ValueError
-        when s is labelled neither "outer" nor "inner", or "inner" on the
-        ellipse table.
-    """
+    """The parameter of the wall that carries s; ValueError if its label names none."""
     if s.component == "outer":
         return 0.0
     if s.component == "inner" and table.inner_lam is not None:
@@ -357,7 +350,6 @@ def phase_at(
 # m1 = 1 - m taken from (a, b, beta) directly, which keeps levels next
 # to the focal one (m -> 1) at full precision.
 
-
 # A seed's first closed-form impact must meet its scalar step within
 # sqrt(a) (ORBIT_MATCH_RTOL + FOCAL_SLACK a / |beta - b|).  Near the focal
 # level the phase advance amplifies the seed's roundoff in beta, some
@@ -517,7 +509,7 @@ def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps
             # sign as the map's (sx, sy)
             odd = k % 2 == 1
             x = -sa * np.where(odd, sx, 1.0) * sn
-            return x, sb * np.where(odd, sy, 1.0) * cn, np.zeros(x.shape, dtype=bool)
+            return x, sb * np.where(odd, sy, 1.0) * cn, np.zeros(k.shape, dtype=bool)
 
     else:
         # sn u from x; |cn u| from the angle between the seed's line and
@@ -546,7 +538,7 @@ def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps
             inner = (k % 2 == 1) & (lam is not None)
             x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m[rows] * sn
             y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * s0[rows] * dn
-            return x, y, np.broadcast_to(inner, x.shape)
+            return x, y, inner
 
     # the first step of each branch against the scalar bounce loop, whose
     # checks thus run at every seed
@@ -569,8 +561,8 @@ def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps
 
     def grid(rows: slice):
         x, y, inner = impacts(*tables(rows), k, rows)
-        wx, wy = np.where(inner, 1.0, sx), np.where(inner, 1.0, sy)
-        return x, y, wx * x, wy * y, inner
+        qx, qy = np.where(inner, 1.0, sx) * x, np.where(inner, 1.0, sy) * y
+        return x, y, qx, qy, np.broadcast_to(inner, x.shape)
 
     return grid
 
