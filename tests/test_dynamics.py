@@ -342,25 +342,37 @@ def test_jacobi_steps_match_mpmath(m1):
                     assert abs(got[i, k - 1] - float(mp.ellipfun(name, u, m))) <= 1e-11
 
 
-def test_level_orbits_check_their_inputs():
-    table = ELL[MagicKind.FLIP_LONG]
-    p = FAM.boundary_point(1.2)
-    seeds = [BoundaryPhase(p, tangent_directions(FAM, 6.0, p)[0])]
-    with pytest.raises(ValueError, match="at least one seed"):
-        level_orbits(table, 6.0, [], 5)
-    for steps in (0, -3):
-        with pytest.raises(ValueError, match="need steps >= 1"):
-            level_orbits(table, 6.0, seeds, steps)
-    for beta in (FAM.b, 1e-12, FAM.a - 1e-12):
-        with pytest.raises(DegenerateLevel, match="singular level"):
-            level_orbits(table, beta, seeds, 5)
-    for beta in (math.nan, math.inf, -1.0, 0.0, FAM.a, 11.0):
-        with pytest.raises(ValueError, match="outside"):
-            level_orbits(table, beta, seeds, 5)
+_P = FAM.boundary_point(1.2)
+_SEEDS = [BoundaryPhase(_P, tangent_directions(FAM, 6.0, _P)[0])]
+# (table, beta, seeds, steps, error, message)
+BAD_LEVEL_ORBITS = [
+    (ELL[MagicKind.FLIP_LONG], 6.0, [], 5, ValueError, "at least one seed"),
+    (ELL[MagicKind.FLIP_LONG], 6.0, _SEEDS, 0, ValueError, "need steps >= 1"),
+    (ELL[MagicKind.FLIP_LONG], 6.0, _SEEDS, -3, ValueError, "need steps >= 1"),
+    (ELL[MagicKind.FLIP_LONG], FAM.b, _SEEDS, 5, DegenerateLevel, "singular level"),
+    (ELL[MagicKind.FLIP_LONG], 1e-12, _SEEDS, 5, DegenerateLevel, "singular level"),
+    (ELL[MagicKind.FLIP_LONG], FAM.a - 1e-12, _SEEDS, 5, DegenerateLevel, "singular level"),
+    (ELL[MagicKind.FLIP_LONG], math.nan, _SEEDS, 5, ValueError, "outside"),
+    (ELL[MagicKind.FLIP_LONG], math.inf, _SEEDS, 5, ValueError, "outside"),
+    (ELL[MagicKind.FLIP_LONG], -1.0, _SEEDS, 5, ValueError, "outside"),
+    (ELL[MagicKind.FLIP_LONG], FAM.a, _SEEDS, 5, ValueError, "outside"),
     # ellipse caustics inside an annulus' inner wall carry no orbit of it
-    with pytest.raises(DegenerateLevel, match="inside the inner wall"):
-        level_orbits(ANN[MagicKind.FLIP_LONG], 3.5, seeds, 5)
-    assert level_orbits(table, 6.0, seeds, 1)[0].shape == (1, 1)
+    (ANN[MagicKind.FLIP_LONG], 3.5, _SEEDS, 5, DegenerateLevel, "inside the inner wall"),
+]
+
+
+@pytest.mark.parametrize(
+    "table,beta,seeds,steps,error,message",
+    BAD_LEVEL_ORBITS,
+    ids=[f"{t.shape}-{b}-{len(s)}-{n}" for t, b, s, n, _, _ in BAD_LEVEL_ORBITS],
+)
+def test_level_orbits_check_their_inputs(table, beta, seeds, steps, error, message):
+    with pytest.raises(error, match=message):
+        level_orbits(table, beta, seeds, steps)
+
+
+def test_level_orbits_take_a_single_step():
+    assert level_orbits(ELL[MagicKind.FLIP_LONG], 6.0, _SEEDS, 1)[0].shape == (1, 1)
 
 
 @pytest.mark.parametrize("kind", list(MagicKind))
