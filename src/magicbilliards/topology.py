@@ -193,13 +193,16 @@ def _hyperbola_labels(
     The tangency point is the vertex t = −gamma/alpha of the quadratic
     for the segment's line meeting C_beta.  That quadratic's discriminant
     is zero in exact arithmetic, so its computed sign is roundoff and is
-    not consulted.
+    not consulted.  A segment along an asymptote of C_beta has alpha = 0
+    up to roundoff; when it rounds to 0 exactly the tangency point is at
+    x = ±inf, labelled by its sign as a roundoff-sized alpha would be.
     """
     aa = fam.a - beta
     bb = fam.b - beta
     alpha = vx * vx / aa + vy * vy / bb
     gamma = (x * vx) / aa + (y * vy) / bb
-    xstar = x - (gamma / alpha) * vx
+    with np.errstate(divide="ignore"):
+        xstar = x - (gamma / alpha) * vx
     top = (y > 0.0) & (qy > 0.0)
     bottom = (y < 0.0) & (qy < 0.0)
     cross = y * qy < 0.0

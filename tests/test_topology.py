@@ -555,6 +555,16 @@ def test_classification_raises_no_numpy_warnings():
                 classify_level(table, beta)
 
 
+def test_a_segment_along_an_asymptote_raises_no_warning():
+    # segment 549 of seed 31 on this level is a diameter along an asymptote
+    # of the caustic, where alpha in _hyperbola_labels rounds to 0 exactly
+    table = TableSpec(ConfocalFamily(13.850435646728982, 10.19309788788021), MagicKind.FLIP_LONG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify_level(table, 12.456132871536386)
+    assert (rep.component_count, rep.merge_evidence) == (2, (("DLX", "DRX"), ("ULX", "URX")))
+
+
 # ---------------------------------------------------------------------------
 # singular levels
 
