@@ -38,7 +38,7 @@ from mpmath.libmp import (
 )
 
 from .dynamics import MagicKind, TableSpec, _caustic_modulus, closure_defect, tangent_phase
-from .geometry import ConfocalFamily
+from .geometry import ConfocalFamily, classify_caustic
 
 EC_DPS = 50  # working precision (decimal digits) for curve arithmetic
 TORSION_TOL = 1e-8
@@ -626,7 +626,7 @@ def rotation_number(a: float, b: float, beta: float) -> float:
     changes of the polar increment per bounce, halved.
     """
     _check_caustic(a, b, beta)
-    if abs(beta - b) < 1e-9 * a:
+    if classify_caustic(ConfocalFamily(a, b), beta).kind == "degenerate-focal":
         raise DegenerateFocal("beta = b is the focal segment; no rotation number")
     rho = _rho(a, b, beta)
     return rho if beta < b else 0.5 - rho

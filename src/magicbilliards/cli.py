@@ -28,6 +28,7 @@ SHA-256 in the tests.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -271,6 +272,7 @@ def _parse_interval(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
 
 
+@functools.cache  # built once: a parse leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="magicbilliards", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)

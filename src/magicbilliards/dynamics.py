@@ -34,6 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (
+    DEGENERATE_RTOL,
     GRAZE_RTOL,
     HIT_TMIN_RTOL,
     CausticId,
@@ -42,6 +43,7 @@ from .geometry import (
     _hit_time,
     _inward_normal,
     caustic_of_line,
+    classify_caustic,
     tangent_directions,
 )
 
@@ -146,8 +148,15 @@ class ClosureReport:
     winding: int | None
 
 
+def _check_velocity(vx: float, vy: float) -> None:
+    """ValueError unless (vx, vy) is finite and its square norm nonzero in floats."""
+    if not 0.0 < vx * vx + vy * vy < math.inf:  # also rejects NaN
+        raise ValueError(f"velocity {(vx, vy)} must be finite and nonzero")
+
+
 def _start_wall(table: TableSpec, s: BoundaryPhase) -> float:
-    """The parameter of the wall that carries s; ValueError if its label names none."""
+    """The parameter of the wall that carries s; ValueError for a bad label or velocity."""
+    _check_velocity(*s.v)
     if s.component == "outer":
         return 0.0
     if s.component == "inner" and table.inner_lam is not None:
@@ -176,7 +185,8 @@ def _walk(table: TableSpec, s: BoundaryPhase, n: int) -> list:
     NoForwardHit
         when a ray reaches neither wall.
     ValueError
-        when the wall label of s names no wall of the table.
+        when the wall label of s names no wall of the table, or its
+        velocity is zero or not finite.
     """
     _start_wall(table, s)
     fam = table.fam
@@ -334,6 +344,7 @@ def phase_at(
     table: TableSpec, t: float, direction: tuple[float, float]
 ) -> BoundaryPhase:
     """Convenience: outer-boundary phase at parameter t with a given direction."""
+    _check_velocity(*direction)
     p = table.fam.boundary_point(t)
     h = math.hypot(*direction)
     return BoundaryPhase(p, (direction[0] / h, direction[1] / h), "outer")
@@ -357,8 +368,6 @@ def phase_at(
 # largest miss seen on levels 1e-9 a to 1e-2 a from b.
 ORBIT_MATCH_RTOL = 1e-9
 FOCAL_SLACK = 1e-15
-# a level within DEGEN_RTOL a of a singular level {0, b, a} counts as singular
-DEGEN_RTOL = 1e-9
 
 
 class OrbitMismatch(ArithmeticError):
@@ -374,10 +383,9 @@ def _check_level(table: TableSpec, beta: float) -> None:
     fam = table.fam
     if not (0.0 < beta < fam.a):
         raise ValueError(f"caustic parameter {beta} outside (0, {fam.a})")
-    tol = DEGEN_RTOL * fam.a
-    if min(abs(beta), abs(beta - fam.b), abs(beta - fam.a)) < tol:
+    if classify_caustic(fam, beta).kind.startswith("degenerate"):
         raise DegenerateLevel(f"beta={beta} is a singular level")
-    if table.inner_lam is not None and table.inner_lam - tol <= beta < fam.b:
+    if table.inner_lam is not None and table.inner_lam - DEGENERATE_RTOL * fam.a <= beta < fam.b:
         raise DegenerateLevel(
             f"beta={beta}: ellipse caustics inside the inner wall carry no annulus trajectories"
         )
@@ -453,7 +461,7 @@ def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
     as m -> 1; dn is sqrt(cn² + m1 sn²), as in :func:`_jacobi`.  Where
     both terms are small the quotient still loses about 1e-16 / sqrt(m1):
     some 4e-12 at m1 = 1e-9, the smallest m1 of a regular level (see
-    ``DEGEN_RTOL``), and 2e-10 at m1 = 1e-12.
+    ``DEGENERATE_RTOL``), and 2e-10 at m1 = 1e-12.
 
     Returns a function of a row slice that gives those rows as
     (rows, steps) arrays.  The tables are built once for every row, and

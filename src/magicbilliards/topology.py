@@ -5,8 +5,9 @@ connected components by tagging simulated trajectories with coarse
 discrete labels (winding sense for ellipse caustics; vertical direction,
 hyperbola branch, and axis side for hyperbola caustics) and merging
 labels that occur on a single trajectory.  Singular levels (caustic
-parameter 0, b, or a) are described by counting their closed orbits and
-separatrix families, which picks out one of the complexity-one atoms
+parameter 0, b, or a) are described by their closed orbits, counted
+from the magic map's signs, and their separatrix families, traced from
+the foci; the two counts pick out one of the complexity-one atoms
 A, B, A**, C2.  Finally, each studied system carries a small static
 graph — atoms joined along torus families, decorated with the marks
 (r, eps, n) transcribed from figure data — which is cross-checked
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DEGEN_RTOL,
     BoundaryPhase,
     DegenerateLevel,  # the error classify_level raises through _check_level
     MagicKind,
@@ -28,11 +28,9 @@ from .dynamics import (
     _check_level,
     _level_grid,
     _walk,
-    phase_distance,
-    step,
     step_inverse,
 )
-from .geometry import ConfocalFamily, tangent_directions
+from .geometry import ConfocalFamily, classify_caustic, tangent_directions
 
 # The tests' independent reference for the winding labels: the polar angle
 # swept over sliding windows of WINDING_WINDOW segments, a window sweeping
@@ -304,48 +302,19 @@ def classify_level(
 # singular levels
 
 
-def _state_key(s: BoundaryPhase) -> tuple:
-    return (
-        round(s.at[0], 9),
-        round(s.at[1], 9),
-        round(s.v[0], 9),
-        round(s.v[1], 9),
-        s.component,
-    )
-
-
-def _cycle_count(table: TableSpec, seeds: list[BoundaryPhase], max_period: int = 8) -> int:
-    """Distinct phase cycles through the given (exactly periodic) seeds."""
-    tol = 1e-9 * math.sqrt(table.fam.a)
-    cycles: list[set[tuple]] = []
-    for s0 in seeds:
-        k0 = _state_key(s0)
-        if any(k0 in c for c in cycles):
-            continue
-        visited = {k0}
-        s = s0
-        for _ in range(max_period):
-            s = step(table, s)
-            if phase_distance(table.fam, s, s0) < tol:
-                break
-            visited.add(_state_key(s))
-        cycles.append(visited)
-    return len(cycles)
-
-
-def _sep_label(table: TableSpec, s: BoundaryPhase) -> str | None:
+def _sep_label(
+    fam: ConfocalFamily, px: float, py: float, vx: float, vy: float, qy: float
+) -> str | None:
     """Asymptotic label of one near-focal segment, or None once unresolvable.
 
-    The segment's line should pass very near exactly one focus; the
-    label combines which focus (F1/F2), the vertical direction (U/D),
-    and the long-axis side of the segment (T/B/X).  The focus test is a
-    ratio test on the two point-line distances so it keeps working while
-    the trajectory converges toward the axis.
+    The segment runs from (px, py) along (vx, vy) to a wall point at
+    height qy (before magic).  Its line should pass very near exactly
+    one focus; the label combines which focus (F1/F2), the vertical
+    direction (U/D), and the long-axis side of the segment (T/B/X).  The
+    focus test is a ratio test on the two point-line distances so it
+    keeps working while the trajectory converges toward the axis.
     """
-    fam = table.fam
     c = fam.focal_distance
-    px, py = s.at
-    vx, vy = s.v
     d1 = abs((c - px) * vy + py * vx)
     d2 = abs((-c - px) * vy + py * vx)
     lo, hi = sorted((d1, d2))
@@ -355,7 +324,6 @@ def _sep_label(table: TableSpec, s: BoundaryPhase) -> str | None:
     if abs(vy) < 1e-9:
         return None
     ud = "U" if vy > 0.0 else "D"
-    qy = _walk(table, s, 1)[6]  # the wall point's y, before magic
     if py > 0.0 and qy > 0.0:
         side = "T"
     elif py < 0.0 and qy < 0.0:
@@ -368,79 +336,87 @@ def _sep_label(table: TableSpec, s: BoundaryPhase) -> str | None:
 
 
 def _sep_signature(table: TableSpec, s0: BoundaryPhase) -> tuple[frozenset, frozenset]:
-    """(forward, backward) label sets of one focal trajectory."""
+    """(forward, backward) label sets of one focal trajectory.
+
+    Forward, state k of one :func:`_walk` is ``out[7k:7k + 5]`` and its
+    segment ends at height ``out[7k + 6]``, before magic.
+    """
+    fam = table.fam
+    out = _walk(table, s0, SEP_MAX_SEGMENTS)
     fwd: set[str] = set()
-    s = s0
-    for _ in range(SEP_MAX_SEGMENTS):
-        lab = _sep_label(table, s)
+    for k in range(0, 7 * SEP_MAX_SEGMENTS, 7):
+        lab = _sep_label(fam, *out[k:k + 4], out[k + 6])
         if lab is None:
             break
         fwd.add(lab)
-        s = step(table, s)
     bwd: set[str] = set()
     s = s0
     for _ in range(SEP_MAX_SEGMENTS):
         s = step_inverse(table, s)
-        lab = _sep_label(table, s)
+        lab = _sep_label(fam, *s.at, *s.v, _walk(table, s, 1)[6])
         if lab is None:
             break
         bwd.add(lab)
     return frozenset(fwd), frozenset(bwd)
 
 
-def _separatrix_count(table: TableSpec) -> int:
-    """Distinct separatrix families on the focal level lambda = b.
-
-    Eight seeds just off the long-axis vertices, aimed at each focus,
-    cover every family; families are told apart by the (forward,
-    backward) asymptotic label sets.
-    """
-    fam = table.fam
+def _focal_seeds(fam: ConfocalFamily) -> list[BoundaryPhase]:
+    """Eight seeds just off the long-axis vertices, aimed at each focus."""
     eps = SEP_SEED_OFFSET
     c = fam.focal_distance
-    signatures = set()
+    seeds = []
     for t in (eps, math.pi - eps, math.pi + eps, 2.0 * math.pi - eps):
         p = fam.boundary_point(t)
         for fx in (c, -c):
             dx, dy = fx - p[0], -p[1]
             h = math.hypot(dx, dy)
-            s0 = BoundaryPhase(p, (dx / h, dy / h))
-            signatures.add(_sep_signature(table, s0))
-    return len(signatures)
+            seeds.append(BoundaryPhase(p, (dx / h, dy / h)))
+    return seeds
+
+
+def _separatrix_count(table: TableSpec) -> int:
+    """Distinct separatrix families on the focal level lambda = b.
+
+    The eight :func:`_focal_seeds` cover every family; families are told
+    apart by the (forward, backward) asymptotic label sets.
+    """
+    return len({_sep_signature(table, s0) for s0 in _focal_seeds(table.fam)})
+
+
+def _axis_orbits(table: TableSpec, s: float) -> int:
+    """Closed orbits along an axis whose magic sign is s (see singular_level_report)."""
+    if table.inner_lam is None:
+        return 2 if s < 0.0 else 1
+    return 1 if s < 0.0 else 2
 
 
 def singular_level_report(table: TableSpec, which: float) -> SingularReport:
     """Closed-orbit and separatrix counts (and the atom) of a singular level.
 
-    ``which`` must be one of the three singular parameters {0, b, a}.
-    Closed orbits are counted by launching the canonical orbits of the
-    level — boundary slides for 0, long-axis segments for b, short-axis
-    segments for a — and counting distinct phase cycles under the magic
-    map.  Separatrices exist only on the focal level b.
-    """
-    fam = table.fam
-    tol = DEGEN_RTOL * fam.a
-    sa, sb = math.sqrt(fam.a), math.sqrt(fam.b)
+    ``which`` must be one of the singular levels 0, b and a, as
+    :func:`classify_caustic` tells them.  Their closed orbits are fixed
+    by the magic signs alone:
 
-    if abs(which) < tol:
-        # boundary slides: one orbit per winding sense; an
-        # orientation-reversing magic map swaps the two senses
-        closed = 1 if table.outer_map.orientation_reversing else 2
-        seps = 0
-    elif abs(which - fam.b) < tol:
-        seeds = [
-            BoundaryPhase((sa, 0.0), (-1.0, 0.0)),
-            BoundaryPhase((-sa, 0.0), (1.0, 0.0)),
-        ]
-        closed = _cycle_count(table, seeds)
-        seps = _separatrix_count(table)
-    elif abs(which - fam.a) < tol:
-        seeds = [
-            BoundaryPhase((0.0, sb), (0.0, -1.0)),
-            BoundaryPhase((0.0, -sb), (0.0, 1.0)),
-        ]
-        closed = _cycle_count(table, seeds)
-        seps = 0
+    * level 0: the boundary slides, one per winding sense; an
+      orientation-reversing map swaps the senses, joining them into one.
+    * levels b and a: the long- and short-axis orbit, with s the map's
+      sign along the axis, sx at b and sy at a.  On the ellipse the axis
+      orbit is one 2-cycle through both vertices, and s = -1 sends each
+      bounce back to the vertex it left: two 1-cycles.  On the annulus
+      each end of the axis is a 2-cycle between its vertex and the inner
+      wall, and s = -1 swaps the ends: one 4-cycle.
+
+    Separatrices exist only on the focal level b, where
+    :func:`_separatrix_count` traces them.
+    """
+    kind = classify_caustic(table.fam, which).kind
+    sx, sy = table.outer_map.signs
+    if kind == "degenerate-boundary":
+        closed, seps = (1 if table.outer_map.orientation_reversing else 2), 0
+    elif kind == "degenerate-focal":
+        closed, seps = _axis_orbits(table, sx), _separatrix_count(table)
+    elif kind == "degenerate-short-axis":
+        closed, seps = _axis_orbits(table, sy), 0
     else:
         raise ValueError(f"{which} is not a singular level of the family")
 

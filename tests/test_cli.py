@@ -12,7 +12,7 @@ import threading
 import pytest
 
 import magicbilliards
-from magicbilliards.cli import _write_atomic, main
+from magicbilliards.cli import _build_parser, _write_atomic, main
 from magicbilliards.geometry import VERTICAL_VX
 
 HEADER = "i,x,y,vx,vy,lambda1,lambda2,caustic"
@@ -584,3 +584,39 @@ def test_svg_naming_the_csv_file_is_a_usage_error(tmp_path, capsys):
         assert main([*_SIMULATE, "--out", str(csv), "--svg", str(svg)]) == 1
         assert "error: --svg names the same file as --out" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg"]
+
+
+def test_repeated_main_calls_write_only_their_own_files(tmp_path):
+    """main builds its parser once, and no flag of one call reaches the next."""
+    assert _build_parser() is _build_parser()
+    runs = [
+        ([*_SIMULATE, "--svg", "{}/run.svg", "--out", "{}/run.csv"], ["run.csv", "run.svg"]),
+        (["periodic", "--n", "4", "--system", "flip-long", "--out", "{}/roots.json"], ["roots.json"]),
+        ([*_SIMULATE, "--out", "{}/run.csv"], ["run.csv"]),
+    ]
+    for i, (argv, names) in enumerate(runs):
+        folder = tmp_path / str(i)
+        folder.mkdir()
+        assert main([arg.format(folder) for arg in argv]) == 0
+        assert sorted(p.name for p in folder.iterdir()) == names
+
+
+def test_simulate_and_topology_load_no_scipy(tmp_path):
+    """scipy is imported by the periodic search only, never by these commands."""
+    runs = [
+        [*_SIMULATE, "--svg", str(tmp_path / "run.svg"), "--out", str(tmp_path / "run.csv")],
+        ["topology", "--system", "flip-long", "--out", str(tmp_path / "graph.json")],
+        ["topology", "--system", "flip-long", "--beta", "2.5", "--out", str(tmp_path / "level.json")],
+    ]
+    code = (
+        "import sys\n"
+        "from magicbilliards.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[0, 0, 0] []"

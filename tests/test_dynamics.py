@@ -158,6 +158,30 @@ def test_wall_label_must_name_a_wall_of_the_table(table, label):
             call(table, s)
 
 
+BOUNCE_CALLS = {
+    "step": step,
+    "step_inverse": step_inverse,
+    "trajectory": lambda t, s: trajectory(t, s, 3),
+    "closure_defect": lambda t, s: closure_defect(t, s, 3),
+}
+# zero, zero in floats (its square underflows), and not finite
+BAD_VELOCITIES = [(0.0, 0.0), (1e-200, 0.0), (math.nan, 0.5), (math.inf, 1.0)]
+
+
+@pytest.mark.parametrize("v", BAD_VELOCITIES, ids=repr)
+@pytest.mark.parametrize("name", BOUNCE_CALLS)
+def test_velocity_must_be_finite_and_nonzero(name, v):
+    s = BoundaryPhase((3.0, 0.0), v)
+    with pytest.raises(ValueError):
+        BOUNCE_CALLS[name](ELL[MagicKind.FLIP_LONG], s)
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (math.nan, 0.5), (math.inf, 1.0)], ids=repr)
+def test_phase_at_needs_a_finite_nonzero_direction(direction):
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        phase_at(ELL[MagicKind.FLIP_LONG], 0.3, direction)
+
+
 def test_trajectory_shape_and_crossings():
     s0 = BoundaryPhase((0.0, 2.0), (0.0, -1.0))
     traj = trajectory(ELL[MagicKind.FLIP_LONG], s0, 6)
