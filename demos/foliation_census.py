@@ -3,8 +3,8 @@
 Fixing the caustic parameter slices phase space into level sets; counting
 their connected components (and naming the singular transitions) pins
 down the global topology.  Everything here is measured from trajectories
--- the library seeds tangent phases, labels their motion, and merges
-labels that co-occur on a single orbit.
+-- the library seeds phases spread over each level's angle variable,
+labels their motion, and merges labels that co-occur on a single orbit.
 """
 import json
 

@@ -18,11 +18,12 @@ One loop over plain floats, ``_walk``, carries out every bounce:
 ``step``, ``step_inverse``, ``trajectory`` and ``closure_defect`` all
 run on it, and ``Trajectory`` keeps its float columns.  ``level_orbits``
 gives many seeds' impacts on one caustic level at once, in closed form:
-on a regular level the map is a translation in the Jacobi phase of the
-outer wall, and each magic map an exact symmetry of the Jacobi
-functions.  A level is set up once for all its seeds, and the addition
-theorem builds each seed's (steps) impacts from about 2 sqrt(steps)
-Jacobi values.
+on a regular level the Jacobi phase of the outer wall is the angle
+variable, the map a translation in it, and each magic map an exact
+symmetry of the Jacobi functions.  Seeds are given by their phases, so
+they lie on the level exactly; the level is set up once for all of
+them, and the addition theorem builds each seed's (steps) impacts from
+about 2 sqrt(steps) Jacobi values.
 """
 from __future__ import annotations
 
@@ -254,6 +255,7 @@ def trajectory(table: TableSpec, s0: BoundaryPhase, n: int) -> Trajectory:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_velocity(*s0.v)
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
     out = _walk(table, s0, n)
     x, y, vx, vy, comp, hx, hy = (out[k::7] for k in range(7))
@@ -303,6 +305,7 @@ def detect_closure(
         raise ValueError("need n_max >= 1")
     if tol is None:
         tol = CLOSURE_RTOL * math.sqrt(table.fam.a)
+    _check_velocity(*s0.v)
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
     theta0 = math.atan2(s0.at[1], s0.at[0])
     total = 0.0
@@ -360,18 +363,6 @@ def phase_at(
 # impact point has a closed form.  Each modulus below comes with
 # m1 = 1 - m taken from (a, b, beta) directly, which keeps levels next
 # to the focal one (m -> 1) at full precision.
-
-# A seed's first closed-form impact must meet its scalar step within
-# sqrt(a) (ORBIT_MATCH_RTOL + FOCAL_SLACK a / |beta - b|).  Near the focal
-# level the phase advance amplifies the seed's roundoff in beta, some
-# 1e-16 a, by about 1 / |beta - b|; the slack is over 20 times the
-# largest miss seen on levels 1e-9 a to 1e-2 a from b.
-ORBIT_MATCH_RTOL = 1e-9
-FOCAL_SLACK = 1e-15
-
-
-class OrbitMismatch(ArithmeticError):
-    """No closed-form branch reproduces a seed's first scalar step within its bound."""
 
 
 class DegenerateLevel(ValueError):
@@ -452,7 +443,8 @@ def _jacobi(u: np.ndarray, m, m1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
     """(sn, cn, dn)(u0 + k h | m) for k = 1..steps, by the addition theorem.
 
-    u0, h, m and m1 are columns with one row per orbit.  With
+    u0 and h are columns with one row per orbit, and m and m1 the
+    modulus of the level.  With
     B = ceil(sqrt(steps + 1)), k = g B + j splits each phase into a baby
     step u0 + j h, j < B, and a giant step g (B h), and :func:`_jacobi`
     evaluates each table once.  The addition theorem (DLMF 22.8.1-2)
@@ -483,33 +475,32 @@ def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
         sn, cn = ((num / den).reshape(len(den), -1)[:, 1:steps + 1] for num in (
             s1 * c2d2 + c1d1 * s2, c1 * c2 - s1d1 * s2d2
         ))
-        return sn, cn, np.sqrt(cn * cn + m1[rows] * sn * sn)
+        return sn, cn, np.sqrt(cn * cn + m1 * sn * sn)
 
     return at
 
 
-def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps: int):
+def _level_grid(
+    table: TableSpec, beta: float, phases: list[tuple[float, float]], steps: int
+):
     """The per-level set-up of :func:`level_orbits`.
 
-    Returns a function of a row slice of ``seeds`` that gives those
-    seeds' ``(x, y, qx, qy, inner)``, as :func:`level_orbits` does.
+    Returns the seeds' impact points ``(x0, y0)``, as columns, and a
+    function of a row slice of ``phases`` that gives those seeds'
+    ``(x, y, qx, qy, inner)``, as :func:`level_orbits` does.
     """
     fam = table.fam
     a, b, lam = fam.a, fam.b, table.inner_lam
     sa, sb = math.sqrt(a), math.sqrt(b)
     sx, sy = table.outer_map.signs
-    x0, y0, vx0, vy0 = (np.array(c)[:, None] for c in zip(*(s.at + s.v for s in seeds)))
-    # each seed's own caustic parameter: beta up to the seed's roundoff
-    own = [caustic_of_line(fam, s.at, s.v).lam for s in seeds]
-    phi, m, m1 = (np.array(c)[:, None] for c in zip(*(_caustic_modulus(a, b, x) for x in own)))
-    lev = np.array(own)[:, None]
-    quarter = _carlson_rf(0.0, m1, 1.0)  # K(m)
-    # A branch (u0, h) puts impact k at phase u0 + k h before magic; the
+    turns, sign = (np.array(c, dtype=float)[:, None] for c in zip(*phases))
+    phi, m, m1 = _caustic_modulus(a, b, beta)
+    quarter = float(_carlson_rf(0.0, m1, 1.0))  # K(m)
+    u0 = 4.0 * quarter * turns
+    # A seed (u0, h) puts impact k at phase u0 + k h before magic; the
     # maps' u -> -u flips the sign of sn, and u -> u + 2K those of sn and cn.
     if beta < b:
-        d = 2.0 * _ellipf(phi, m1, quarter)
-        u0 = _ellipf(np.arctan2(-x0 / sa, y0 / sb), m1, quarter)
-        branches = [(u0, d), (u0, -d)]
+        h = sign * (2.0 * float(_ellipf(phi, m1, quarter)))
 
         def impacts(sn, cn, dn, k, rows):
             # after an odd number of bounces the flips have sent u to -u
@@ -520,23 +511,15 @@ def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps
             return x, sb * np.where(odd, sy, 1.0) * cn, np.zeros(k.shape, dtype=bool)
 
     else:
-        # sn u from x; |cn u| from the angle between the seed's line and
-        # the wall, which stays well conditioned where the two tangents
-        # from a wall point merge and x alone does not fix u
-        lam2 = a - x0 * x0 * (a - b) / a
-        along = (vy0 * x0 / a - vx0 * y0 / b) / np.hypot(x0 / a, y0 / b)
-        cn0 = np.abs(along) * np.sqrt(lam2 / (a - lev))
-        root_m = np.sqrt(m)
-        w = _ellipf(np.arctan2(x0 / (sa * root_m), cn0), m1, quarter)
-        s0 = np.copysign(1.0, y0)
+        root_m = math.sqrt(m)
         if lam is None:
-            advance, turn = 2.0 * _ellipf(phi, m1, quarter), -sy
+            advance, turn = 2.0 * float(_ellipf(phi, m1, quarter)), -sy
             ax, ay = sa, sb
         else:
-            rf_in = _carlson_rf(a - lam, b - lam, lev - lam) - _carlson_rf(a, b, lev)
-            advance, turn = math.sqrt(a - b) * rf_in, sy
+            rf_in = _carlson_rf(a - lam, b - lam, beta - lam) - _carlson_rf(a, b, beta)
+            advance, turn = math.sqrt(a - b) * float(rf_in), sy
             ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
-        branches = [(w, advance), (2.0 * quarter - w, advance)]
+        h = np.full_like(u0, advance)
 
         def impacts(sn, cn, dn, k, rows):
             # after an odd number of outer hits flip-short and half-turn
@@ -544,26 +527,11 @@ def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps
             # sign s has turned
             odd = (k if lam is None else k // 2) % 2 == 1
             inner = (k % 2 == 1) & (lam is not None)
-            x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m[rows] * sn
-            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * s0[rows] * dn
+            x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m * sn
+            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * sign[rows] * dn
             return x, y, inner
 
-    # the first step of each branch against the scalar bounce loop, whose
-    # checks thus run at every seed
-    ref = np.array([_walk(table, s, 1)[7:9] for s in seeds])
-    sn, cn, dn = _jacobi(np.hstack([u + h for u, h in branches]), m, m1)
-    x1, y1, _ = impacts(sn, cn, dn, np.ones((1, 1), dtype=int), slice(None))
-    miss = np.hypot(x1 - ref[:, :1], y1 - ref[:, 1:])
-    best = miss.min(axis=1)
-    tol = sa * (ORBIT_MATCH_RTOL + FOCAL_SLACK * a / abs(beta - b))
-    if (best > tol).any():
-        i = int(np.argmax(best))
-        raise OrbitMismatch(
-            f"beta={beta}: the closed form misses the first step from {seeds[i].at} "
-            f"along {seeds[i].v} by {best[i]:.3g}, over the bound {tol:.3g}"
-        )
-    pick = miss[:, :1] <= miss[:, 1:]
-    u0, h = (np.where(pick, p, q) for p, q in zip(*branches))
+    x0, y0, _ = impacts(*_jacobi(u0, m, m1), np.zeros((1, 1), dtype=int), slice(None))
     tables = _jacobi_steps(u0, h, steps, m, m1)
     k = np.arange(1, steps + 1)[None, :]
 
@@ -572,28 +540,32 @@ def _level_grid(table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps
         qx, qy = np.where(inner, 1.0, sx) * x, np.where(inner, 1.0, sy) * y
         return x, y, qx, qy, np.broadcast_to(inner, x.shape)
 
-    return grid
+    return (x0, y0), grid
 
 
 def level_orbits(
-    table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps: int
+    table: TableSpec, beta: float, phases: list[tuple[float, float]], steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Impacts 1..steps of each seed's orbit on the caustic level beta, in closed form.
 
-    The seeds are outer-wall phases whose lines touch C_beta.  Returns
-    ``(x, y, qx, qy, inner)``, arrays of shape (len(seeds), steps): the
-    impact points after magic, the wall points before it, and which
-    impacts lie on the inner wall.  They agree with repeated :func:`step`
-    to roundoff.  With k = sqrt(m) and (phi, m) as for the rotation number:
+    A seed is given by its phase ``(t, sign)`` on the level: t is its
+    Jacobi phase u of the outer wall in turns, u = 4K t, and sign picks
+    the branch.  Returns ``(x, y, qx, qy, inner)``, arrays of shape
+    (len(phases), steps): the impact points after magic, the wall points
+    before it, and which impacts lie on the inner wall.  They agree with
+    repeated :func:`step` from the seed's state to roundoff.  With
+    k = sqrt(m) and (phi, m) as for the rotation number:
 
     * ellipse caustic: the point is (-sqrt(a) sn u, sqrt(b) cn u).  A
-      bounce adds sigma d to u, d = 2F(phi|m), sigma = +-1 the winding
-      sense.  Flip-short maps (u, sigma) to (-u, -sigma), flip-long to
-      (-u - 2K, -sigma), half-turn to (u + 2K, sigma).  These orbits never
-      reach an inner wall.
+      bounce adds sigma d to u, d = 2F(phi|m), sigma = sign the winding
+      sense (+1 counter-clockwise).  Flip-short maps (u, sigma) to
+      (-u, -sigma), flip-long to (-u - 2K, -sigma), half-turn to
+      (u + 2K, sigma).  These orbits never reach an inner wall.
     * hyperbola caustic: the point is (sqrt(a) k sn u, s sqrt(b) dn u),
-      s = +-1.  On the ellipse table a bounce maps (u, s) to (u + d, -s).
-      On an annulus every chord crosses the focal segment, so the walls
+      s = sign.  The point reaches just the wall arcs whose lines touch
+      C_beta, each twice per turn: u and 2K - u are its two tangents.  On
+      the ellipse table a bounce maps (u, s) to (u + d, -s).  On an
+      annulus every chord crosses the focal segment, so the walls
       alternate; each step adds sqrt(a-b) (R_F(a-l, b-l, beta-l) -
       R_F(a, b, beta)) to u, l the inner wall, whose points are the same
       expression in a - l and b - l.  Flip-short adds 2K to u and
@@ -601,32 +573,26 @@ def level_orbits(
 
     So impact k is a point at phase u0 + k h, with its signs set by the
     magic maps: -u and +2K act on sn, cn and dn as exact sign changes.
-    The phases u0 + k h come from a table of about 2 sqrt(steps) Jacobi
-    values per seed by the addition theorem (:func:`_jacobi_steps`), and
-    the moduli, advances, branch starts and tables are set up once for
-    all the seeds.
-
-    Each seed runs on the caustic of its own line, which is beta up to
-    the seed's roundoff: the advance d amplifies that roundoff, by
-    1 / |beta - b| near the focal level, and the scalar step follows the
-    seed's own caustic.  A seed fixes u only up to a branch: sigma, or u
-    against 2K - u.  The branch kept is the one whose first impact lies
-    nearer to the seed's first scalar bounce, so the bounce loop's checks
-    run at every seed; it must lie within the ``ORBIT_MATCH_RTOL`` bound,
-    or OrbitMismatch is raised.  Both branches meet the bounce only at a
-    wall point where the two tangents to a hyperbola merge, and there
-    they are one orbit.
+    Every seed lies on beta exactly, so the modulus and the advance are
+    set up once for the level, and the phases u0 + k h come from a table
+    of about 2 sqrt(steps) Jacobi values per seed by the addition theorem
+    (:func:`_jacobi_steps`).
 
     Raises
     ------
     ValueError
-        when steps < 1, there are no seeds, or beta is not a regular
+        when steps < 1, there are no seeds, a phase has a t that is not
+        finite or a sign other than +-1, or beta is not a regular
         level of the table (:class:`DegenerateLevel` near {0, b, a} or
         inside an annulus' inner wall).
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
-    if not seeds:
+    if len(phases) == 0:
         raise ValueError("need at least one seed")
+    for t, sign in phases:
+        if not (math.isfinite(t) and sign in (1.0, -1.0)):
+            raise ValueError(f"seed phase {(t, sign)} needs a finite t and a sign of +1 or -1")
     _check_level(table, beta)
-    return _level_grid(table, beta, seeds, steps)(slice(None))
+    _, grid = _level_grid(table, beta, phases, steps)
+    return grid(slice(None))

@@ -1,17 +1,19 @@
 """Numerical topology of the caustic foliation of magic billiards.
 
 Regular caustic levels are unions of tori; this module counts their
-connected components by tagging simulated trajectories with coarse
-discrete labels (winding sense for ellipse caustics; vertical direction,
+connected components by tagging trajectories with coarse discrete
+labels (winding sense for ellipse caustics; vertical direction,
 hyperbola branch, and axis side for hyperbola caustics) and merging
-labels that occur on a single trajectory.  Singular levels (caustic
-parameter 0, b, or a) are described by their closed orbits, counted
-from the magic map's signs, and their separatrix families, traced from
-the foci; the two counts pick out one of the complexity-one atoms
-A, B, A**, C2.  Finally, each studied system carries a small static
-graph — atoms joined along torus families, decorated with the marks
-(r, eps, n) transcribed from figure data — which is cross-checked
-against the numeric reports whenever it is constructed.
+labels that occur on a single trajectory.  The trajectories start at
+phases spread evenly over the level's angle variable and run in closed
+form (:func:`level_orbits`).  Singular levels (caustic parameter 0,
+b, or a) are described by their closed orbits, counted from the magic
+map's signs, and their separatrix families, traced from the foci; the
+two counts pick out one of the complexity-one atoms A, B, A**, C2.
+Finally, each studied system carries a small static graph — atoms
+joined along torus families, decorated with the marks (r, eps, n)
+transcribed from figure data — which is cross-checked against the
+numeric reports whenever it is constructed.
 """
 from __future__ import annotations
 
@@ -30,16 +32,8 @@ from .dynamics import (
     _walk,
     step_inverse,
 )
-from .geometry import ConfocalFamily, classify_caustic, tangent_directions
+from .geometry import ConfocalFamily, classify_caustic
 
-# The tests' independent reference for the winding labels: the polar angle
-# swept over sliding windows of WINDING_WINDOW segments, a window sweeping
-# less than WINDING_MIN_SWEEP giving no label.  The labels themselves are
-# each segment's own sense (see _level_signatures): where the rotation
-# number lies near a rational with a small denominator, every window of a
-# flip map's orbit sweeps the same way, and CW and CCW never meet.
-WINDING_WINDOW = 32
-WINDING_MIN_SWEEP = math.pi / 8
 # angular offset of the separatrix seeds from the long-axis vertices
 SEP_SEED_OFFSET = 1e-4
 # how many segments a focal trajectory stays resolvable before the
@@ -128,40 +122,6 @@ class FomenkoGraph:
 
 
 # ---------------------------------------------------------------------------
-# seeding
-
-
-def _tangent_seeds(table: TableSpec, beta: float, samples: int) -> list[BoundaryPhase]:
-    """Phases tangent to C_beta, spread over the outer boundary and both branches.
-
-    Hyperbola caustics are reachable only from part of the boundary, so
-    the scan oversamples the boundary parameter, then thins the
-    admissible points to ``samples`` evenly spaced entries, alternating
-    the tangent branch from seed to seed.  A scan point is admissible
-    when :func:`tangent_directions` finds a tangent there: its vertical
-    case, or a discriminant >= 0, computed here for all points at once in
-    the same operation order; the directions are found only at the
-    points kept.
-    """
-    fam = table.fam
-    scan = 8 * samples
-    points = [fam.boundary_point(2.0 * math.pi * (k + 0.37) / scan) for k in range(scan)]
-    x, y = np.array(points).T
-    aq = fam.a - beta - x * x
-    bq = fam.b - beta - y * y
-    hits = np.flatnonzero((np.abs(aq) < 1e-12 * fam.a) | (x * x * y * y - aq * bq >= 0.0))
-    if not len(hits):
-        return []
-    stride = len(hits) / samples
-    seeds: list[BoundaryPhase] = []
-    for i in range(samples):
-        p = points[hits[min(int(i * stride), len(hits) - 1)]]
-        dirs = tangent_directions(fam, beta, p)
-        seeds.append(BoundaryPhase(p, dirs[i % len(dirs)]))
-    return seeds
-
-
-# ---------------------------------------------------------------------------
 # regular levels
 
 
@@ -210,8 +170,31 @@ def _hyperbola_labels(
     return np.where(labelled, code, -1)
 
 
+def _level_phases(samples: int) -> list[tuple[float, float]]:
+    """``samples`` seed phases (t, sign) of a level, evenly spaced on both branches.
+
+    t is the Jacobi phase of the outer wall in turns (see
+    :func:`level_orbits`), the angle variable of each torus, and sign the
+    branch.  Branch +1 gets (samples + 1) // 2 seeds and branch -1 the
+    other samples // 2; seed j of n on a branch sits at t = (j + 1/2) / n,
+    so an odd count puts one seed more on branch +1.
+    """
+    return [
+        ((j + 0.5) / n, sign)
+        for sign, n in ((1.0, (samples + 1) // 2), (-1.0, samples // 2))
+        for j in range(n)
+    ]
+
+
+def _label_sets(code: np.ndarray, names: tuple[str, ...]) -> list[set[str]]:
+    """The labels on each row of ``code``, indices into names or -1 for none."""
+    # bit c + 1 marks label c, and the last shift drops bit 0, the -1s
+    masks = np.bitwise_or.reduce(1 << (code + 1), axis=1) >> 1
+    return [{lab for j, lab in enumerate(names) if mask >> j & 1} for mask in masks.tolist()]
+
+
 def _level_signatures(
-    table: TableSpec, beta: float, seeds: list[BoundaryPhase], steps: int
+    table: TableSpec, beta: float, phases: list[tuple[float, float]], steps: int
 ) -> list[set[str]]:
     """Labels observed along each seed's trajectory, read off its closed-form orbit.
 
@@ -227,23 +210,22 @@ def _level_signatures(
     fam = table.fam
     winding = beta < fam.b
     names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
-    grid = _level_grid(table, beta, seeds, steps)
+    (x0, y0), grid = _level_grid(table, beta, phases, steps)
     out: list[set[str]] = []
-    for lo in range(0, len(seeds), SEED_BLOCK):
-        block = seeds[lo:lo + SEED_BLOCK]
-        x, y, qx, qy, _ = grid(slice(lo, lo + SEED_BLOCK))
+    for lo in range(0, len(phases), SEED_BLOCK):
+        rows = slice(lo, lo + SEED_BLOCK)
+        x, y, qx, qy, _ = grid(rows)
         # impact 0 is the seed; segment i runs from impact i to wall point i + 1
-        px = np.hstack([[[s.at[0]] for s in block], x[:, :-1]])
-        py = np.hstack([[[s.at[1]] for s in block], y[:, :-1]])
+        px = np.hstack([x0[rows], x[:, :-1]])
+        py = np.hstack([y0[rows], y[:, :-1]])
         if winding:
             spin = px * qy - py * qx
-            seen = np.stack([spin > 0.0, spin < 0.0], axis=1).any(axis=2)  # CCW, CW
+            code = np.where(spin > 0.0, 0, np.where(spin < 0.0, 1, -1))  # CCW, CW
         else:
             vx, vy = qx - px, qy - py
             h = np.hypot(vx, vy)
             code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
-            seen = (code[:, :, None] == np.arange(len(names))).any(axis=1)
-        out += [{names[j] for j in np.flatnonzero(row)} for row in seen]
+        out += _label_sets(code, names)
     return out
 
 
@@ -280,22 +262,22 @@ def classify_level(
 ) -> LevelSetReport:
     """Number of connected components of the regular level at caustic beta.
 
-    Seeds ``samples`` tangent phases, takes ``steps`` bounces of each in
-    closed form as :func:`level_orbits` does, and merges the discrete labels
-    observed on a common trajectory; the component count is the number of
-    remaining label classes (1 when no trajectory carries a label).
+    Seeds ``samples`` phases of the level, evenly spaced in the angle
+    variable on both branches (:func:`_level_phases`), takes ``steps``
+    bounces of each in closed form as :func:`level_orbits` does, and
+    merges the discrete labels observed on a common trajectory; the
+    component count is the number of remaining label classes (1 when no
+    trajectory carries a label).
     """
     if samples < 16:
         raise ValueError("need samples >= 16")
-    if steps <= WINDING_WINDOW:
-        # the windowed reference of the winding labels needs a whole window
-        raise ValueError(f"need steps > {WINDING_WINDOW}")
+    if steps < 1:
+        raise ValueError("need steps >= 1")
     _check_level(table, beta)
     kind = "ellipse" if beta < table.fam.b else "hyperbola"
-    seeds = _tangent_seeds(table, beta, samples)
-    signatures = _level_signatures(table, beta, seeds, steps) if seeds else []
+    signatures = _level_signatures(table, beta, _level_phases(samples), steps)
     count, evidence = _merge_count([sig for sig in signatures if sig])
-    return LevelSetReport(beta, kind, count, len(seeds), tuple(evidence))
+    return LevelSetReport(beta, kind, count, samples, tuple(evidence))
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,11 @@ from magicbilliards import (
     trajectory,
 )
 from magicbilliards.dynamics import (
-    ORBIT_MATCH_RTOL,
     DegenerateLevel,
-    OrbitMismatch,
     _jacobi,
     _jacobi_steps,
 )
 from magicbilliards.geometry import GRAZE_RTOL, HIT_TMIN_RTOL, _hit_time
-from magicbilliards.topology import _tangent_seeds
 
 FAM = ConfocalFamily(9.0, 4.0)
 ELL = {k: TableSpec(FAM, k) for k in MagicKind}
@@ -163,6 +160,7 @@ BOUNCE_CALLS = {
     "step_inverse": step_inverse,
     "trajectory": lambda t, s: trajectory(t, s, 3),
     "closure_defect": lambda t, s: closure_defect(t, s, 3),
+    "detect_closure": lambda t, s: detect_closure(t, s, 3),
 }
 # zero, zero in floats (its square underflows), and not finite
 BAD_VELOCITIES = [(0.0, 0.0), (1e-200, 0.0), (math.nan, 0.5), (math.inf, 1.0)]
@@ -171,8 +169,10 @@ BAD_VELOCITIES = [(0.0, 0.0), (1e-200, 0.0), (math.nan, 0.5), (math.inf, 1.0)]
 @pytest.mark.parametrize("v", BAD_VELOCITIES, ids=repr)
 @pytest.mark.parametrize("name", BOUNCE_CALLS)
 def test_velocity_must_be_finite_and_nonzero(name, v):
+    # trajectory and detect_closure check the velocity before they take
+    # the caustic of the seed's line
     s = BoundaryPhase((3.0, 0.0), v)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"velocity \(.*\) must be finite and nonzero"):
         BOUNCE_CALLS[name](ELL[MagicKind.FLIP_LONG], s)
 
 
@@ -296,9 +296,7 @@ def test_trajectory_keeps_pre_magic_hits():
     hyperbola=st.booleans(),
     where=st.floats(0.0, 1.0),
 )
-# a level where two seeds' lines carry 1e-12 of roundoff in beta (one of
-# their tangents is nearly vertical): the orbit must follow each seed's own
-# caustic, as the step does
+# the ellipse level nearest to the focal one that the search allows
 @example(
     kind=MagicKind.HALF_TURN, a=4.297680868191241, ratio=0.5191325636742681,
     wall=None, hyperbola=False, where=1.0,
@@ -316,24 +314,41 @@ def test_level_orbits_match_step(kind, a, ratio, wall, hyperbola, where):
         lo, hi = margin, (table.inner_lam or fam.b) - margin
     assume(lo < hi)
     beta = lo + where * (hi - lo)
-    seeds = _tangent_seeds(table, beta, 16)
-    x, y, qx, qy, inner = level_orbits(table, beta, seeds, 40)
-    tol = ORBIT_MATCH_RTOL * math.sqrt(a)
-    for i, s0 in enumerate(seeds):
-        traj = trajectory(table, s0, 40)
+    phases = [((j + 0.5) / 8, sign) for sign in (1.0, -1.0) for j in range(8)]
+    x, y, qx, qy, inner = level_orbits(table, beta, phases, 40)
+    tol = 1e-9 * math.sqrt(a)
+    for i, (t, sign) in enumerate(phases):
+        # the seed's state: its point at the phase, by mpmath, and of the
+        # two tangents to C_beta from there the one whose first scalar
+        # bounce meets the closed form's (at the wall points where the
+        # two merge, either)
+        p = _phase_point(fam, beta, t, sign)
+        trajs = [
+            trajectory(table, BoundaryPhase(p, v), 40) for v in tangent_directions(fam, beta, p)
+        ]
+        traj = min(trajs, key=lambda tr: math.hypot(x[i, 0] - tr.x[1], y[i, 0] - tr.y[1]))
+        if beta < fam.b:  # the branch is the winding sense
+            assert math.copysign(1.0, p[0] * traj.vy[0] - p[1] * traj.vx[0]) == sign
         for k, (s, hit) in enumerate(zip(traj.states[1:], traj.hits)):
             assert inner[i, k] == (s.component == "inner")
             assert math.hypot(x[i, k] - s.at[0], y[i, k] - s.at[1]) <= tol
             assert math.hypot(qx[i, k] - hit[0], qy[i, k] - hit[1]) <= tol
 
 
-def test_level_orbits_refuse_a_seed_the_closed_form_cannot_follow():
-    # a seed tangent to an ellipse caustic, given as a hyperbola level: no
-    # branch of the hyperbola form meets its first step
-    p = FAM.boundary_point(1.2)
-    seed = BoundaryPhase(p, tangent_directions(FAM, 2.5, p)[0])
-    with pytest.raises(OrbitMismatch):
-        level_orbits(ELL[MagicKind.IDENTITY], 6.0, [seed], 5)
+def _phase_point(fam, beta, t, sign):
+    """The outer-wall point of the seed phase (t, sign) on level beta, by mpmath."""
+    with mp.workdps(30):
+        a, b, lev = mp.mpf(fam.a), mp.mpf(fam.b), mp.mpf(beta)
+        if beta < fam.b:
+            m = (a - b) / (a - lev)
+            u = 4 * mp.ellipk(m) * t
+            x, y = -mp.sqrt(a) * mp.ellipfun("sn", u, m), mp.sqrt(b) * mp.ellipfun("cn", u, m)
+        else:
+            m = (a - lev) / (a - b)
+            u = 4 * mp.ellipk(m) * t
+            x = mp.sqrt(a * m) * mp.ellipfun("sn", u, m)
+            y = sign * mp.sqrt(b) * mp.ellipfun("dn", u, m)
+        return float(x), float(y)
 
 
 @pytest.mark.parametrize("m1", [0.5, 1e-3, 1e-6, 1e-9, 1e-12])
@@ -366,22 +381,21 @@ def test_jacobi_steps_match_mpmath(m1):
                     assert abs(got[i, k - 1] - float(mp.ellipfun(name, u, m))) <= 1e-11
 
 
-_P = FAM.boundary_point(1.2)
-_SEEDS = [BoundaryPhase(_P, tangent_directions(FAM, 6.0, _P)[0])]
-# (table, beta, seeds, steps, error, message)
+_PHASES = [(0.3, 1.0)]
+# (table, beta, seed phases, steps, error, message)
 BAD_LEVEL_ORBITS = [
     (ELL[MagicKind.FLIP_LONG], 6.0, [], 5, ValueError, "at least one seed"),
-    (ELL[MagicKind.FLIP_LONG], 6.0, _SEEDS, 0, ValueError, "need steps >= 1"),
-    (ELL[MagicKind.FLIP_LONG], 6.0, _SEEDS, -3, ValueError, "need steps >= 1"),
-    (ELL[MagicKind.FLIP_LONG], FAM.b, _SEEDS, 5, DegenerateLevel, "singular level"),
-    (ELL[MagicKind.FLIP_LONG], 1e-12, _SEEDS, 5, DegenerateLevel, "singular level"),
-    (ELL[MagicKind.FLIP_LONG], FAM.a - 1e-12, _SEEDS, 5, DegenerateLevel, "singular level"),
-    (ELL[MagicKind.FLIP_LONG], math.nan, _SEEDS, 5, ValueError, "outside"),
-    (ELL[MagicKind.FLIP_LONG], math.inf, _SEEDS, 5, ValueError, "outside"),
-    (ELL[MagicKind.FLIP_LONG], -1.0, _SEEDS, 5, ValueError, "outside"),
-    (ELL[MagicKind.FLIP_LONG], FAM.a, _SEEDS, 5, ValueError, "outside"),
+    (ELL[MagicKind.FLIP_LONG], 6.0, _PHASES, 0, ValueError, "need steps >= 1"),
+    (ELL[MagicKind.FLIP_LONG], 6.0, _PHASES, -3, ValueError, "need steps >= 1"),
+    (ELL[MagicKind.FLIP_LONG], FAM.b, _PHASES, 5, DegenerateLevel, "singular level"),
+    (ELL[MagicKind.FLIP_LONG], 1e-12, _PHASES, 5, DegenerateLevel, "singular level"),
+    (ELL[MagicKind.FLIP_LONG], FAM.a - 1e-12, _PHASES, 5, DegenerateLevel, "singular level"),
+    (ELL[MagicKind.FLIP_LONG], math.nan, _PHASES, 5, ValueError, "outside"),
+    (ELL[MagicKind.FLIP_LONG], math.inf, _PHASES, 5, ValueError, "outside"),
+    (ELL[MagicKind.FLIP_LONG], -1.0, _PHASES, 5, ValueError, "outside"),
+    (ELL[MagicKind.FLIP_LONG], FAM.a, _PHASES, 5, ValueError, "outside"),
     # ellipse caustics inside an annulus' inner wall carry no orbit of it
-    (ANN[MagicKind.FLIP_LONG], 3.5, _SEEDS, 5, DegenerateLevel, "inside the inner wall"),
+    (ANN[MagicKind.FLIP_LONG], 3.5, _PHASES, 5, DegenerateLevel, "inside the inner wall"),
 ]
 
 
@@ -395,8 +409,16 @@ def test_level_orbits_check_their_inputs(table, beta, seeds, steps, error, messa
         level_orbits(table, beta, seeds, steps)
 
 
+@pytest.mark.parametrize(
+    "phase", [(0.3, 0.0), (0.3, 2.0), (0.3, math.nan), (math.nan, 1.0), (math.inf, -1.0)], ids=repr
+)
+def test_level_orbits_check_their_seed_phases(phase):
+    with pytest.raises(ValueError, match="needs a finite t and a sign of"):
+        level_orbits(ELL[MagicKind.FLIP_LONG], 6.0, [(0.1, 1.0), phase], 5)
+
+
 def test_level_orbits_take_a_single_step():
-    assert level_orbits(ELL[MagicKind.FLIP_LONG], 6.0, _SEEDS, 1)[0].shape == (1, 1)
+    assert level_orbits(ELL[MagicKind.FLIP_LONG], 6.0, _PHASES, 1)[0].shape == (1, 1)
 
 
 @pytest.mark.parametrize("kind", list(MagicKind))
@@ -424,14 +446,11 @@ def test_inner_wall_graze_is_a_miss_on_both_paths(kind):
 
 @pytest.mark.parametrize("table", [ELL[MagicKind.FLIP_LONG], ANN[MagicKind.HALF_TURN]])
 def test_ray_leaving_table_raises_on_both_paths(table):
-    # level_orbits runs the scalar step at every seed, so it raises too
-    p = FAM.boundary_point(1.2)
-    good = BoundaryPhase(p, tangent_directions(FAM, 6.0, p)[0])
+    # every bounce call runs the hit-time solver, so each raises; a seed
+    # phase of level_orbits lies on the level and cannot leave the table
     p = FAM.boundary_point(2.0)
     h = math.hypot(p[0] / FAM.a, p[1] / FAM.b)
     bad = BoundaryPhase(p, (p[0] / FAM.a / h, p[1] / FAM.b / h))  # outward normal
-    with pytest.raises(NoForwardHit):
-        step(table, bad)
-    with pytest.raises(NoForwardHit):
-        level_orbits(table, 6.0, [good, bad], 5)
-    level_orbits(table, 6.0, [good], 5)  # the good seed alone runs fine
+    for call in BOUNCE_CALLS.values():
+        with pytest.raises(NoForwardHit):
+            call(table, bad)

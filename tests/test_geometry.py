@@ -14,7 +14,6 @@ from magicbilliards import (
     tangent_directions,
     to_elliptic,
 )
-from magicbilliards.dynamics import TableSpec
 from magicbilliards.geometry import (
     GRAZE_RTOL,
     HIT_TMIN_RTOL,
@@ -23,7 +22,6 @@ from magicbilliards.geometry import (
     caustic_column,
     elliptic_columns,
 )
-from magicbilliards.topology import _tangent_seeds
 
 FAM = ConfocalFamily(9.0, 4.0)
 # the bounce loop's minimum advance, which lets a ray leave its wall point
@@ -213,17 +211,19 @@ def test_tangent_directions_hyperbola_band():
 def test_tangent_slopes_stay_exact_next_to_a_vertical_tangent():
     """Where a - beta - x² is small the finite slope is taken without cancellation.
 
-    At this family and level two seeds sit next to a nearly vertical
-    tangent; the slope form (-xy + sqrt(disc)) / aq put them 3.7e-13 a off
-    the level.
+    At this family and level two points of this boundary scan sit next to
+    a nearly vertical tangent; the slope form (-xy + sqrt(disc)) / aq put
+    their lines 3.7e-13 a off the level.
     """
     a = 4.297680868191241
     fam = ConfocalFamily(a, 0.5191325636742681 * a)
     beta = fam.b - 1e-3 * a
-    seeds = _tangent_seeds(TableSpec(fam), beta, 16)
-    assert len(seeds) == 16
-    for s in seeds:
-        assert abs(caustic_of_line(fam, s.at, s.v).lam - beta) <= 1e-14 * a
+    for k in range(128):
+        p = fam.boundary_point(2.0 * math.pi * (k + 0.37) / 128)
+        dirs = tangent_directions(fam, beta, p)
+        assert len(dirs) == 2
+        for v in dirs:
+            assert abs(caustic_of_line(fam, p, v).lam - beta) <= 1e-14 * a
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import warnings
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,12 +21,11 @@ from magicbilliards import (
     singular_level_report,
     trajectory,
 )
-from magicbilliards import topology
+from magicbilliards import dynamics, geometry, topology
 from magicbilliards.dynamics import (
-    FOCAL_SLACK,
-    ORBIT_MATCH_RTOL,
     _level_grid,
     level_orbits,
+    phase_at,
     phase_distance,
     step,
     step_inverse,
@@ -34,16 +34,17 @@ from magicbilliards.geometry import caustic_of_line
 from magicbilliards.topology import (
     SEED_BLOCK,
     SEP_MAX_SEGMENTS,
-    WINDING_MIN_SWEEP,
-    WINDING_WINDOW,
+    _GRAPH_DATA,
     _HYPERBOLA_LABELS,
+    _WINDING_LABELS,
     _focal_seeds,
     _hyperbola_labels,
+    _label_sets,
+    _level_phases,
     _level_signatures,
     _merge_count,
     _sep_label,
     _sep_signature,
-    _tangent_seeds,
 )
 
 FAM = ConfocalFamily(9.0, 4.0)
@@ -72,6 +73,21 @@ COMPONENT_TABLE = [
 
 def _name(table: TableSpec) -> str:
     return f"{table.shape}-{table.outer_map.value}"
+
+
+def _seed_states(table: TableSpec, beta: float, phases) -> list[BoundaryPhase]:
+    """The state of each seed phase, for the scalar references below.
+
+    The closed form's impact 0 is the point, and its first wall point,
+    before magic, fixes the direction along the first segment.
+    """
+    (x0, y0), grid = _level_grid(table, beta, phases, 1)
+    _, _, qx, qy, _ = grid(slice(None))
+    states = []
+    for px, py, hx, hy in zip(x0[:, 0], y0[:, 0], qx[:, 0], qy[:, 0]):
+        h = math.hypot(hx - px, hy - py)
+        states.append(BoundaryPhase((float(px), float(py)), ((hx - px) / h, (hy - py) / h)))
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +153,53 @@ def test_classify_argument_errors():
         classify_level(ELL[MagicKind.FLIP_LONG], -1.0)
     with pytest.raises(ValueError):
         classify_level(ELL[MagicKind.FLIP_LONG], 11.0)
-    # no winding window fits in WINDING_WINDOW steps or fewer
-    for steps in (WINDING_WINDOW, 1, 0, -5):
-        with pytest.raises(ValueError, match="need steps > 32"):
+    for steps in (0, -5):
+        with pytest.raises(ValueError, match="need steps >= 1"):
             classify_level(ELL[MagicKind.FLIP_LONG], 2.5, steps=steps)
+    # each segment's own sense needs no window of segments: one bounce will do
+    for beta in (2.5, 6.0):
+        assert classify_level(ELL[MagicKind.FLIP_LONG], beta, steps=1).sample_count == 64
 
 
 def test_seeds_cover_boundary_and_branches():
     # regression: seeds must spread over every admissible boundary arc, not
-    # crowd into the first one, or entire components go unseeded
+    # crowd into the first one, or entire components go unseeded; a phase
+    # seed lies on the level by construction
     for table, beta in [
         (ELL[MagicKind.HALF_TURN], 6.0),
         (ANN[MagicKind.FLIP_SHORT], 6.0),
         (ELL[MagicKind.FLIP_LONG], 2.5),
     ]:
-        seeds = _tangent_seeds(table, beta, 32)
+        seeds = _seed_states(table, beta, _level_phases(32))
         assert len(seeds) == 32
-        xs = sorted(p.at[0] for p in seeds)
-        assert xs[0] < 0.0 < xs[-1]
+        for coord in (0, 1):
+            xs = sorted(s.at[coord] for s in seeds)
+            assert xs[0] < 0.0 < xs[-1]
         for s in seeds:
             m = caustic_of_line(table.fam, s.at, s.v)
-            assert m.lam == pytest.approx(beta, abs=1e-8)
+            assert m.lam == pytest.approx(beta, abs=1e-13 * table.fam.a)
+        # the branches: the two winding senses, or the two sides of the long axis
+        if beta < table.fam.b:
+            senses = [math.copysign(1.0, s.at[0] * s.v[1] - s.at[1] * s.v[0]) for s in seeds]
+        else:
+            senses = [math.copysign(1.0, s.at[1]) for s in seeds]
+        assert senses == [sign for _, sign in _level_phases(32)]
+
+
+@pytest.mark.parametrize("samples", [16, 17, 64, 65])
+def test_seed_phases_split_evenly_between_the_branches(samples):
+    # an odd count puts the one seed more on branch +1
+    phases = _level_phases(samples)
+    assert len(phases) == samples
+    for sign, n in ((1.0, (samples + 1) // 2), (-1.0, samples // 2)):
+        assert [t for t, s in phases if s == sign] == [(j + 0.5) / n for j in range(n)]
+
+
+def test_odd_sample_counts_classify_as_even_ones():
+    for table, ell_count, hyp_count in COMPONENT_TABLE:
+        for beta, count in ((2.5, ell_count), (6.0, hyp_count)):
+            rep = classify_level(table, beta, samples=17)
+            assert (rep.component_count, rep.sample_count) == (count, 17)
 
 
 def _segments(table, s0, steps):
@@ -186,6 +228,16 @@ def _scalar_label(fam, beta, x, y, vx, vy, qy):
     else:
         return None
     return ("U" if vy > 0.0 else "D") + ("R" if xstar > 0.0 else "L") + side
+
+
+# The winding labels' independent reference: the polar angle swept over
+# sliding windows of WINDING_WINDOW segments, a window sweeping less than
+# WINDING_MIN_SWEEP giving no label.  The labels themselves are each
+# segment's own sense (see _level_signatures): where the rotation number
+# lies near a rational with a small denominator, every window of a flip
+# map's orbit sweeps the same way, and CW and CCW never meet.
+WINDING_WINDOW = 32
+WINDING_MIN_SWEEP = math.pi / 8
 
 
 def _scalar_signature(table, beta, s0, steps):
@@ -229,12 +281,70 @@ LEVEL_PAIRS = [
     "table,beta", LEVEL_PAIRS, ids=[f"{_name(t)}-{b}" for t, b in LEVEL_PAIRS]
 )
 def test_batched_labels_match_scalar_reference(table, beta):
-    seeds = _tangent_seeds(table, beta, 16)
-    want = [_scalar_signature(table, beta, s0, 400) for s0 in seeds]
-    assert _level_signatures(table, beta, seeds, 400) == want
+    phases = _level_phases(16)
+    want = [_scalar_signature(table, beta, s0, 400) for s0 in _seed_states(table, beta, phases)]
+    assert _level_signatures(table, beta, phases, 400) == want
     count, evidence = _merge_count([sig for sig in want if sig])
     rep = classify_level(table, beta, samples=16, steps=400)
     assert (rep.component_count, rep.merge_evidence) == (count, tuple(evidence))
+
+
+def _any_label_sets(code, names):
+    """The label sets of the rows of code, by comparing it with every label index."""
+    seen = (code[:, :, None] == np.arange(len(names))).any(axis=1)
+    return [{names[j] for j in np.flatnonzero(row)} for row in seen]
+
+
+def test_label_bit_masks_match_the_comparison_with_every_label():
+    rng = np.random.default_rng(7)
+    for names in (_WINDING_LABELS, _HYPERBOLA_LABELS):
+        for shape in ((8, 1000), (3, 1), (5, 40)):
+            # -1 marks a segment without a label, and whole rows of it occur
+            code = rng.integers(-1, len(names), size=shape)
+            code[0] = -1
+            code[1, : shape[1] // 2] = -1
+            assert _label_sets(code, names) == _any_label_sets(code, names)
+
+
+@pytest.mark.parametrize(
+    "table,beta", LEVEL_PAIRS, ids=[f"{_name(t)}-{b}" for t, b in LEVEL_PAIRS]
+)
+def test_level_label_bit_masks_match_the_comparison(table, beta, monkeypatch):
+    phases = _level_phases(64)
+    got = _level_signatures(table, beta, phases, 1000)
+    monkeypatch.setattr(topology, "_label_sets", _any_label_sets)
+    assert got == _level_signatures(table, beta, phases, 1000)
+
+
+def test_regular_levels_need_no_scalar_geometry(monkeypatch):
+    # the seeds are phases of the level, so classifying it takes no
+    # boundary scan, no tangent, no caustic of a seed's line and no bounce
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("caustic_of_line", "tangent_directions", "_walk"):
+        for module in (geometry, dynamics, topology):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(
+        ConfocalFamily, "boundary_point", counted("boundary_point", ConfocalFamily.boundary_point)
+    )
+    # the wrappers see calls made inside the package
+    s0 = phase_at(ELL[MagicKind.FLIP_LONG], 1.2, (-1.0, -0.3))
+    trajectory(ELL[MagicKind.FLIP_LONG], s0, 3)
+    dynamics.tangent_phase(FAM, 6.0)
+    assert set(calls) == {"caustic_of_line", "tangent_directions", "_walk", "boundary_point"}
+    calls.clear()
+    for table in SIX:
+        for beta in (2.5, 6.0):
+            classify_level(table, beta)
+    assert calls == Counter()
 
 
 # ellipse levels whose rotation number lies near 1/8 or 9/64 (within 5e-6)
@@ -264,13 +374,13 @@ SENSE_LEVELS = [
 def test_winding_labels_are_the_senses_of_the_scalar_segments(table, beta):
     # a segment from p to the wall point q turns counter-clockwise about
     # the center when px qy - py qx > 0
-    seeds = _tangent_seeds(table, beta, 16)
+    phases = _level_phases(16)
     want = []
-    for s0 in seeds:
+    for s0 in _seed_states(table, beta, phases):
         traj = trajectory(table, s0, 400)
         spins = [x * qy - y * qx for x, y, qx, qy in zip(traj.x, traj.y, traj.hx, traj.hy)]
         want.append({lab for lab, on in (("CCW", max(spins) > 0.0), ("CW", min(spins) < 0.0)) if on})
-    assert _level_signatures(table, beta, seeds, 400) == want
+    assert _level_signatures(table, beta, phases, 400) == want
 
 
 @pytest.mark.parametrize(
@@ -307,10 +417,10 @@ BLOCK_LEVELS = [
 def test_block_grids_are_rows_of_the_whole_grid(table, beta):
     # _level_signatures reads the grid block by block; each seed's orbit
     # must be bit for bit the one level_orbits gives with every seed
-    seeds = _tangent_seeds(table, beta, 64)
-    whole = level_orbits(table, beta, seeds, 1000)
-    grid = _level_grid(table, beta, seeds, 1000)
-    for lo in range(0, len(seeds), SEED_BLOCK):
+    phases = _level_phases(64)
+    whole = level_orbits(table, beta, phases, 1000)
+    _, grid = _level_grid(table, beta, phases, 1000)
+    for lo in range(0, len(phases), SEED_BLOCK):
         for w, part in zip(whole, grid(slice(lo, lo + SEED_BLOCK))):
             assert np.array_equal(w[lo:lo + SEED_BLOCK], part)
 
@@ -325,7 +435,9 @@ def test_every_hyperbola_segment_is_labelled(table):
     fam = table.fam
     beta = fam.b + 0.4 * (fam.a - fam.b)
     rows = [
-        row for s0 in _tangent_seeds(table, beta, 64) for row in _segments(table, s0, 200)
+        row
+        for s0 in _seed_states(table, beta, _level_phases(64))
+        for row in _segments(table, s0, 200)
     ]
     x, y, vx, vy, qy = (np.array(c) for c in zip(*rows))
     codes = _hyperbola_labels(fam, beta, x, y, vx, vy, qy)
@@ -534,21 +646,54 @@ NEAR_FOCAL = [
 ]
 
 
+def _orbit_at_30_digits(table, beta, t, sign, steps):
+    """Impacts 1..steps of the seed phase (t, sign), by the formulas of level_orbits in mpmath."""
+    fam, lam = table.fam, table.inner_lam
+    sx, sy = table.outer_map.signs
+    out = []
+    with mp.workdps(30):
+        a, b, lev = mp.mpf(fam.a), mp.mpf(fam.b), mp.mpf(beta)
+        if beta < fam.b:
+            m = (a - b) / (a - lev)
+            u0, h = 4 * mp.ellipk(m) * t, sign * 2 * mp.ellipf(mp.asin(mp.sqrt(lev / b)), m)
+            for k in range(1, steps + 1):
+                u, odd = u0 + k * h, k % 2
+                out.append((-mp.sqrt(a) * sx**odd * mp.ellipfun("sn", u, m),
+                            mp.sqrt(b) * sy**odd * mp.ellipfun("cn", u, m)))
+        else:
+            m = (a - lev) / (a - b)
+            u0 = 4 * mp.ellipk(m) * t
+            if lam is None:
+                h, turn = 2 * mp.ellipf(mp.asin(mp.sqrt(b / lev)), m), -sy
+            else:
+                w = mp.mpf(lam)
+                h = mp.sqrt(a - b) * (mp.elliprf(a - w, b - w, lev - w) - mp.elliprf(a, b, lev))
+                turn = sy
+            for k in range(1, steps + 1):
+                odd = (k if lam is None else k // 2) % 2
+                wall = 0 if lam is None or k % 2 == 0 else mp.mpf(lam)
+                sn = mp.ellipfun("sn", u0 + k * h, m)
+                out.append((mp.sqrt((a - wall) * m) * sx**odd * sn,
+                            mp.sqrt(b - wall) * turn**odd * sign * mp.sqrt(1 - m * sn * sn)))
+    return [(float(x), float(y)) for x, y in out]
+
+
 @pytest.mark.parametrize(
     "table,beta", NEAR_FOCAL, ids=[f"{_name(t)}-{b - FAM.b:+.0e}" for t, b in NEAR_FOCAL]
 )
 def test_near_focal_levels(table, beta):
-    # the scalar step's own roundoff in beta, some 1e-16 a per bounce,
-    # shifts every later phase advance by about 1e-16 a / |beta - b|, so
-    # its drift from the exact orbit grows faster than linearly: impact k
-    # is held to k² times the first impact's bound
-    seeds = _tangent_seeds(table, beta, 16)
-    x, y, _, _, _ = level_orbits(table, beta, seeds, 50)
-    tol = math.sqrt(FAM.a) * (ORBIT_MATCH_RTOL + FOCAL_SLACK * FAM.a / abs(beta - FAM.b))
-    for i, s in enumerate(seeds):
-        for k in range(50):
-            s = step(table, s)
-            assert math.hypot(x[i, k] - s.at[0], y[i, k] - s.at[1]) <= (k + 1) ** 2 * tol
+    # Next to the focal level the seeds crowd toward the long-axis
+    # vertices, where a scalar step amplifies its own roundoff faster than
+    # any power of k, so the reference is the closed form at 30 digits.
+    # The float phase advance is off by some 3e-17 a / |beta - b| (the
+    # arcsine that gives phi rounds there), which impact k gathers k
+    # times; the bound has a factor of 3 to spare.
+    phases = _level_phases(16)[::2]
+    x, y, _, _, _ = level_orbits(table, beta, phases, 50)
+    tol = math.sqrt(FAM.a) * (1e-12 + 1e-16 * FAM.a / abs(beta - FAM.b))
+    for i, (t, sign) in enumerate(phases):
+        for k, want in enumerate(_orbit_at_30_digits(table, beta, t, sign, 50)):
+            assert math.hypot(x[i, k] - want[0], y[i, k] - want[1]) <= (k + 1) * tol
     assert classify_level(table, beta).sample_count == 64
 
 
@@ -727,6 +872,37 @@ def test_graphs_build_for_all_six_systems():
             assert e.src in ids and e.dst in ids
         placed = [i for level in ("0", "b", "a") for i in g.singular_levels[level]]
         assert sorted(placed) == sorted(ids)
+
+
+def _edge_counts(table: TableSpec) -> tuple[int, int]:
+    """Transcribed edges that end at a level-0 atom and at a level-a atom."""
+    atoms, edges, _, _ = _GRAPH_DATA[(table.shape, table.outer_map)]
+    level = {atom: lev for atom, _, lev in atoms}
+    ends = Counter(level[e] for src, dst, _, _ in edges for e in (src, dst))
+    return ends["0"], ends["a"]
+
+
+# the six tables at a = 10 over b/a, the annulus inner wall at 0.6 b, and
+# three levels on each side of the focal one
+EDGE_SWEEP = [
+    TableSpec(fam, t.outer_map, None if t.inner_lam is None else 0.6 * fam.b)
+    for fam in (ConfocalFamily(10.0, 10.0 * ratio) for ratio in (0.1, 0.25, 0.5, 0.75, 0.9))
+    for t in SIX
+]
+
+
+@pytest.mark.parametrize(
+    "table", EDGE_SWEEP, ids=[f"{t.fam.b:g}-{_name(t)}" for t in EDGE_SWEEP]
+)
+def test_regular_levels_count_the_transcribed_edges(table):
+    # the torus count is constant along an edge of the graph (Bolsinov and
+    # Fomenko), so every regular level counts the edges on its side
+    fam = table.fam
+    top = table.inner_lam or fam.b
+    want_e, want_h = _edge_counts(table)
+    for frac in (0.1, 0.5, 0.9):
+        assert classify_level(table, frac * top).component_count == want_e
+        assert classify_level(table, fam.b + frac * (fam.a - fam.b)).component_count == want_h
 
 
 def test_identity_has_no_graph():
