@@ -7,9 +7,9 @@ hyperbola branch, and axis side for hyperbola caustics) and merging
 labels that occur on a single trajectory.  The trajectories start at
 phases spread evenly over the level's angle variable and run in closed
 form (:func:`level_orbits`).  Singular levels (caustic parameter 0,
-b, or a) are described by their closed orbits, counted from the magic
-map's signs, and their separatrix families, traced from the foci; the
-two counts pick out one of the complexity-one atoms A, B, A**, C2.
+b, or a) are described by their closed orbits and their separatrix
+families, both counted from the magic map's signs without a bounce;
+the two counts pick out one of the complexity-one atoms A, B, A**, C2.
 Finally, each studied system carries a small static graph — atoms
 joined along torus families, decorated with the marks (r, eps, n)
 transcribed from figure data — which is cross-checked against the
@@ -17,28 +17,19 @@ numeric reports whenever it is constructed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
-    BoundaryPhase,
     DegenerateLevel,  # the error classify_level raises through _check_level
     MagicKind,
     TableSpec,
     _check_level,
     _level_grid,
-    _walk,
-    step_inverse,
 )
 from .geometry import ConfocalFamily, classify_caustic
 
-# angular offset of the separatrix seeds from the long-axis vertices
-SEP_SEED_OFFSET = 1e-4
-# how many segments a focal trajectory stays resolvable before the
-# focus-line test degenerates in double precision
-SEP_MAX_SEGMENTS = 14
 # seeds labelled together: a seed's labels never depend on another's, and
 # small blocks keep the (seeds x steps) grids small
 SEED_BLOCK = 8
@@ -284,85 +275,29 @@ def classify_level(
 # singular levels
 
 
-def _sep_label(
-    fam: ConfocalFamily, px: float, py: float, vx: float, vy: float, qy: float
-) -> str | None:
-    """Asymptotic label of one near-focal segment, or None once unresolvable.
-
-    The segment runs from (px, py) along (vx, vy) to a wall point at
-    height qy (before magic).  Its line should pass very near exactly
-    one focus; the label combines which focus (F1/F2), the vertical
-    direction (U/D), and the long-axis side of the segment (T/B/X).  The
-    focus test is a ratio test on the two point-line distances so it
-    keeps working while the trajectory converges toward the axis.
-    """
-    c = fam.focal_distance
-    d1 = abs((c - px) * vy + py * vx)
-    d2 = abs((-c - px) * vy + py * vx)
-    lo, hi = sorted((d1, d2))
-    if lo > 3e-5 or hi < 10.0 * lo + 1e-13:
-        return None
-    foc = "F1" if d1 < d2 else "F2"
-    if abs(vy) < 1e-9:
-        return None
-    ud = "U" if vy > 0.0 else "D"
-    if py > 0.0 and qy > 0.0:
-        side = "T"
-    elif py < 0.0 and qy < 0.0:
-        side = "B"
-    elif py * qy < 0.0:
-        side = "X"
-    else:
-        return None
-    return f"{foc}-{ud}{side}"
-
-
-def _sep_signature(table: TableSpec, s0: BoundaryPhase) -> tuple[frozenset, frozenset]:
-    """(forward, backward) label sets of one focal trajectory.
-
-    Forward, state k of one :func:`_walk` is ``out[7k:7k + 5]`` and its
-    segment ends at height ``out[7k + 6]``, before magic.
-    """
-    fam = table.fam
-    out = _walk(table, s0, SEP_MAX_SEGMENTS)
-    fwd: set[str] = set()
-    for k in range(0, 7 * SEP_MAX_SEGMENTS, 7):
-        lab = _sep_label(fam, *out[k:k + 4], out[k + 6])
-        if lab is None:
-            break
-        fwd.add(lab)
-    bwd: set[str] = set()
-    s = s0
-    for _ in range(SEP_MAX_SEGMENTS):
-        s = step_inverse(table, s)
-        lab = _sep_label(fam, *s.at, *s.v, _walk(table, s, 1)[6])
-        if lab is None:
-            break
-        bwd.add(lab)
-    return frozenset(fwd), frozenset(bwd)
-
-
-def _focal_seeds(fam: ConfocalFamily) -> list[BoundaryPhase]:
-    """Eight seeds just off the long-axis vertices, aimed at each focus."""
-    eps = SEP_SEED_OFFSET
-    c = fam.focal_distance
-    seeds = []
-    for t in (eps, math.pi - eps, math.pi + eps, 2.0 * math.pi - eps):
-        p = fam.boundary_point(t)
-        for fx in (c, -c):
-            dx, dy = fx - p[0], -p[1]
-            h = math.hypot(dx, dy)
-            seeds.append(BoundaryPhase(p, (dx / h, dy / h)))
-    return seeds
-
-
 def _separatrix_count(table: TableSpec) -> int:
-    """Distinct separatrix families on the focal level lambda = b.
+    """Separatrix families on the focal level b, counted from the magic signs.
 
-    The eight :func:`_focal_seeds` cover every family; families are told
-    apart by the (forward, backward) asymptotic label sets.
+    Every segment on level b lies on a line through a focus.  A
+    reflection off any confocal wall sends a line through one focus to a
+    line through the other, and turns the segment's vertical direction.
+    The magic map then swaps F1 and F2 when sx = -1, and turns the
+    direction (and the side of the long axis) when sy = -1.  A
+    separatrix family is one cycle of this action on the segment labels
+    (focus, up/down), and eight seeds aimed at the foci from just off
+    the long-axis vertices reach every cycle (Bolsinov & Fomenko 2004;
+    Dragovic & Radnovic, Regul. Chaotic Dyn. 14, 2009).
+
+    * Ellipse: a bounce is a reflection and the magic map, so it fixes
+      every label only for the half-turn, (sx, sy) = (-1, -1): 4
+      families.  Every other map pairs the labels: 2.
+    * Annulus: the walls alternate, so over one outer -> inner -> outer
+      round trip the two reflections cancel, and what acts on the four
+      labels of segments heading for the inner wall is the magic map
+      alone.  The identity gives 4 families; every other map gives 2.
     """
-    return len({_sep_signature(table, s0) for s0 in _focal_seeds(table.fam)})
+    fixing = (-1.0, -1.0) if table.inner_lam is None else (1.0, 1.0)
+    return 4 if table.outer_map.signs == fixing else 2
 
 
 def _axis_orbits(table: TableSpec, s: float) -> int:
@@ -389,7 +324,7 @@ def singular_level_report(table: TableSpec, which: float) -> SingularReport:
       wall, and s = -1 swaps the ends: one 4-cycle.
 
     Separatrices exist only on the focal level b, where
-    :func:`_separatrix_count` traces them.
+    :func:`_separatrix_count` counts them from the same signs.
     """
     kind = classify_caustic(table.fam, which).kind
     sx, sy = table.outer_map.signs

@@ -1,4 +1,5 @@
 """Level-set classification tests: component counts, singular levels, graphs."""
+import itertools
 import json
 import math
 import warnings
@@ -33,18 +34,14 @@ from magicbilliards.dynamics import (
 from magicbilliards.geometry import caustic_of_line
 from magicbilliards.topology import (
     SEED_BLOCK,
-    SEP_MAX_SEGMENTS,
     _GRAPH_DATA,
     _HYPERBOLA_LABELS,
     _WINDING_LABELS,
-    _focal_seeds,
     _hyperbola_labels,
     _label_sets,
     _level_phases,
     _level_signatures,
     _merge_count,
-    _sep_label,
-    _sep_signature,
 )
 
 FAM = ConfocalFamily(9.0, 4.0)
@@ -744,6 +741,81 @@ def test_singular_reports(table, expected):
         assert rep.atom == {1: "A", 2: "A,A"}[rep.closed_orbits]
 
 
+# The focal tracer that the sign rule of _separatrix_count replaced,
+# written out as its reference.  Eight seeds leave the boundary just off
+# the long-axis vertices, aimed at a focus.  A segment's label is the
+# focus its line passes (F1/F2), its vertical direction (U/D) and its
+# long-axis side (T/B/X); a family is the pair of label sets one seed
+# meets forward and backward.  The trace runs 4 segments each way
+# because a label cycle has length 2 on the ellipse and 4 on the annulus.
+# At 3 segments 126 of the 224 SEPARATRIX_CASES disagree with the rule.
+# Longer traces fail the other way: the trajectory converges onto the
+# long axis, where both foci lie, and at 14 segments roundoff decides F1
+# against F2 in 27 cases.
+SEP_SEGMENTS = 4
+SEP_SEED_OFFSET = 1e-4
+
+
+def _sep_label(fam, px, py, vx, vy, qy):
+    """Label of the segment from (px, py) along (vx, vy) to a wall point at height qy.
+
+    qy is taken before magic.  The focus test compares the two
+    point-line distances, so it keeps working while the trajectory
+    converges toward the axis; None once it cannot tell the foci apart,
+    or for a horizontal segment or one touching the axis.
+    """
+    c = fam.focal_distance
+    d1 = abs((c - px) * vy + py * vx)
+    d2 = abs((-c - px) * vy + py * vx)
+    lo, hi = sorted((d1, d2))
+    if lo > 3e-5 or hi < 10.0 * lo + 1e-13 or abs(vy) < 1e-9:
+        return None
+    if py > 0.0 and qy > 0.0:
+        side = "T"
+    elif py < 0.0 and qy < 0.0:
+        side = "B"
+    elif py * qy < 0.0:
+        side = "X"
+    else:
+        return None
+    return ("F1" if d1 < d2 else "F2") + "-" + ("U" if vy > 0.0 else "D") + side
+
+
+def _focal_seeds(fam):
+    """Eight seeds just off the long-axis vertices, aimed at each focus."""
+    eps, c = SEP_SEED_OFFSET, fam.focal_distance
+    seeds = []
+    for t in (eps, math.pi - eps, math.pi + eps, 2.0 * math.pi - eps):
+        p = fam.boundary_point(t)
+        for fx in (c, -c):
+            dx, dy = fx - p[0], -p[1]
+            h = math.hypot(dx, dy)
+            seeds.append(BoundaryPhase(p, (dx / h, dy / h)))
+    return seeds
+
+
+def _forward_labels(table, s0, n):
+    """Labels of the n segments from s0, read off trajectory's pre-magic wall points."""
+    traj = trajectory(table, s0, n)
+    return [_sep_label(table.fam, *row) for row in zip(traj.x, traj.y, traj.vx, traj.vy, traj.hy)]
+
+
+def _sep_signature(table, s0):
+    """(forward, backward) label sets of one focal trajectory, each up to its first None."""
+    fwd = _forward_labels(table, s0, SEP_SEGMENTS)
+    bwd, s = [], s0
+    for _ in range(SEP_SEGMENTS):
+        s = step_inverse(table, s)
+        bwd += _forward_labels(table, s, 1)
+    return tuple(
+        frozenset(itertools.takewhile(lambda lab: lab is not None, labels)) for labels in (fwd, bwd)
+    )
+
+
+def _reference_separatrix_count(table):
+    return len({_sep_signature(table, s0) for s0 in _focal_seeds(table.fam)})
+
+
 def test_separatrix_labels_read_the_segment_before_magic():
     # a label describes the physical segment from the state, so on the
     # ellipse the first segment's label is the same for every magic map
@@ -751,25 +823,42 @@ def test_separatrix_labels_read_the_segment_before_magic():
         for k in MagicKind:
             qy = trajectory(ELL[k], s0, 1).hy[0]
             assert _sep_label(FAM, *s0.at, *s0.v, qy) == want
-    # and every segment of a traced focal trajectory, forward and
-    # backward, is labelled by the wall point that ends it before magic
+    # every segment of a focal trajectory is resolved within the trace,
+    # and a segment traced backward gets the label it has when read
+    # forward from the state that starts it
     for table in list(ELL.values()) + list(ANN.values()):
         for s0 in _focal_seeds(FAM):
-            traj = trajectory(table, s0, SEP_MAX_SEGMENTS)
-            fwd = set()
-            for px, py, vx, vy, qy in zip(traj.x, traj.y, traj.vx, traj.vy, traj.hy):
-                lab = _sep_label(FAM, px, py, vx, vy, qy)
-                if lab is None:
-                    break
-                fwd.add(lab)
-            bwd, s = set(), s0
-            for _ in range(SEP_MAX_SEGMENTS):
-                s = step_inverse(table, s)
-                lab = _sep_label(FAM, *s.at, *s.v, trajectory(table, s, 1).hy[0])
-                if lab is None:
-                    break
-                bwd.add(lab)
-            assert _sep_signature(table, s0) == (fwd, bwd)
+            assert None not in _forward_labels(table, s0, SEP_SEGMENTS)
+            back = [s0]
+            for _ in range(SEP_SEGMENTS):
+                back.append(step_inverse(table, back[-1]))
+            bwd = [_forward_labels(table, s, 1)[0] for s in back[1:]]
+            assert None not in bwd
+            assert bwd[::-1] == _forward_labels(table, back[-1], SEP_SEGMENTS)
+
+
+# a = 10 over the shapes b/a, every map, the ellipse and three inner walls
+GRID_RATIOS = (0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+SEPARATRIX_CASES = [
+    TableSpec(fam, kind, None if wall is None else wall * fam.b)
+    for fam in (ConfocalFamily(10.0, 10.0 * ratio) for ratio in GRID_RATIOS)
+    for kind in MagicKind
+    for wall in (None, 0.2, 0.6, 0.95)
+]
+
+
+def test_separatrix_sign_rule_matches_the_focal_tracer():
+    assert len(SEPARATRIX_CASES) == 224
+    for table in SEPARATRIX_CASES:
+        rep = singular_level_report(table, table.fam.b)
+        assert rep.separatrices == _reference_separatrix_count(table), table
+
+
+def test_thin_flip_short_ellipse_has_the_a_star_star_atom():
+    # a 14-segment focal trace converged onto the long axis here and
+    # found 4 separatrices, giving C2
+    rep = singular_level_report(TableSpec(ConfocalFamily(10.0, 3.0), MagicKind.FLIP_SHORT), 3.0)
+    assert (rep.closed_orbits, rep.separatrices, rep.atom) == (2, 2, "A**")
 
 
 def _reference_cycle_count(table: TableSpec, lam: float) -> int:
@@ -817,11 +906,7 @@ SIGN_RULE_CASES = [
 ]
 
 
-def test_axis_orbits_from_the_signs_match_simulation(monkeypatch):
-    # the separatrix tracer is not under test here, and at small b/a it
-    # finds no atom (ROADMAP item 2); a fixed count of 2 makes every
-    # (closed, 2) pair an atom, so the report always gives its closed orbits
-    monkeypatch.setattr(topology, "_separatrix_count", lambda table: 2)
+def test_axis_orbits_from_the_signs_match_simulation():
     assert len(SIGN_RULE_CASES) == 384
     for table, level in SIGN_RULE_CASES:
         lam = table.fam.b if level == "b" else table.fam.a
@@ -853,6 +938,25 @@ def test_singular_reports_beyond_9_4(table, expected):
         assert rep.atom == {1: "A", 2: "A,A"}[rep.closed_orbits]
 
 
+def test_singular_levels_and_graphs_need_no_bounce(monkeypatch):
+    # both counts of a singular level come from the magic signs, and the
+    # regular levels a graph probes are read off the closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("bounce called")
+
+    for name in ("_walk", "step", "step_inverse"):
+        for module in (dynamics, topology):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    # the patches reach calls made inside the package
+    with pytest.raises(AssertionError, match="bounce called"):
+        trajectory(ELL[MagicKind.FLIP_LONG], BoundaryPhase((3.0, 0.0), (-1.0, 0.0)), 1)
+    for table in SIX:
+        for lam in (0.0, table.fam.b, table.fam.a):
+            singular_level_report(table, lam)
+        fomenko_graph(table)
+
+
 def test_singular_level_must_be_singular():
     with pytest.raises(ValueError):
         singular_level_report(ELL[MagicKind.FLIP_LONG], 2.5)
@@ -882,13 +986,22 @@ def _edge_counts(table: TableSpec) -> tuple[int, int]:
     return ends["0"], ends["a"]
 
 
-# the six tables at a = 10 over b/a, the annulus inner wall at 0.6 b, and
-# three levels on each side of the focal one
-EDGE_SWEEP = [
-    TableSpec(fam, t.outer_map, None if t.inner_lam is None else 0.6 * fam.b)
-    for fam in (ConfocalFamily(10.0, 10.0 * ratio) for ratio in (0.1, 0.25, 0.5, 0.75, 0.9))
-    for t in SIX
-]
+def _six_at(ratio: float) -> list[TableSpec]:
+    """The six tables at a = 10 and b/a = ratio, the annulus inner wall at 0.6 b."""
+    fam = ConfocalFamily(10.0, 10.0 * ratio)
+    return [TableSpec(fam, t.outer_map, None if t.inner_lam is None else 0.6 * fam.b) for t in SIX]
+
+
+GRID = [table for ratio in GRID_RATIOS for table in _six_at(ratio)]
+# the grid and b/a = 0.75
+EDGE_SWEEP = [table for ratio in sorted(GRID_RATIOS + (0.75,)) for table in _six_at(ratio)]
+
+
+@pytest.mark.parametrize("table", GRID, ids=[f"{t.fam.b:g}-{_name(t)}" for t in GRID])
+def test_graphs_build_across_the_shapes(table):
+    # the atoms, closed orbits and edge counts are the transcribed ones at
+    # every shape, the thinnest tables included
+    fomenko_graph(table)
 
 
 @pytest.mark.parametrize(
@@ -896,7 +1009,8 @@ EDGE_SWEEP = [
 )
 def test_regular_levels_count_the_transcribed_edges(table):
     # the torus count is constant along an edge of the graph (Bolsinov and
-    # Fomenko), so every regular level counts the edges on its side
+    # Fomenko), so every regular level counts the edges on its side; three
+    # levels on each side of the focal one
     fam = table.fam
     top = table.inner_lam or fam.b
     want_e, want_h = _edge_counts(table)
