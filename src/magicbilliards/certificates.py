@@ -34,7 +34,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import (
     dps_to_prec, from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le,
-    mpf_lt, mpf_mul, mpf_neg, mpf_sqrt, mpf_sub, round_nearest, to_float,
+    mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, round_nearest, to_float,
 )
 
 from .dynamics import MagicKind, TableSpec, _caustic_modulus, closure_defect, tangent_phase
@@ -236,7 +236,7 @@ def cayley_det(
 
 _PREC = dps_to_prec(EC_DPS)
 _RND = round_nearest
-_ONE, _TWO, _THREE = from_int(1), from_int(2), from_int(3)
+_ONE, _THREE = from_int(1), from_int(3)
 _SNAP = from_float(_U_SNAP)
 
 
@@ -248,6 +248,31 @@ def _curve_sums(a: float, b: float, beta: float):
     s1 = mpf_add(ab, mpf_mul(a, beta, _PREC, _RND), _PREC, _RND)
     s1 = mpf_add(s1, mpf_mul(b, beta, _PREC, _RND), _PREC, _RND)
     return s2, s1, mpf_mul(ab, beta, _PREC, _RND)
+
+
+def _double_u(P, s2, s1):
+    """[2]P on the monic model by the tangent formula; None is infinity.
+
+    A point with y = 0 is 2-torsion: its tangent is vertical.
+    """
+    if P is None or P[1] == fzero:
+        return None
+    u, y = P
+    # lam = (3 u^2 + 2 s2 u + s1) / (2 y); the doublings are exact shifts
+    num = mpf_mul(mpf_mul(_THREE, u, _PREC, _RND), u, _PREC, _RND)
+    num = mpf_add(num, mpf_mul(mpf_shift(s2, 1), u, _PREC, _RND), _PREC, _RND)
+    num = mpf_add(num, s1, _PREC, _RND)
+    lam = mpf_div(num, mpf_shift(y, 1), _PREC, _RND)
+    return _third_point(lam, u, u, y, s2)
+
+
+def _third_point(lam, u1, u2, y1, s2):
+    """The sum of two points from the slope lam of their chord or tangent."""
+    # u3 = lam^2 - s2 - u1 - u2, y3 = lam (u1 - u3) - y1
+    u3 = mpf_sub(mpf_mul(lam, lam, _PREC, _RND), s2, _PREC, _RND)
+    u3 = mpf_sub(mpf_sub(u3, u1, _PREC, _RND), u2, _PREC, _RND)
+    y3 = mpf_mul(lam, mpf_sub(u1, u3, _PREC, _RND), _PREC, _RND)
+    return u3, mpf_sub(y3, y1, _PREC, _RND)
 
 
 def _add_u(P, Q, s2, s1):
@@ -269,35 +294,28 @@ def _add_u(P, Q, s2, s1):
     # Copies of one point reached through different addition chains agree
     # only to working precision, so a secant slope between them would be
     # catastrophically cancelled noise; snap to the tangent/vertical case.
+    # Rounding to nearest is symmetric, so |u2 - u1| is |u1 - u2| exactly.
+    du = mpf_sub(u2, u1, _PREC, _RND)
     scale = mpf_add(mpf_add(_ONE, mpf_abs(u1), _PREC, _RND), mpf_abs(u2), _PREC, _RND)
-    if mpf_le(mpf_abs(mpf_sub(u1, u2, _PREC, _RND)), mpf_mul(_SNAP, scale, _PREC, _RND)):
+    if mpf_le(mpf_abs(du), mpf_mul(_SNAP, scale, _PREC, _RND)):
         if mpf_le(mpf_abs(mpf_add(y1, y2, _PREC, _RND)), mpf_abs(mpf_sub(y1, y2, _PREC, _RND))):
             return None  # inverse pair (or doubled 2-torsion): vertical chord
-        u1 = u2 = mpf_div(mpf_add(u1, u2, _PREC, _RND), _TWO, _PREC, _RND)
-        y1 = mpf_div(mpf_add(y1, y2, _PREC, _RND), _TWO, _PREC, _RND)
-        # lam = (3 u1^2 + 2 s2 u1 + s1) / (2 y1)
-        num = mpf_mul(mpf_mul(_THREE, u1, _PREC, _RND), u1, _PREC, _RND)
-        num = mpf_add(num, mpf_mul(mpf_mul(_TWO, s2, _PREC, _RND), u1, _PREC, _RND), _PREC, _RND)
-        num = mpf_add(num, s1, _PREC, _RND)
-        lam = mpf_div(num, mpf_mul(_TWO, y1, _PREC, _RND), _PREC, _RND)
-    else:
-        lam = mpf_div(mpf_sub(y2, y1, _PREC, _RND), mpf_sub(u2, u1, _PREC, _RND), _PREC, _RND)
-    # u3 = lam^2 - s2 - u1 - u2, y3 = lam (u1 - u3) - y1
-    u3 = mpf_sub(mpf_mul(lam, lam, _PREC, _RND), s2, _PREC, _RND)
-    u3 = mpf_sub(mpf_sub(u3, u1, _PREC, _RND), u2, _PREC, _RND)
-    y3 = mpf_mul(lam, mpf_sub(u1, u3, _PREC, _RND), _PREC, _RND)
-    return u3, mpf_sub(y3, y1, _PREC, _RND)
+        # the mean point: halving is an exact shift
+        u = mpf_shift(mpf_add(u1, u2, _PREC, _RND), -1)
+        return _double_u((u, mpf_shift(mpf_add(y1, y2, _PREC, _RND), -1)), s2, s1)
+    return _third_point(mpf_div(mpf_sub(y2, y1, _PREC, _RND), du, _PREC, _RND), u1, u2, y1, s2)
 
 
 def _mul_u(k: int, P, s2, s1):
+    """[k]P for k >= 1 by binary double-and-add, from the lowest bit up."""
     acc = None
-    addend = P
-    while k:
+    while True:
         if k & 1:
-            acc = _add_u(acc, addend, s2, s1)
-        addend = _add_u(addend, addend, s2, s1)
+            acc = _add_u(acc, P, s2, s1)
         k >>= 1
-    return acc
+        if not k:
+            return acc
+        P = _double_u(P, s2, s1)
 
 
 def _raw(v) -> tuple:
@@ -426,28 +444,26 @@ def _pell_defect(system: MagicKind, n: int, a: float, b: float, beta: float):
     The defect lead*p*p - quart*q*q - target is a quadratic form in
     z = (p, q) (* is convolution), so its derivative along p_j is
     2 lead*p shifted down j rows, and along q_j it is -2 quart*q shifted
-    down j rows.
+    down j rows.  With deg p = n // 2 and q as long as the seed's, both
+    products have degree n, so no term needs padding.
     """
     ra, rb, rbeta = 1.0 / a, 1.0 / b, 1.0 / beta
     s = np.array([0.0, 1.0])
-    cubic = np.convolve(np.convolve([-ra, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0]))
-    lead, quart, target = {
-        "even": (np.array([1.0]), np.convolve(s, cubic), 1.0),
-        MagicKind.FLIP_LONG: (
-            np.array([-rb, 1.0]),
-            np.convolve(s, np.convolve([-ra, 1.0], [-rbeta, 1.0])),
-            -1.0,
-        ),
-        MagicKind.HALF_TURN: (s, cubic, 1.0),
-    }[_pell_key(system, n)]
+    key = _pell_key(system, n)
+    target = -1.0 if key is MagicKind.FLIP_LONG else 1.0
+    if key is MagicKind.FLIP_LONG:
+        lead, quart = np.array([-rb, 1.0]), np.convolve(s, np.convolve([-ra, 1.0], [-rbeta, 1.0]))
+    else:
+        cubic = np.convolve(np.convolve([-ra, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0]))
+        lead, quart = (np.array([1.0]), np.convolve(s, cubic)) if key == "even" else (s, cubic)
     plen = n // 2 + 1
 
     def defect(z: np.ndarray) -> np.ndarray:
         p, q = z[:plen], z[plen:]
-        p2 = np.convolve(lead, np.convolve(p, p))
-        q2 = np.convolve(quart, np.convolve(q, q))
-        size = max(len(p2), len(q2))
-        d = _pad_to(p2, size) - _pad_to(q2, size)
+        p2 = np.convolve(p, p)
+        if len(lead) > 1:  # the even identity's lead is 1
+            p2 = np.convolve(lead, p2)
+        d = p2 - np.convolve(quart, np.convolve(q, q))
         d[0] -= target
         return d
 
@@ -455,12 +471,13 @@ def _pell_defect(system: MagicKind, n: int, a: float, b: float, beta: float):
         p, q = z[:plen], z[plen:]
         dp = 2.0 * np.convolve(lead, p)
         dq = -2.0 * np.convolve(quart, q)
-        out = np.zeros((max(len(dp) + plen - 1, len(dq) + len(q) - 1), len(z)))
+        # one row per unknown, so each shifted copy is a contiguous write
+        out = np.zeros((len(z), len(dp) + plen - 1))
         for j in range(plen):
-            out[j : j + len(dp), j] = dp
+            out[j, j : j + len(dp)] = dp
         for j in range(len(q)):
-            out[j : j + len(dq), plen + j] = dq
-        return out
+            out[plen + j, j : j + len(dq)] = dq
+        return out.T
 
     return defect, jac, plen
 

@@ -389,15 +389,13 @@ def _caustic_modulus(a: float, b: float, beta: float) -> tuple[float, float, flo
     return math.asin(math.sqrt(b / beta)), (a - beta) / (a - b), (beta - b) / (a - b)
 
 
-def _carlson_rf(x, y, z) -> np.ndarray:
-    """Carlson's symmetric integral R_F(x, y, z), elementwise, by duplication."""
-    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_F(x, y, z), by duplication."""
     while True:
         mu = (x + y + z) / 3.0
-        spread = np.maximum(np.abs(x - mu), np.maximum(np.abs(y - mu), np.abs(z - mu)))
-        if not np.any(spread > 1e-3 * mu):
+        if not max(abs(x - mu), abs(y - mu), abs(z - mu)) > 1e-3 * mu:
             break
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
         lam = sx * sy + sx * sz + sy * sz
         x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
     # fifth-order series: with a relative spread below 1e-3 its truncation
@@ -406,13 +404,13 @@ def _carlson_rf(x, y, z) -> np.ndarray:
     ez = -ex - ey
     e2 = ex * ey - ez * ez
     e3 = ex * ey * ez
-    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mu)
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(mu)
 
 
-def _ellipf(phi, m1: float, quarter: float) -> np.ndarray:
+def _ellipf(phi: float, m1: float, quarter: float) -> float:
     """F(phi | m) for any real phi, from m1 = 1 - m and K(m) = ``quarter``."""
-    j = np.round(np.asarray(phi) / math.pi)
-    s, c = np.sin(phi - j * math.pi), np.cos(phi - j * math.pi)
+    j = round(phi / math.pi)  # half to even, like np.round
+    s, c = math.sin(phi - j * math.pi), math.cos(phi - j * math.pi)
     return 2.0 * j * quarter + s * _carlson_rf(c * c, c * c + m1 * s * s, 1.0)
 
 
@@ -495,12 +493,12 @@ def _level_grid(
     sx, sy = table.outer_map.signs
     turns, sign = (np.array(c, dtype=float)[:, None] for c in zip(*phases))
     phi, m, m1 = _caustic_modulus(a, b, beta)
-    quarter = float(_carlson_rf(0.0, m1, 1.0))  # K(m)
+    quarter = _carlson_rf(0.0, m1, 1.0)  # K(m)
     u0 = 4.0 * quarter * turns
     # A seed (u0, h) puts impact k at phase u0 + k h before magic; the
     # maps' u -> -u flips the sign of sn, and u -> u + 2K those of sn and cn.
     if beta < b:
-        h = sign * (2.0 * float(_ellipf(phi, m1, quarter)))
+        h = sign * (2.0 * _ellipf(phi, m1, quarter))
 
         def impacts(sn, cn, dn, k, rows):
             # after an odd number of bounces the flips have sent u to -u
@@ -513,11 +511,11 @@ def _level_grid(
     else:
         root_m = math.sqrt(m)
         if lam is None:
-            advance, turn = 2.0 * float(_ellipf(phi, m1, quarter)), -sy
+            advance, turn = 2.0 * _ellipf(phi, m1, quarter), -sy
             ax, ay = sa, sb
         else:
             rf_in = _carlson_rf(a - lam, b - lam, beta - lam) - _carlson_rf(a, b, beta)
-            advance, turn = math.sqrt(a - b) * float(rf_in), sy
+            advance, turn = math.sqrt(a - b) * rf_in, sy
             ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
         h = np.full_like(u0, advance)
 

@@ -17,6 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpmath.libmp import from_float, fzero, mpf_neg, mpf_sqrt, round_nearest
 
 import magicbilliards
 from magicbilliards import (
@@ -38,12 +39,19 @@ from magicbilliards import (
     tangent_phase,
     torsion_check,
 )
+from magicbilliards import certificates
 from magicbilliards.certificates import (
     CLOSURE_TOL,
     EC_DPS,
     PELL_TOL,
+    TORSION_TOL,
+    _PREC,
     _U_SNAP,
+    _add_u,
+    _curve_sums,
     _divide_linear,
+    _double_u,
+    _mul_u,
     _pell_defect,
     _pell_seed,
     _sqrt_cubic_coeffs,
@@ -432,6 +440,60 @@ def test_torsion_matches_the_reference_at_every_9_4_root():
     assert branches["snap"] > 0 and branches["vertical"] > 0
 
 
+@given(
+    a=st.floats(2.0, 20.0),
+    ratio=st.floats(0.15, 0.85),
+    hyperbola=st.booleans(),
+    frac=st.floats(0.001, 0.999),
+)
+@settings(max_examples=60, deadline=None)
+def test_tangent_step_equals_adding_a_point_to_itself(a, ratio, hyperbola, frac):
+    """[2]P by the tangent step is the law's P + P as raw tuples, along the
+    points [k]Q0 and, for odd flip-long, [k]Q0 + Q_b."""
+    b = a * ratio
+    beta = b + frac * (a - b) if hyperbola else frac * b
+    s2, s1, s0 = _curve_sums(a, b, beta)
+    q0 = (fzero, mpf_sqrt(s0, _PREC, round_nearest))
+    q_b = (mpf_neg(from_float(b)), fzero)
+    assert _double_u(q_b, s2, s1) is None and _add_u(q_b, q_b, s2, s1) is None
+    for k in range(1, 17):
+        point = _mul_u(k, q0, s2, s1)
+        for p in (point, _add_u(point, q_b, s2, s1)):
+            assert _double_u(p, s2, s1) == _add_u(p, p, s2, s1)
+
+
+@pytest.mark.parametrize("beta", [2.5, 5.3])
+def test_torsion_check_does_no_wasted_curve_step(beta, monkeypatch):
+    """[n]Q0 takes bit_length(n) - 1 tangent steps and popcount(n) - 1
+    chords, odd flip-long one chord more for Q_b: no doubling past the
+    last bit and no chord between copies of one point.  The caustics are
+    generic, so no snap runs."""
+    counts = Counter()
+
+    def counted_double(P, s2, s1):
+        counts["double"] += 1
+        return _double_u(P, s2, s1)
+
+    def counted_add(P, Q, s2, s1):
+        counts["chord"] += P is not None and Q is not None
+        return _add_u(P, Q, s2, s1)
+
+    monkeypatch.setattr(certificates, "_double_u", counted_double)
+    monkeypatch.setattr(certificates, "_add_u", counted_add)
+    runs = 0
+    for kind in MagicKind:
+        for n in range(2, 41):
+            if not _has_certificate(kind, n, A, B, beta):
+                continue
+            counts.clear()
+            assert torsion_check(kind, n, A, B, beta) > TORSION_TOL
+            flip = n % 2 == 1 and kind is MagicKind.FLIP_LONG
+            assert counts["double"] == n.bit_length() - 1, (kind, n)
+            assert counts["chord"] == bin(n).count("1") - 1 + flip, (kind, n)
+            runs += 1
+    assert runs >= 99  # every n for half-turn, even n for the others
+
+
 # ---------------------------------------------------------------------------
 # Pell pairs
 
@@ -517,6 +579,97 @@ def test_pell_jacobian_matches_central_differences(kind, n, beta):
     exact = jac(z)
     assert exact.shape == fd.shape
     assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
+
+
+# The Pell defect and its Jacobian with every key's polynomials built,
+# both products padded to a common length and the Jacobian filled column
+# by column, written out: _pell_defect must return the same values, bit
+# for bit.  One system stands for each key.
+PELL_KEYS = [MagicKind.IDENTITY, MagicKind.FLIP_LONG, MagicKind.HALF_TURN]
+
+
+def _pell_polys_reference(system, n, a, b, beta):
+    ra, rb, rbeta = 1.0 / a, 1.0 / b, 1.0 / beta
+    s = np.array([0.0, 1.0])
+    cubic = np.convolve(np.convolve([-ra, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0]))
+    return {
+        "even": (np.array([1.0]), np.convolve(s, cubic), 1.0),
+        MagicKind.FLIP_LONG: (
+            np.array([-rb, 1.0]),
+            np.convolve(s, np.convolve([-ra, 1.0], [-rbeta, 1.0])),
+            -1.0,
+        ),
+        MagicKind.HALF_TURN: (s, cubic, 1.0),
+    }["even" if n % 2 == 0 else system]
+
+
+def _pad(arr, size):
+    out = np.zeros(size)
+    out[: len(arr)] = arr
+    return out
+
+
+def _pell_defect_reference(system, n, a, b, beta):
+    lead, quart, target = _pell_polys_reference(system, n, a, b, beta)
+    plen = n // 2 + 1
+
+    def defect(z):
+        p, q = z[:plen], z[plen:]
+        p2 = np.convolve(lead, np.convolve(p, p))
+        q2 = np.convolve(quart, np.convolve(q, q))
+        size = max(len(p2), len(q2))
+        d = _pad(p2, size) - _pad(q2, size)
+        d[0] -= target
+        return d
+
+    def jac(z):
+        p, q = z[:plen], z[plen:]
+        dp = 2.0 * np.convolve(lead, p)
+        dq = -2.0 * np.convolve(quart, q)
+        out = np.zeros((max(len(dp) + plen - 1, len(dq) + len(q) - 1), len(z)))
+        for j in range(plen):
+            out[j : j + len(dp), j] = dp
+        for j in range(len(q)):
+            out[j : j + len(dq), plen + j] = dq
+        return out
+
+    return defect, jac
+
+
+def _pell_unknowns(n):
+    # deg p = n // 2, and the seed's q has (n - 1) // 2 coefficients
+    return n // 2 + 1, (n - 1) // 2
+
+
+@pytest.mark.parametrize("system", PELL_KEYS)
+def test_pell_products_have_one_length_for_every_key(system):
+    """lead*p*p and quart*q*q both have degree n, so the defect needs no padding."""
+    for n in range(3, 41):
+        if n % 2 == 1 and system is MagicKind.IDENTITY:
+            continue
+        lead, quart, _ = _pell_polys_reference(system, n, A, B, 5.3)
+        plen, qlen = _pell_unknowns(n)
+        assert len(lead) + 2 * plen - 2 == len(quart) + 2 * qlen - 2 == n + 1, n
+        defect, jac, got_plen = _pell_defect(system, n, A, B, 5.3)
+        z = np.ones(plen + qlen)
+        assert got_plen == plen and defect(z).shape == (n + 1,)
+        assert jac(z).shape == (n + 1, plen + qlen)
+
+
+@pytest.mark.parametrize("system", PELL_KEYS)
+@pytest.mark.parametrize("beta", [1.3, 5.3, 8.2])
+def test_pell_defect_and_jacobian_match_the_padded_form_bit_for_bit(system, beta):
+    rng = np.random.default_rng(17)
+    for n in range(3, 17):
+        if n % 2 == 1 and system is MagicKind.IDENTITY:
+            continue
+        defect, jac, _ = _pell_defect(system, n, A, B, beta)
+        want_defect, want_jac = _pell_defect_reference(system, n, A, B, beta)
+        for _ in range(3):
+            z = rng.uniform(-3.0, 3.0, sum(_pell_unknowns(n)))
+            for got, want in ((defect(z), want_defect(z)), (jac(z), want_jac(z))):
+                assert got.shape == want.shape
+                assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()], n
 
 
 # (a, b) with b/a spread over [0.15, 0.85]

@@ -26,6 +26,9 @@ from magicbilliards import (
 )
 from magicbilliards.dynamics import (
     DegenerateLevel,
+    _carlson_rf,
+    _caustic_modulus,
+    _ellipf,
     _jacobi,
     _jacobi_steps,
 )
@@ -379,6 +382,65 @@ def test_jacobi_steps_match_mpmath(m1):
                 u = mp.mpf(u0[i, 0]) + k * mp.mpf(h[i, 0])
                 for name, got in (("sn", sn), ("cn", cn), ("dn", dn)):
                     assert abs(got[i, k - 1] - float(mp.ellipfun(name, u, m))) <= 1e-11
+
+
+# R_F and F(phi|m) in their elementwise numpy form, written out: the
+# scalar kernels must return the same values, bit for bit.
+
+
+def _carlson_rf_numpy(x, y, z):
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    while True:
+        mu = (x + y + z) / 3.0
+        spread = np.maximum(np.abs(x - mu), np.maximum(np.abs(y - mu), np.abs(z - mu)))
+        if not np.any(spread > 1e-3 * mu):
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+    ex, ey = 1.0 - x / mu, 1.0 - y / mu
+    ez = -ex - ey
+    e2 = ex * ey - ez * ez
+    e3 = ex * ey * ez
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mu)
+
+
+def _ellipf_numpy(phi, m1, quarter):
+    j = np.round(np.asarray(phi) / math.pi)
+    s, c = np.sin(phi - j * math.pi), np.cos(phi - j * math.pi)
+    return 2.0 * j * quarter + s * _carlson_rf_numpy(c * c, c * c + m1 * s * s, 1.0)
+
+
+@given(
+    a=st.floats(2.0, 20.0),
+    ratio=st.floats(0.02, 0.98),
+    where=st.sampled_from(["ellipse", "hyperbola", "near-focal"]),
+    frac=st.floats(1e-6, 1.0 - 1e-6),
+    offset=st.floats(-9.0, -2.0),
+    inner=st.floats(0.01, 0.99),
+    phi=st.floats(-10.0, 10.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_elliptic_integrals_match_the_numpy_form_bit_for_bit(
+    a, ratio, where, frac, offset, inner, phi
+):
+    """K, F(phi|m) and the annulus advance's R_F, as _level_grid takes them."""
+    b = a * ratio
+    beta = {
+        "ellipse": frac * b,
+        "hyperbola": b + frac * (a - b),
+        # 1e-9 .. 1e-2 relative off b, on either side
+        "near-focal": b * (1.0 + math.copysign(10.0**offset, frac - 0.5)),
+    }[where]
+    assume(0.0 < beta < a and beta != b)
+    phase, _, m1 = _caustic_modulus(a, b, beta)
+    quarter = _carlson_rf(0.0, m1, 1.0)
+    assert quarter.hex() == float(_carlson_rf_numpy(0.0, m1, 1.0)).hex()
+    for p in (phase, phi):
+        assert _ellipf(p, m1, quarter).hex() == float(_ellipf_numpy(p, m1, quarter)).hex()
+    lam = inner * min(b, beta)
+    for args in ((a - lam, b - lam, beta - lam), (a, b, beta)):
+        assert _carlson_rf(*args).hex() == float(_carlson_rf_numpy(*args)).hex()
 
 
 _PHASES = [(0.3, 1.0)]
