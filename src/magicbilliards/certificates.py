@@ -232,7 +232,11 @@ def cayley_det(
 # take their textbook form.  The law runs on mpmath's raw mpf tuples
 # through mpmath.libmp: each operation is correctly rounded at _PREC
 # bits, so the results are those of mpf objects at EC_DPS digits
-# without the object overhead.
+# without the object overhead.  A doubling is the tangent step alone
+# (_double_u): for two equal points the general law's ordering, snap and
+# averaging change nothing, and its vertical chord is the case y = 0.
+# Products by 2 and halvings are exact shifts of the exponent.  So every
+# result is the same, bit for bit, as adding the point to itself.
 
 _PREC = dps_to_prec(EC_DPS)
 _RND = round_nearest
