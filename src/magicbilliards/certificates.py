@@ -386,12 +386,6 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
 # polynomial Pell equations
 
 
-def _pad_to(arr: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[: len(arr)] = arr
-    return out
-
-
 def _pell_key(system: MagicKind, n: int) -> str | MagicKind:
     """Key of the Pell identity for (system, n): "even", or the odd-n system."""
     return "even" if n % 2 == 0 else system
@@ -405,41 +399,34 @@ def _pell_seed(system: MagicKind, n: int, a: float, b: float, beta: float):
     series*w truncated at degree m = n // 2 and c must have the sign the
     identity needs.  The coefficients of the series product in degrees
     m+1..n-1 must vanish; near a root the smallest singular vector of
-    that coefficient map is the seed for w.
+    that coefficient map is the seed for w.  Just one product reaches
+    x^n, so c is u_m^2 for even n and odd flip-long and w_top^2 for odd
+    half-turn; p and q are scaled by the leading constants lead(0) and
+    quad(0): 1 and a b beta, or b and a beta for flip-long.
     Returns (p, q) in the s-variable, or None when no certificate exists.
     """
     key = _pell_key(system, n)
     # n = 2: q would be the zero polynomial and p^2 = 1 has no solution
     if n < 3 or key in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT):
         return None
-    if key is MagicKind.FLIP_LONG and not (b < beta < a):
+    flip = key is MagicKind.FLIP_LONG
+    if flip and not (b < beta < a):
         return None
-    cubic = np.array([a * b * beta, -(a * b + a * beta + b * beta), a + b + beta, -1.0])
-    monic = (False, np.array([1.0]), cubic, 1.0)
-    # (series divided by b-x, lead, quad, sign of c)
-    divide, lead, quad, sign = {
-        "even": monic,
-        MagicKind.HALF_TURN: monic,
-        MagicKind.FLIP_LONG: (
-            True, np.array([b, -1.0]), np.array([a * beta, -(a + beta), 1.0]), -1.0
-        ),
-    }[key]
     s = _sqrt_cubic_coeffs(a, b, beta, n)
-    if divide:
+    if flip:  # the series divided by b - x
         s = _divide_linear(s, b)
     m = n // 2
     mat = np.array([[s[k - j] for j in range(n - 1 - m)] for k in range(m + 1, n)])
     _, _, vh = np.linalg.svd(mat)
     w = vh[-1]
     u = np.convolve(np.array(s), w)[: m + 1]
-    defect = _pad_to(np.convolve(lead, np.convolve(u, u)), n + 1) - _pad_to(
-        np.convolve(quad, np.convolve(w, w)), n + 1
-    )
-    c = sign * defect[n]
+    top = w[-1] if key is MagicKind.HALF_TURN else u[-1]
+    c = top * top
     if c <= 0.0:
         return None
-    p = u[::-1] / math.sqrt(c) if len(lead) == 1 else u[::-1] * math.sqrt(lead[0] / c)
-    return p, w[::-1] * math.sqrt(quad[0] / c)
+    if flip:
+        return u[::-1] * math.sqrt(b / c), w[::-1] * math.sqrt(a * beta / c)
+    return u[::-1] / math.sqrt(c), w[::-1] * math.sqrt(a * b * beta / c)
 
 
 def _pell_defect(system: MagicKind, n: int, a: float, b: float, beta: float):

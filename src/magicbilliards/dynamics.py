@@ -389,47 +389,56 @@ def _caustic_modulus(a: float, b: float, beta: float) -> tuple[float, float, flo
     return math.asin(math.sqrt(b / beta)), (a - beta) / (a - b), (beta - b) / (a - b)
 
 
-def _carlson_rf(x: float, y: float, z: float) -> float:
-    """Carlson's symmetric integral R_F(x, y, z), by duplication."""
-    while True:
-        mu = (x + y + z) / 3.0
-        if not max(abs(x - mu), abs(y - mu), abs(z - mu)) > 1e-3 * mu:
-            break
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
-    # fifth-order series: with a relative spread below 1e-3 its truncation
-    # error is of order 1e-18, below roundoff
-    ex, ey = 1.0 - x / mu, 1.0 - y / mu
-    ez = -ex - ey
-    e2 = ex * ey - ez * ez
-    e3 = ex * ey * ez
-    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(mu)
+def _agm(m: float, m1: float) -> tuple[list[float], list[float], list[float]]:
+    """The descending AGM a_n, b_n, c_n of the modulus m, n = 0..N (DLMF 19.8.1).
+
+    a_0 = 1, b_0 = sqrt(m1), c_0 = sqrt(m), and c_{n+1} = c_n² / 4 a_{n+1}
+    is (a_n - b_n) / 2 without its cancellation; N is the first n with
+    c_n <= 1e-17 a_n.  K(m) = pi / (2 a_N).
+    """
+    a, b, c = [1.0], [math.sqrt(m1)], [math.sqrt(m)]
+    while c[-1] > 1e-17 * a[-1]:
+        a.append(0.5 * (a[-1] + b[-1]))
+        b.append(math.sqrt(a[-2] * b[-1]))
+        c.append(0.25 * c[-1] * c[-1] / a[-1])
+    return a, b, c
 
 
-def _ellipf(phi: float, m1: float, quarter: float) -> float:
-    """F(phi | m) for any real phi, from m1 = 1 - m and K(m) = ``quarter``."""
-    j = round(phi / math.pi)  # half to even, like np.round
-    s, c = math.sin(phi - j * math.pi), math.cos(phi - j * math.pi)
-    return 2.0 * j * quarter + s * _carlson_rf(c * c, c * c + m1 * s * s, 1.0)
+def _ellipf(phi: float, a: list[float], b: list[float]) -> float:
+    """F(phi | m) for any real phi from the AGM a, b of m, by Landen steps with phase.
+
+    tan(phi_{n+1} - phi_n) = (b_n / a_n) tan phi_n, on the branch where
+    phi_{n+1} is about 2 phi_n, and F = phi_N / (2^N a_N) (DLMF 19.8).
+    """
+    for an, bn in zip(a[:-1], b[:-1]):
+        phi += math.atan(bn / an * math.tan(phi)) + math.pi * round(phi / math.pi)
+    return phi / (2.0 ** (len(a) - 1) * a[-1])
 
 
-def _jacobi(u: np.ndarray, m, m1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _annulus_advance(a: float, b: float, beta: float, lam: float, an, bn) -> float:
+    """F(phi_l | m) - F(phi_0 | m), tan phi_l = sqrt((a - b) / (b - lam)), on level beta > b.
+
+    By DLMF 19.25.5 that is sqrt(a - b) (R_F(x, y, z) - R_F(b, beta, a)),
+    (x, y, z) = (b, beta, a) - lam.  Carlson's addition theorem (DLMF
+    19.26(ii)) makes it sqrt(a - b) R_F(x + mu, y + mu, z + mu), one
+    F(psi | m) free of cancellation as lam -> 0, where mu > 0 solves
+    (lam mu - S)² = 4 P (lam + mu + x + y + z), S = xy + yz + zx, P = xyz.
+    """
+    x, y, z = b - lam, beta - lam, a - lam
+    p = x * y * z
+    mu = (lam * (x * y + y * z + z * x) + 2.0 * (p + math.sqrt(p * a * b * beta))) / (lam * lam)
+    return _ellipf(math.atan2(math.sqrt(a - b), math.sqrt(x + mu)), an, bn)
+
+
+def _jacobi(u: np.ndarray, m: float, m1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sn, cn, dn)(u | m) by the descending AGM (Landen) scheme.
 
-    m and m1 = 1 - m broadcast against u.  u is first reduced modulo 4K,
-    with K from the same AGM, so the error stays at roundoff for any |u|.
-    dn is sqrt(cn² + m1 sn²), which stays accurate as m -> 1 where
-    1 - m sn² cancels.
+    m and m1 = 1 - m are the level's modulus.  u is first reduced
+    modulo 4K = 2 pi / a_N, with a_N from the same AGM, so the error
+    stays at roundoff for any |u|.  dn is sqrt(cn² + m1 sn²), which
+    stays accurate as m -> 1 where 1 - m sn² cancels.
     """
-    m1 = np.asarray(m1, dtype=float)
-    a, c = [np.ones_like(m1)], [np.sqrt(m)]
-    b = np.sqrt(m1)
-    while np.any(c[-1] > 1e-17 * a[-1]):
-        a_next = 0.5 * (a[-1] + b)
-        b = np.sqrt(a[-1] * b)
-        c.append(0.25 * c[-1] * c[-1] / a_next)
-        a.append(a_next)
+    a, _, c = _agm(m, m1)
     period = 2.0 * math.pi / a[-1]
     phi = (2.0 ** (len(a) - 1) * a[-1]) * (u - period * np.round(u / period))
     for an, cn in zip(a[:0:-1], c[:0:-1]):
@@ -493,12 +502,12 @@ def _level_grid(
     sx, sy = table.outer_map.signs
     turns, sign = (np.array(c, dtype=float)[:, None] for c in zip(*phases))
     phi, m, m1 = _caustic_modulus(a, b, beta)
-    quarter = _carlson_rf(0.0, m1, 1.0)  # K(m)
-    u0 = 4.0 * quarter * turns
+    an, bn, _ = _agm(m, m1)
+    u0 = (2.0 * math.pi / an[-1]) * turns  # 4K(m) t, with the 4K that _jacobi reduces by
     # A seed (u0, h) puts impact k at phase u0 + k h before magic; the
     # maps' u -> -u flips the sign of sn, and u -> u + 2K those of sn and cn.
     if beta < b:
-        h = sign * (2.0 * _ellipf(phi, m1, quarter))
+        h = sign * (2.0 * _ellipf(phi, an, bn))
 
         def impacts(sn, cn, dn, k, rows):
             # after an odd number of bounces the flips have sent u to -u
@@ -511,11 +520,10 @@ def _level_grid(
     else:
         root_m = math.sqrt(m)
         if lam is None:
-            advance, turn = 2.0 * _ellipf(phi, m1, quarter), -sy
+            advance, turn = 2.0 * _ellipf(phi, an, bn), -sy
             ax, ay = sa, sb
         else:
-            rf_in = _carlson_rf(a - lam, b - lam, beta - lam) - _carlson_rf(a, b, beta)
-            advance, turn = math.sqrt(a - b) * rf_in, sy
+            advance, turn = _annulus_advance(a, b, beta, lam, an, bn), sy
             ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
         h = np.full_like(u0, advance)
 
@@ -564,9 +572,9 @@ def level_orbits(
       C_beta, each twice per turn: u and 2K - u are its two tangents.  On
       the ellipse table a bounce maps (u, s) to (u + d, -s).  On an
       annulus every chord crosses the focal segment, so the walls
-      alternate; each step adds sqrt(a-b) (R_F(a-l, b-l, beta-l) -
-      R_F(a, b, beta)) to u, l the inner wall, whose points are the same
-      expression in a - l and b - l.  Flip-short adds 2K to u and
+      alternate; each step adds F(phi_l|m) - F(phi_0|m) to u, l the
+      inner wall and tan phi_l = sqrt((a-b)/(b-l)), whose points are the
+      same expression in a - l and b - l.  Flip-short adds 2K to u and
       flip-long flips s, on outer hits only.
 
     So impact k is a point at phase u0 + k h, with its signs set by the

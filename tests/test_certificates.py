@@ -697,6 +697,60 @@ def test_pell_solves_at_every_low_period_root(a, b):
         assert r.pell_residual < PELL_TOL, (r.system, r.n, r.beta)
 
 
+def _pell_seed_reference(system, n, a, b, beta):
+    """The series seed with both products padded to degree n, written out."""
+    key = "even" if n % 2 == 0 else system
+    if n < 3 or key in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT):
+        return None
+    if key is MagicKind.FLIP_LONG and not (b < beta < a):
+        return None
+    cubic = np.array([a * b * beta, -(a * b + a * beta + b * beta), a + b + beta, -1.0])
+    monic = (False, np.array([1.0]), cubic, 1.0)
+    divide, lead, quad, sign = {
+        "even": monic,
+        MagicKind.HALF_TURN: monic,
+        MagicKind.FLIP_LONG: (
+            True, np.array([b, -1.0]), np.array([a * beta, -(a + beta), 1.0]), -1.0
+        ),
+    }[key]
+    s = _sqrt_cubic_coeffs(a, b, beta, n)
+    if divide:
+        s = _divide_linear(s, b)
+    m = n // 2
+    mat = np.array([[s[k - j] for j in range(n - 1 - m)] for k in range(m + 1, n)])
+    _, _, vh = np.linalg.svd(mat)
+    w = vh[-1]
+    u = np.convolve(np.array(s), w)[: m + 1]
+    defect = _pad(np.convolve(lead, np.convolve(u, u)), n + 1) - _pad(
+        np.convolve(quad, np.convolve(w, w)), n + 1
+    )
+    c = sign * defect[n]
+    if c <= 0.0:
+        return None
+    p = u[::-1] / math.sqrt(c) if len(lead) == 1 else u[::-1] * math.sqrt(lead[0] / c)
+    return p, w[::-1] * math.sqrt(quad[0] / c)
+
+
+def test_pell_seed_matches_the_padded_products_bit_for_bit():
+    """Every key and n = 3..40, on seeded families, b = 1 among them (lead(0) = 1)."""
+    rng = np.random.default_rng(19)
+    families = [(9.0, 4.0), (20.0, 3.0), (2.5, 1.0), (7.0, 1.0), *PELL_FAMILIES]
+    families += [(a, a * r) for a, r in zip(rng.uniform(1.0, 20.0, 4), rng.uniform(0.15, 0.85, 4))]
+    seeds = 0
+    for a, b in families:
+        for beta in (0.37 * b, b + 0.21 * (a - b), b + 0.83 * (a - b)):
+            for system in PELL_KEYS:
+                for n in range(3, 41):
+                    got = _pell_seed(system, n, a, b, beta)
+                    want = _pell_seed_reference(system, n, a, b, beta)
+                    assert (got is None) == (want is None), (a, b, beta, system, n)
+                    if got is not None:
+                        for g, w in zip(got, want):
+                            assert [v.hex() for v in g] == [v.hex() for v in w]
+                        seeds += 1
+    assert seeds > 1000
+
+
 def _pell_reference(system, n, a, b, beta):
     """pell_solve through least_squares(method="lm") with Jacobian column scaling."""
     from scipy.optimize import least_squares

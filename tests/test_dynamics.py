@@ -26,7 +26,8 @@ from magicbilliards import (
 )
 from magicbilliards.dynamics import (
     DegenerateLevel,
-    _carlson_rf,
+    _agm,
+    _annulus_advance,
     _caustic_modulus,
     _ellipf,
     _jacobi,
@@ -371,8 +372,7 @@ def test_jacobi_steps_match_mpmath(m1):
     # of phases up to |u0| + 1000 |h| = 12020
     u0 = np.array([[-20.0], [-3.7], [0.9], [20.0]])
     h = np.array([[12.0], [-0.31], [5.5], [-7.25]])
-    ones = np.ones_like(u0)
-    sn, cn, dn = _jacobi_steps(u0, h, 1000, (1.0 - m1) * ones, m1 * ones)(slice(None))
+    sn, cn, dn = _jacobi_steps(u0, h, 1000, 1.0 - m1, m1)(slice(None))
     assert sn.shape == cn.shape == dn.shape == (4, 1000)
     ks = list(range(1, 70)) + list(range(70, 1000, 31)) + [1000]
     with mp.workdps(30):
@@ -384,63 +384,82 @@ def test_jacobi_steps_match_mpmath(m1):
                     assert abs(got[i, k - 1] - float(mp.ellipfun(name, u, m))) <= 1e-11
 
 
-# R_F and F(phi|m) in their elementwise numpy form, written out: the
-# scalar kernels must return the same values, bit for bit.
+def _jacobi_numpy(u, m, m1):
+    """(sn, cn, dn) by the descending AGM in numpy, moduli broadcast against u, written out."""
+    m1 = np.asarray(m1, dtype=float)
+    a, c = [np.ones_like(m1)], [np.sqrt(m)]
+    b = np.sqrt(m1)
+    while np.any(c[-1] > 1e-17 * a[-1]):
+        a_next = 0.5 * (a[-1] + b)
+        b = np.sqrt(a[-1] * b)
+        c.append(0.25 * c[-1] * c[-1] / a_next)
+        a.append(a_next)
+    period = 2.0 * math.pi / a[-1]
+    phi = (2.0 ** (len(a) - 1) * a[-1]) * (u - period * np.round(u / period))
+    for an, cn in zip(a[:0:-1], c[:0:-1]):
+        phi = 0.5 * (phi + np.arcsin(cn / an * np.sin(phi)))
+    sn, cn = np.sin(phi), np.cos(phi)
+    return sn, cn, np.sqrt(cn * cn + m1 * sn * sn)
 
 
-def _carlson_rf_numpy(x, y, z):
-    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
-    while True:
-        mu = (x + y + z) / 3.0
-        spread = np.maximum(np.abs(x - mu), np.maximum(np.abs(y - mu), np.abs(z - mu)))
-        if not np.any(spread > 1e-3 * mu):
-            break
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
-    ex, ey = 1.0 - x / mu, 1.0 - y / mu
-    ez = -ex - ey
-    e2 = ex * ey - ez * ez
-    e3 = ex * ey * ez
-    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mu)
-
-
-def _ellipf_numpy(phi, m1, quarter):
-    j = np.round(np.asarray(phi) / math.pi)
-    s, c = np.sin(phi - j * math.pi), np.cos(phi - j * math.pi)
-    return 2.0 * j * quarter + s * _carlson_rf_numpy(c * c, c * c + m1 * s * s, 1.0)
-
-
-@given(
-    a=st.floats(2.0, 20.0),
-    ratio=st.floats(0.02, 0.98),
-    where=st.sampled_from(["ellipse", "hyperbola", "near-focal"]),
-    frac=st.floats(1e-6, 1.0 - 1e-6),
-    offset=st.floats(-9.0, -2.0),
-    inner=st.floats(0.01, 0.99),
-    phi=st.floats(-10.0, 10.0),
-)
-@settings(max_examples=300, deadline=None)
-def test_scalar_elliptic_integrals_match_the_numpy_form_bit_for_bit(
-    a, ratio, where, frac, offset, inner, phi
-):
-    """K, F(phi|m) and the annulus advance's R_F, as _level_grid takes them."""
-    b = a * ratio
-    beta = {
+def _level_beta(a, b, where, frac, offset):
+    return {
         "ellipse": frac * b,
         "hyperbola": b + frac * (a - b),
         # 1e-9 .. 1e-2 relative off b, on either side
         "near-focal": b * (1.0 + math.copysign(10.0**offset, frac - 0.5)),
     }[where]
+
+
+LEVELS = dict(
+    a=st.floats(2.0, 20.0),
+    ratio=st.floats(0.02, 0.98),
+    where=st.sampled_from(["ellipse", "hyperbola", "near-focal"]),
+    frac=st.floats(1e-6, 1.0 - 1e-6),
+    offset=st.floats(-9.0, -2.0),
+)
+
+
+@given(**LEVELS, u=st.lists(st.floats(-2e4, 2e4), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_jacobi_matches_the_numpy_agm_bit_for_bit(a, ratio, where, frac, offset, u):
+    b = a * ratio
+    beta = _level_beta(a, b, where, frac, offset)
     assume(0.0 < beta < a and beta != b)
-    phase, _, m1 = _caustic_modulus(a, b, beta)
-    quarter = _carlson_rf(0.0, m1, 1.0)
-    assert quarter.hex() == float(_carlson_rf_numpy(0.0, m1, 1.0)).hex()
-    for p in (phase, phi):
-        assert _ellipf(p, m1, quarter).hex() == float(_ellipf_numpy(p, m1, quarter)).hex()
+    _, m, m1 = _caustic_modulus(a, b, beta)
+    u = np.array(u)
+    for got, want in zip(_jacobi(u, m, m1), _jacobi_numpy(u, m, m1)):
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@given(**LEVELS, inner=st.floats(0.01, 0.99), phi=st.floats(-10.0, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_elliptic_integrals_match_mpmath(a, ratio, where, frac, offset, inner, phi):
+    """K, F(phi|m) and the annulus advance, as _level_grid takes them, to 30 digits.
+
+    K and F come from the same float m1 and phi; the advance from the
+    same floats a, b, beta and inner wall.
+    """
+    b = a * ratio
+    beta = _level_beta(a, b, where, frac, offset)
+    assume(0.0 < beta < a and beta != b)
+    phase, m, m1 = _caustic_modulus(a, b, beta)
+    an, bn, _ = _agm(m, m1)
     lam = inner * min(b, beta)
-    for args in ((a - lam, b - lam, beta - lam), (a, b, beta)):
-        assert _carlson_rf(*args).hex() == float(_carlson_rf_numpy(*args)).hex()
+    with mp.workdps(30):
+        m_exact = 1 - mp.mpf(m1)
+        want = mp.ellipk(m_exact)
+        assert abs(math.pi / (2.0 * an[-1]) - want) <= 4e-15 * want
+        want = mp.ellipf(phase, m_exact)
+        assert abs(_ellipf(phase, an, bn) - want) <= 4e-15 * want
+        want = mp.ellipf(phi, m_exact)
+        assert abs(_ellipf(phi, an, bn) - want) <= 1e-14 * max(1.0, abs(want))
+        if beta > b:  # hyperbola levels, the only ones that reach an inner wall
+            ea, eb, ebeta, el = (mp.mpf(v) for v in (a, b, beta, lam))
+            want = mp.sqrt(ea - eb) * (
+                mp.elliprf(eb - el, ebeta - el, ea - el) - mp.elliprf(eb, ebeta, ea)
+            )
+            assert abs(_annulus_advance(a, b, beta, lam, an, bn) - want) <= 4e-15 * want
 
 
 _PHASES = [(0.3, 1.0)]
