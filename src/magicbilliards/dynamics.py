@@ -15,15 +15,15 @@ preserves the confocal caustic of the trajectory, which is the backbone
 invariant the whole package leans on.
 
 One loop over plain floats, ``_walk``, carries out every bounce:
-``step``, ``step_inverse``, ``trajectory`` and ``closure_defect`` all
-run on it, and ``Trajectory`` keeps its float columns.  ``level_orbits``
-gives many seeds' impacts on one caustic level at once, in closed form:
-on a regular level the Jacobi phase of the outer wall is the angle
-variable, the map a translation in it, and each magic map an exact
-symmetry of the Jacobi functions.  Seeds are given by their phases, so
-they lie on the level exactly; the level is set up once for all of
-them, and the addition theorem builds each seed's (steps) impacts from
-about 2 sqrt(steps) Jacobi values.
+``step``, ``step_inverse``, ``trajectory``, ``closure_defect`` and
+``detect_closure`` all run on it, and ``Trajectory`` keeps its float
+columns.  ``level_orbits`` gives many seeds' impacts on one caustic
+level at once, in closed form: on a regular level the Jacobi phase of
+the outer wall is the angle variable, the map a translation in it, and
+each magic map an exact symmetry of the Jacobi functions.  Seeds are
+given by their phases, so they lie on the level exactly; the level is
+set up once for all of them, and the addition theorem builds each
+seed's (steps) impacts from about 2 sqrt(steps) Jacobi values.
 """
 from __future__ import annotations
 
@@ -272,11 +272,14 @@ def phase_distance(fam: ConfocalFamily, s1: BoundaryPhase, s2: BoundaryPhase) ->
     the acos form amplifies roundoff by a square root and floors the
     metric at ~1e-8, which would mask genuine closures.
     """
-    dx = s1.at[0] - s2.at[0]
-    dy = s1.at[1] - s2.at[1]
-    cross = s1.v[0] * s2.v[1] - s1.v[1] * s2.v[0]
-    dot = s1.v[0] * s2.v[0] + s1.v[1] * s2.v[1]
-    return math.hypot(dx, dy) / math.sqrt(fam.a) + math.atan2(abs(cross), dot)
+    return _phase_gap(math.sqrt(fam.a), *s1.at, *s1.v, *s2.at, *s2.v)
+
+
+def _phase_gap(root_a, x1, y1, vx1, vy1, x2, y2, vx2, vy2) -> float:
+    """:func:`phase_distance` on plain floats, root_a = sqrt(a)."""
+    cross = vx1 * vy2 - vy1 * vx2
+    dot = vx1 * vx2 + vy1 * vy2
+    return math.hypot(x1 - x2, y1 - y2) / root_a + math.atan2(abs(cross), dot)
 
 
 def closure_defect(table: TableSpec, s0: BoundaryPhase, n: int) -> float:
@@ -300,6 +303,12 @@ def detect_closure(
     of wrapped polar-angle increments of the impact points; None when
     the rounding is ambiguous (error >= 0.01 turns) or the caustic is
     not an ellipse.
+
+    The bounces run on :func:`_walk` in chunks of 1, 2, 4, ... and stop
+    at the first closure, so at most about twice its period is walked.
+    The result, and any error, is the one that :func:`step` repeated
+    until the closure gives: a chunk that raises is walked again one
+    bounce at a time, so a closure before the failing bounce still counts.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -307,23 +316,37 @@ def detect_closure(
         tol = CLOSURE_RTOL * math.sqrt(table.fam.a)
     _check_velocity(*s0.v)
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
-    theta0 = math.atan2(s0.at[1], s0.at[0])
+    root_a = math.sqrt(table.fam.a)
+    (x0, y0), (vx0, vy0) = s0.at, s0.v
     total = 0.0
-    prev = theta0
-    s = s0
-    for n in range(1, n_max + 1):
-        s = step(table, s)
-        th = math.atan2(s.at[1], s.at[0])
-        total += math.remainder(th - prev, 2.0 * math.pi)
-        prev = th
-        d = phase_distance(table.fam, s, s0)
-        if d < tol:
-            winding = None
-            if caustic.kind == "ellipse":
-                turns = total / (2.0 * math.pi)
-                if abs(turns - round(turns)) < 0.01:
-                    winding = int(round(turns))
-            return ClosureReport(n, d, winding)
+    prev = math.atan2(y0, x0)
+    s, n, size = s0, 0, 1
+    while n < n_max:
+        size = min(size, n_max - n)
+        try:
+            out = _walk(table, s, size)
+        except (NoForwardHit, ValueError, ArithmeticError):
+            if size == 1:
+                raise
+            size = 1
+            continue
+        for x, y, vx, vy in zip(out[7::7], out[8::7], out[9::7], out[10::7]):
+            n += 1
+            th = math.atan2(y, x)
+            total += math.remainder(th - prev, 2.0 * math.pi)
+            prev = th
+            d = _phase_gap(root_a, x, y, vx, vy, x0, y0, vx0, vy0)
+            if d < tol:
+                winding = None
+                if caustic.kind == "ellipse":
+                    turns = total / (2.0 * math.pi)
+                    if abs(turns - round(turns)) < 0.01:
+                        winding = int(round(turns))
+                return ClosureReport(n, d, winding)
+            if n < n_max:
+                _check_velocity(vx, vy)  # as the next step would
+        s = BoundaryPhase((x, y), (vx, vy), out[-1])
+        size *= 2
     return None
 
 
@@ -435,8 +458,7 @@ def _jacobi(u: np.ndarray, m: float, m1: float) -> tuple[np.ndarray, np.ndarray,
 
     m and m1 = 1 - m are the level's modulus.  u is first reduced
     modulo 4K = 2 pi / a_N, with a_N from the same AGM, so the error
-    stays at roundoff for any |u|.  dn is sqrt(cn² + m1 sn²), which
-    stays accurate as m -> 1 where 1 - m sn² cancels.
+    stays at roundoff for any |u|.  dn is :func:`_dn` of sn and cn.
     """
     a, _, c = _agm(m, m1)
     period = 2.0 * math.pi / a[-1]
@@ -444,11 +466,16 @@ def _jacobi(u: np.ndarray, m: float, m1: float) -> tuple[np.ndarray, np.ndarray,
     for an, cn in zip(a[:0:-1], c[:0:-1]):
         phi = 0.5 * (phi + np.arcsin(cn / an * np.sin(phi)))
     sn, cn = np.sin(phi), np.cos(phi)
-    return sn, cn, np.sqrt(cn * cn + m1 * sn * sn)
+    return sn, cn, _dn(sn, cn, m1)
+
+
+def _dn(sn: np.ndarray, cn: np.ndarray, m1: float) -> np.ndarray:
+    """dn from sn and cn as sqrt(cn² + m1 sn²), accurate as m -> 1 where 1 - m sn² cancels."""
+    return np.sqrt(cn * cn + m1 * sn * sn)
 
 
 def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
-    """(sn, cn, dn)(u0 + k h | m) for k = 1..steps, by the addition theorem.
+    """(sn, cn)(u0 + k h | m) for k = 1..steps, by the addition theorem.
 
     u0 and h are columns with one row per orbit, and m and m1 the
     modulus of the level.  With
@@ -457,10 +484,10 @@ def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
     evaluates each table once.  The addition theorem (DLMF 22.8.1-2)
     joins them, its denominator 1 - m sn1² sn2² written as
     dn1² + m sn1² cn2², a sum of non-negative terms that does not cancel
-    as m -> 1; dn is sqrt(cn² + m1 sn²), as in :func:`_jacobi`.  Where
-    both terms are small the quotient still loses about 1e-16 / sqrt(m1):
-    some 4e-12 at m1 = 1e-9, the smallest m1 of a regular level (see
-    ``DEGENERATE_RTOL``), and 2e-10 at m1 = 1e-12.
+    as m -> 1.  Where both terms are small the quotient still loses
+    about 1e-16 / sqrt(m1): some 4e-12 at m1 = 1e-9, the smallest m1 of
+    a regular level (see ``DEGENERATE_RTOL``), and 2e-10 at m1 = 1e-12.
+    dn, where a level reads it, is :func:`_dn` of the two.
 
     Returns a function of a row slice that gives those rows as
     (rows, steps) arrays.  The tables are built once for every row, and
@@ -475,14 +502,13 @@ def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
     by_baby = (s1, c1 * d1, c1, s1 * d1, d1 * d1, m * s1 * s1)
     by_giant = (c2 * d2, s2, c2, s2 * d2, c2 * c2)
 
-    def at(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def at(rows: slice) -> tuple[np.ndarray, np.ndarray]:
         s1, c1d1, c1, s1d1, d1d1, ms1s1 = (t[rows, None, :] for t in by_baby)
         c2d2, s2, c2, s2d2, c2c2 = (t[rows, :, None] for t in by_giant)
         den = d1d1 + ms1s1 * c2c2
-        sn, cn = ((num / den).reshape(len(den), -1)[:, 1:steps + 1] for num in (
+        return tuple((num / den).reshape(len(den), -1)[:, 1:steps + 1] for num in (
             s1 * c2d2 + c1d1 * s2, c1 * c2 - s1d1 * s2d2
         ))
-        return sn, cn, np.sqrt(cn * cn + m1 * sn * sn)
 
     return at
 
@@ -509,7 +535,7 @@ def _level_grid(
     if beta < b:
         h = sign * (2.0 * _ellipf(phi, an, bn))
 
-        def impacts(sn, cn, dn, k, rows):
+        def impacts(sn, cn, k, rows):
             # after an odd number of bounces the flips have sent u to -u
             # and flip-long and half-turn have added 2K: the point changes
             # sign as the map's (sx, sy)
@@ -527,17 +553,18 @@ def _level_grid(
             ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
         h = np.full_like(u0, advance)
 
-        def impacts(sn, cn, dn, k, rows):
+        def impacts(sn, cn, k, rows):
             # after an odd number of outer hits flip-short and half-turn
             # have added 2K to u (x changes sign as sx) and the branch
-            # sign s has turned
+            # sign s has turned; s changes only the sign of y, so the
+            # orbit of (t, -1) is that of (t, +1) with y negated exactly
             odd = (k if lam is None else k // 2) % 2 == 1
             inner = (k % 2 == 1) & (lam is not None)
             x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m * sn
-            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * sign[rows] * dn
+            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * sign[rows] * _dn(sn, cn, m1)
             return x, y, inner
 
-    x0, y0, _ = impacts(*_jacobi(u0, m, m1), np.zeros((1, 1), dtype=int), slice(None))
+    x0, y0, _ = impacts(*_jacobi(u0, m, m1)[:2], np.zeros((1, 1), dtype=int), slice(None))
     tables = _jacobi_steps(u0, h, steps, m, m1)
     k = np.arange(1, steps + 1)[None, :]
 

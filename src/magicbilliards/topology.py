@@ -6,9 +6,13 @@ labels (winding sense for ellipse caustics; vertical direction,
 hyperbola branch, and axis side for hyperbola caustics) and merging
 labels that occur on a single trajectory.  The trajectories start at
 phases spread evenly over the level's angle variable and run in closed
-form (:func:`level_orbits`).  Singular levels (caustic parameter 0,
-b, or a) are described by their closed orbits and their separatrix
-families, both counted from the magic map's signs without a bounce;
+form (:func:`level_orbits`).  On a hyperbola level the reflection in
+the long axis maps each seed of branch +1 exactly onto the seed of
+branch -1 at the same phase, so each phase runs once, and a branch -1
+seed's labels are the mirror of its twin's (U<->D, T<->B).  Singular
+levels (caustic parameter 0, b, or a) are described by their closed
+orbits and their separatrix families, both counted from the magic
+map's signs without a bounce;
 the two counts pick out one of the complexity-one atoms A, B, A**, C2.
 Finally, each studied system carries a small static graph — atoms
 joined along torus families, decorated with the marks (r, eps, n)
@@ -197,13 +201,21 @@ def _level_signatures(
     segment from p to q.  The segment's line touches an ellipse caustic,
     which surrounds the center, so the sign is never zero.  Hyperbola
     caustics get the segment labels of :func:`_hyperbola_labels`.
+
+    On a hyperbola level the orbit of (t, -1) is the orbit of (t, +1)
+    reflected in the long axis, y and qy negated exactly, and its labels
+    are those of (t, +1) with U and D, and T and B, swapped.  So each
+    distinct t runs once, as a branch +1 seed, and a branch -1 seed takes
+    the mirrored labels: half the work when both branches share their t,
+    as they do for an even number of :func:`_level_phases`.
     """
     fam = table.fam
     winding = beta < fam.b
     names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
-    (x0, y0), grid = _level_grid(table, beta, phases, steps)
+    runs = phases if winding else [(t, 1.0) for t in dict.fromkeys(t for t, _ in phases)]
+    (x0, y0), grid = _level_grid(table, beta, runs, steps)
     out: list[set[str]] = []
-    for lo in range(0, len(phases), SEED_BLOCK):
+    for lo in range(0, len(runs), SEED_BLOCK):
         rows = slice(lo, lo + SEED_BLOCK)
         x, y, qx, qy, _ = grid(rows)
         # impact 0 is the seed; segment i runs from impact i to wall point i + 1
@@ -217,7 +229,14 @@ def _level_signatures(
             h = np.hypot(vx, vy)
             code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
         out += _label_sets(code, names)
-    return out
+    if winding:
+        return out
+    upper = {t: labels for (t, _), labels in zip(runs, out)}
+    mirror = str.maketrans("UDTB", "DUBT")
+    return [
+        upper[t] if sign > 0.0 else {lab.translate(mirror) for lab in upper[t]}
+        for t, sign in phases
+    ]
 
 
 def _merge_count(signatures: list[set[str]]) -> tuple[int, list[tuple[str, str]]]:

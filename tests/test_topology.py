@@ -8,6 +8,7 @@ from collections import Counter
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from magicbilliards import (
     BoundaryPhase,
@@ -31,7 +32,7 @@ from magicbilliards.dynamics import (
     step,
     step_inverse,
 )
-from magicbilliards.geometry import caustic_of_line
+from magicbilliards.geometry import caustic_of_line, classify_caustic
 from magicbilliards.topology import (
     SEED_BLOCK,
     _GRAPH_DATA,
@@ -420,6 +421,76 @@ def test_block_grids_are_rows_of_the_whole_grid(table, beta):
     for lo in range(0, len(phases), SEED_BLOCK):
         for w, part in zip(whole, grid(slice(lo, lo + SEED_BLOCK))):
             assert np.array_equal(w[lo:lo + SEED_BLOCK], part)
+
+
+EIGHT = list(ELL.values()) + list(ANN.values())
+
+
+@pytest.mark.parametrize("frac", [0.001, 0.4, 0.999])
+@pytest.mark.parametrize("table", EIGHT, ids=[_name(t) for t in EIGHT])
+def test_branch_minus_one_orbits_are_exact_mirrors(table, frac):
+    # the branch sign changes only the sign of y in the closed form, so
+    # reflection in the long axis maps the (t, +1) orbit onto (t, -1)
+    fam = table.fam
+    beta = fam.b + frac * (fam.a - fam.b)
+    ts = [t for t, sign in _level_phases(64) if sign > 0.0] + [-2.3, 0.0, 7.9]
+    (x0p, y0p), grid_p = _level_grid(table, beta, [(t, 1.0) for t in ts], 300)
+    (x0m, y0m), grid_m = _level_grid(table, beta, [(t, -1.0) for t in ts], 300)
+    xp, yp, qxp, qyp, inner_p = grid_p(slice(None))
+    xm, ym, qxm, qym, inner_m = grid_m(slice(None))
+    for same in ((x0p, x0m), (xp, xm), (qxp, qxm), (inner_p, inner_m)):
+        assert np.array_equal(*same)
+    for plus, minus in ((y0p, y0m), (yp, ym), (qyp, qym)):
+        assert np.array_equal(-plus, minus)
+
+
+def _per_seed_signatures(table, beta, phases, steps):
+    """Every seed's labels from its own orbit, in blocks: the reference for the mirror."""
+    fam = table.fam
+    winding = beta < fam.b
+    names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
+    (x0, y0), grid = _level_grid(table, beta, phases, steps)
+    out = []
+    for lo in range(0, len(phases), SEED_BLOCK):
+        rows = slice(lo, lo + SEED_BLOCK)
+        x, y, qx, qy, _ = grid(rows)
+        px = np.hstack([x0[rows], x[:, :-1]])
+        py = np.hstack([y0[rows], y[:, :-1]])
+        if winding:
+            spin = px * qy - py * qx
+            code = np.where(spin > 0.0, 0, np.where(spin < 0.0, 1, -1))
+        else:
+            vx, vy = qx - px, qy - py
+            h = np.hypot(vx, vy)
+            code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
+        out += _label_sets(code, names)
+    return out
+
+
+@given(
+    a=st.floats(2.0, 20.0),
+    ratio=st.floats(0.02, 0.98),
+    kind=st.sampled_from(list(MagicKind)),
+    wall=st.one_of(st.none(), st.floats(0.05, 0.95)),
+    frac=st.floats(1e-4, 1.0 - 1e-4),
+    seeds=st.one_of(
+        st.sampled_from([16, 17, 32, 33, 64, 65]),
+        # any phases, with some t on both branches, repeated or alone
+        st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.7, 1.3, -0.4]),
+                           st.sampled_from([1.0, -1.0])), min_size=1, max_size=20),
+    ),
+    steps=st.integers(1, 300),
+)
+@settings(max_examples=200, deadline=None)
+def test_mirrored_signatures_match_every_seed_run(a, ratio, kind, wall, frac, seeds, steps):
+    fam = ConfocalFamily(a, a * ratio)
+    table = TableSpec(fam, kind, None if wall is None else wall * fam.b)
+    beta = fam.b + frac * (fam.a - fam.b)
+    assume(not classify_caustic(fam, beta).kind.startswith("degenerate"))
+    phases = _level_phases(seeds) if isinstance(seeds, int) else seeds
+    assert _level_signatures(table, beta, phases, steps) == _per_seed_signatures(
+        table, beta, phases, steps
+    )
 
 
 HYPERBOLA_TABLES = SIX + [ELL[MagicKind.IDENTITY], TableSpec(OTHER, MagicKind.HALF_TURN, 2.0)]
