@@ -15,15 +15,15 @@ preserves the confocal caustic of the trajectory, which is the backbone
 invariant the whole package leans on.
 
 One loop over plain floats, ``_walk``, carries out every bounce:
-``step``, ``step_inverse``, ``trajectory``, ``closure_defect`` and
-``detect_closure`` all run on it, and ``Trajectory`` keeps its float
-columns.  ``level_orbits`` gives many seeds' impacts on one caustic
-level at once, in closed form: on a regular level the Jacobi phase of
-the outer wall is the angle variable, the map a translation in it, and
-each magic map an exact symmetry of the Jacobi functions.  Seeds are
-given by their phases, so they lie on the level exactly; the level is
-set up once for all of them, and the addition theorem builds each
-seed's (steps) impacts from about 2 sqrt(steps) Jacobi values.
+``step``, ``step_inverse``, ``trajectory`` and ``closure_defect`` all
+run on it, and ``Trajectory`` keeps its float columns.  ``level_orbits``
+gives many seeds' impacts on one caustic level at once, in closed form:
+on a regular level the Jacobi phase of the outer wall is the angle
+variable, the map a translation in it, and each magic map an exact
+symmetry of the Jacobi functions.  Seeds are given by their phases, so
+they lie on the level exactly; the level is set up once for all of
+them, and the addition theorem builds each seed's (steps) impacts from
+about 2 sqrt(steps) Jacobi values.
 """
 from __future__ import annotations
 
@@ -272,14 +272,11 @@ def phase_distance(fam: ConfocalFamily, s1: BoundaryPhase, s2: BoundaryPhase) ->
     the acos form amplifies roundoff by a square root and floors the
     metric at ~1e-8, which would mask genuine closures.
     """
-    return _phase_gap(math.sqrt(fam.a), *s1.at, *s1.v, *s2.at, *s2.v)
-
-
-def _phase_gap(root_a, x1, y1, vx1, vy1, x2, y2, vx2, vy2) -> float:
-    """:func:`phase_distance` on plain floats, root_a = sqrt(a)."""
-    cross = vx1 * vy2 - vy1 * vx2
-    dot = vx1 * vx2 + vy1 * vy2
-    return math.hypot(x1 - x2, y1 - y2) / root_a + math.atan2(abs(cross), dot)
+    dx = s1.at[0] - s2.at[0]
+    dy = s1.at[1] - s2.at[1]
+    cross = s1.v[0] * s2.v[1] - s1.v[1] * s2.v[0]
+    dot = s1.v[0] * s2.v[0] + s1.v[1] * s2.v[1]
+    return math.hypot(dx, dy) / math.sqrt(fam.a) + math.atan2(abs(cross), dot)
 
 
 def closure_defect(table: TableSpec, s0: BoundaryPhase, n: int) -> float:
@@ -303,12 +300,6 @@ def detect_closure(
     of wrapped polar-angle increments of the impact points; None when
     the rounding is ambiguous (error >= 0.01 turns) or the caustic is
     not an ellipse.
-
-    The bounces run on :func:`_walk` in chunks of 1, 2, 4, ... and stop
-    at the first closure, so at most about twice its period is walked.
-    The result, and any error, is the one that :func:`step` repeated
-    until the closure gives: a chunk that raises is walked again one
-    bounce at a time, so a closure before the failing bounce still counts.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -316,37 +307,23 @@ def detect_closure(
         tol = CLOSURE_RTOL * math.sqrt(table.fam.a)
     _check_velocity(*s0.v)
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
-    root_a = math.sqrt(table.fam.a)
-    (x0, y0), (vx0, vy0) = s0.at, s0.v
+    theta0 = math.atan2(s0.at[1], s0.at[0])
     total = 0.0
-    prev = math.atan2(y0, x0)
-    s, n, size = s0, 0, 1
-    while n < n_max:
-        size = min(size, n_max - n)
-        try:
-            out = _walk(table, s, size)
-        except (NoForwardHit, ValueError, ArithmeticError):
-            if size == 1:
-                raise
-            size = 1
-            continue
-        for x, y, vx, vy in zip(out[7::7], out[8::7], out[9::7], out[10::7]):
-            n += 1
-            th = math.atan2(y, x)
-            total += math.remainder(th - prev, 2.0 * math.pi)
-            prev = th
-            d = _phase_gap(root_a, x, y, vx, vy, x0, y0, vx0, vy0)
-            if d < tol:
-                winding = None
-                if caustic.kind == "ellipse":
-                    turns = total / (2.0 * math.pi)
-                    if abs(turns - round(turns)) < 0.01:
-                        winding = int(round(turns))
-                return ClosureReport(n, d, winding)
-            if n < n_max:
-                _check_velocity(vx, vy)  # as the next step would
-        s = BoundaryPhase((x, y), (vx, vy), out[-1])
-        size *= 2
+    prev = theta0
+    s = s0
+    for n in range(1, n_max + 1):
+        s = step(table, s)
+        th = math.atan2(s.at[1], s.at[0])
+        total += math.remainder(th - prev, 2.0 * math.pi)
+        prev = th
+        d = phase_distance(table.fam, s, s0)
+        if d < tol:
+            winding = None
+            if caustic.kind == "ellipse":
+                turns = total / (2.0 * math.pi)
+                if abs(turns - round(turns)) < 0.01:
+                    winding = int(round(turns))
+            return ClosureReport(n, d, winding)
     return None
 
 
@@ -521,6 +498,13 @@ def _level_grid(
     Returns the seeds' impact points ``(x0, y0)``, as columns, and a
     function of a row slice of ``phases`` that gives those seeds'
     ``(x, y, qx, qy, inner)``, as :func:`level_orbits` does.
+
+    Mirror rule: on a hyperbola level (beta > b) the branch sign enters
+    only y, as a factor of +-1, and rounding is symmetric about zero, so
+    the seed (t, -1) gives x0, x, qx and inner equal to those of (t, +1)
+    and y0, y and qy negated exactly, bit for bit.
+    ``topology._level_signatures`` relies on this: the sign must stay out
+    of u0, h and x there.
     """
     fam = table.fam
     a, b, lam = fam.a, fam.b, table.inner_lam
@@ -556,8 +540,8 @@ def _level_grid(
         def impacts(sn, cn, k, rows):
             # after an odd number of outer hits flip-short and half-turn
             # have added 2K to u (x changes sign as sx) and the branch
-            # sign s has turned; s changes only the sign of y, so the
-            # orbit of (t, -1) is that of (t, +1) with y negated exactly
+            # sign s has turned; s is a factor of y only (the mirror
+            # rule of the docstring)
             odd = (k if lam is None else k // 2) % 2 == 1
             inner = (k % 2 == 1) & (lam is not None)
             x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m * sn

@@ -203,8 +203,9 @@ def _level_signatures(
     caustics get the segment labels of :func:`_hyperbola_labels`.
 
     On a hyperbola level the orbit of (t, -1) is the orbit of (t, +1)
-    reflected in the long axis, y and qy negated exactly, and its labels
-    are those of (t, +1) with U and D, and T and B, swapped.  So each
+    reflected in the long axis, y and qy negated exactly (the mirror
+    rule of :func:`_level_grid`'s docstring), and its labels are those
+    of (t, +1) with U and D, and T and B, swapped.  So each
     distinct t runs once, as a branch +1 seed, and a branch -1 seed takes
     the mirrored labels: half the work when both branches share their t,
     as they do for an even number of :func:`_level_phases`.

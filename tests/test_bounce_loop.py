@@ -6,12 +6,8 @@ through ``normal_at``), ``apply_magic`` on the outer wall, and a new
 ``BoundaryPhase`` per bounce.  Every state, wall point, label, crossing
 count and closure defect must agree by ``float.hex``, and every failure
 must be the same exception, with the same message, at the same bounce.
-
-``detect_closure`` walks in chunks; it is held the same way to a
-written-out copy of its loop of one ``step`` per bounce.
 """
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from magicbilliards import (
     BoundaryPhase,
     CausticId,
-    ClosureReport,
     ConfocalFamily,
     Crossings,
     MagicKind,
@@ -28,7 +23,6 @@ from magicbilliards import (
     TableSpec,
     caustic_of_line,
     closure_defect,
-    detect_closure,
     normal_at,
     phase_distance,
     step,
@@ -36,8 +30,6 @@ from magicbilliards import (
     tangent_directions,
     trajectory,
 )
-from magicbilliards import dynamics
-from magicbilliards.dynamics import CLOSURE_RTOL, _check_velocity
 from magicbilliards.geometry import GRAZE_RTOL, HIT_TMIN_RTOL, VERTICAL_VX
 
 
@@ -159,8 +151,6 @@ def _hex(obj):
         return obj.lam.hex(), obj.kind
     if isinstance(obj, Crossings):
         return obj.long_axis, obj.short_axis, obj.flips
-    if isinstance(obj, ClosureReport):
-        return obj.period, obj.residual.hex(), obj.winding
     return obj
 
 
@@ -202,7 +192,7 @@ def _turned(v, turn):
     return math.cos(ang), math.sin(ang)
 
 
-STARTS = dict(
+@given(
     a=st.floats(2.0, 20.0),
     ratio=st.floats(0.15, 0.85),
     kind=st.sampled_from(list(MagicKind)),
@@ -212,10 +202,8 @@ STARTS = dict(
     psi=st.floats(-1.55, 1.55),
     turn=st.sampled_from([1e-13, -1e-13, 1e-7, -1e-7]),
     scale=st.floats(0.0, 1.5),
+    n=st.integers(1, 40),
 )
-
-
-@given(**STARTS, n=st.integers(1, 40))
 @settings(max_examples=300, deadline=None)
 def test_bounce_loop_matches_the_object_step_bit_for_bit(
     a, ratio, kind, wall, start, t, psi, turn, scale, n
@@ -232,27 +220,25 @@ def test_bounce_loop_matches_the_object_step_bit_for_bit(
     """
     fam = ConfocalFamily(a, a * ratio)
     table = TableSpec(fam, kind, None if wall is None else wall * fam.b)
-    _check_against_reference(table, _start_state(table, start, t, psi, turn, scale), n)
-
-
-def _start_state(table, start, t, psi, turn, scale):
-    """The start ``start`` of the strategies above, at parameters t, psi, turn and scale."""
-    fam, lam = table.fam, table.inner_lam
+    lam = table.inner_lam
     if start == "inner" and lam is not None:
         p = (math.sqrt(fam.a - lam) * math.cos(t), math.sqrt(fam.b - lam) * math.sin(t))
-        return BoundaryPhase(p, _turned(normal_at(fam, lam, p, inner=True), psi), "inner")
-    if start == "anywhere":
+        s0 = BoundaryPhase(p, _turned(normal_at(fam, lam, p, inner=True), psi), "inner")
+    elif start == "anywhere":
         p = (scale * math.sqrt(fam.a) * math.cos(t), scale * math.sqrt(fam.b) * math.sin(3.0 * t))
-        return BoundaryPhase(p, _turned((1.0, 0.0), 4.0 * psi))
-    if start == "far":
+        s0 = BoundaryPhase(p, _turned((1.0, 0.0), 4.0 * psi))
+    elif start == "far":
         r = 10.0 ** (2.0 + 8.0 * scale / 1.5) * math.sqrt(fam.a)
         p = (r * math.cos(t), r * math.sin(t))
-        return BoundaryPhase(p, _turned((-math.cos(t), -math.sin(t)), psi * 1e-9))
-    p = fam.boundary_point(t)
-    dirs = tangent_directions(fam, lam, p) if start == "tangent" and lam else []
-    if dirs:
-        return BoundaryPhase(p, _turned(dirs[0], turn))
-    return BoundaryPhase(p, _turned(normal_at(fam, 0.0, p), psi))
+        s0 = BoundaryPhase(p, _turned((-math.cos(t), -math.sin(t)), psi * 1e-9))
+    else:
+        p = fam.boundary_point(t)
+        dirs = tangent_directions(fam, lam, p) if start == "tangent" and lam else []
+        if dirs:
+            s0 = BoundaryPhase(p, _turned(dirs[0], turn))
+        else:
+            s0 = BoundaryPhase(p, _turned(normal_at(fam, 0.0, p), psi))
+    _check_against_reference(table, s0, n)
 
 
 FAM = ConfocalFamily(9.0, 4.0)
@@ -288,104 +274,3 @@ def test_bounce_loop_matches_on_vertical_and_failing_starts(kind, inner_lam):
     far = BoundaryPhase((3e7, 0.0), (-1.0, 1e-9))
     assert _outcome(step, table, far)[:2] == ("raised", NotOnConic)
     _check_against_reference(table, far, 2)
-
-
-def _ref_detect_closure(table, s0, n_max, tol):
-    """detect_closure as a loop of one step per bounce, stopping at the first closure."""
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    if tol is None:
-        tol = CLOSURE_RTOL * math.sqrt(table.fam.a)
-    _check_velocity(*s0.v)
-    caustic = caustic_of_line(table.fam, s0.at, s0.v)
-    total = 0.0
-    prev = math.atan2(s0.at[1], s0.at[0])
-    s = s0
-    for n in range(1, n_max + 1):
-        s = step(table, s)
-        th = math.atan2(s.at[1], s.at[0])
-        total += math.remainder(th - prev, 2.0 * math.pi)
-        prev = th
-        d = phase_distance(table.fam, s, s0)
-        if d < tol:
-            winding = None
-            if caustic.kind == "ellipse":
-                turns = total / (2.0 * math.pi)
-                if abs(turns - round(turns)) < 0.01:
-                    winding = int(round(turns))
-            return ClosureReport(n, d, winding)
-    return None
-
-
-def _failing_from(bad):
-    """dynamics._walk, but a bounce from the float state ``bad`` raises NoForwardHit."""
-    walk = dynamics._walk
-
-    def failing(table, s, n):
-        out = walk(table, s, n)
-        # bounce i + 1 starts from state i: out[0:4], then out[7 i: 7 i + 4]
-        for i in range(n):
-            if tuple(out[7 * i:7 * i + 4] if i else out[0:4]) == bad:
-                raise NoForwardHit(f"bounce from {bad} fails")
-        return out
-
-    return failing
-
-
-def _closure_outcomes(table, s0, n_max, tol, fail):
-    """(chunked, step by step) outcomes, with bounce ``fail`` raising, if it is reached."""
-    bad = None
-    if fail is not None:
-        s = s0
-        try:
-            for _ in range(fail - 1):
-                s = step(table, s)
-            bad = (*s.at, *s.v)
-        except (ArithmeticError, ValueError, RuntimeError):
-            pass
-    walk = dynamics._walk if bad is None else _failing_from(bad)
-    with mock.patch.object(dynamics, "_walk", walk):
-        return (
-            _outcome(detect_closure, table, s0, n_max, tol),
-            _outcome(_ref_detect_closure, table, s0, n_max, tol),
-        )
-
-
-@given(
-    **STARTS,
-    n_max=st.integers(1, 60),
-    tol=st.one_of(st.none(), st.floats(-3.0, 0.7).map(lambda e: 10.0**e)),
-    fail=st.one_of(st.none(), st.integers(1, 60)),
-)
-@settings(max_examples=300, deadline=None)
-def test_detect_closure_matches_the_step_by_step_loop(
-    a, ratio, kind, wall, start, t, psi, turn, scale, n_max, tol, fail
-):
-    """Same report, bit for bit, or the same error at the same bounce.
-
-    ``fail`` makes one bounce of the orbit raise, as a ray leaving the
-    table does, so failures land inside chunks, before, at and after the
-    closing bounce.
-    """
-    fam = ConfocalFamily(a, a * ratio)
-    table = TableSpec(fam, kind, None if wall is None else wall * fam.b)
-    got, want = _closure_outcomes(
-        table, _start_state(table, start, t, psi, turn, scale), n_max, tol, fail
-    )
-    assert got == want
-
-
-def test_detect_closure_ignores_a_failure_after_the_closing_bounce():
-    # the tolerance closes the orbit at bounce 2, which the chunk of
-    # bounces 2 and 3 walks; a failing bounce 3 must not surface
-    table = TableSpec(FAM, MagicKind.IDENTITY)
-    s0 = BoundaryPhase(FAM.boundary_point(1.4), (0.1, -0.995))  # a chord near the short axis
-    d1, d2 = (closure_defect(table, s0, n) for n in (1, 2))
-    assert d2 < d1
-    tol = math.nextafter(d2, math.inf)
-    for fail in (None, 3, 4, 9):
-        got, want = _closure_outcomes(table, s0, 8, tol, fail)
-        assert got == want == ("ok", (2, d2.hex(), None))
-    for fail in (1, 2):
-        got, want = _closure_outcomes(table, s0, 8, tol, fail)
-        assert got == want and got[:2] == ("raised", NoForwardHit)
