@@ -451,14 +451,14 @@ def _dn(sn: np.ndarray, cn: np.ndarray, m1: float) -> np.ndarray:
     return np.sqrt(cn * cn + m1 * sn * sn)
 
 
-def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
+def _jacobi_steps(u0: np.ndarray, h: float, steps: int, m, m1):
     """(sn, cn)(u0 + k h | m) for k = 1..steps, by the addition theorem.
 
-    u0 and h are columns with one row per orbit, and m and m1 the
-    modulus of the level.  With
-    B = ceil(sqrt(steps + 1)), k = g B + j splits each phase into a baby
-    step u0 + j h, j < B, and a giant step g (B h), and :func:`_jacobi`
-    evaluates each table once.  The addition theorem (DLMF 22.8.1-2)
+    u0 is a column with one row per orbit, and h, m and m1 the level's
+    advance and modulus.  With B = ceil(sqrt(steps + 1)), k = g B + j
+    splits each phase into a baby step u0 + j h, j < B, and a giant step
+    g (B h), and :func:`_jacobi` evaluates each table once, the giant
+    steps once for all orbits.  The addition theorem (DLMF 22.8.1-2)
     joins them, its denominator 1 - m sn1² sn2² written as
     dn1² + m sn1² cn2², a sum of non-negative terms that does not cancel
     as m -> 1.  Where both terms are small the quotient still loses
@@ -477,11 +477,10 @@ def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
     # the factors of each term: baby steps run along the last axis and
     # giant steps along the middle one, so k = g B + j reads row-major
     by_baby = (s1, c1 * d1, c1, s1 * d1, d1 * d1, m * s1 * s1)
-    by_giant = (c2 * d2, s2, c2, s2 * d2, c2 * c2)
+    c2d2, s2, c2, s2d2, c2c2 = (t[:, None] for t in (c2 * d2, s2, c2, s2 * d2, c2 * c2))
 
     def at(rows: slice) -> tuple[np.ndarray, np.ndarray]:
         s1, c1d1, c1, s1d1, d1d1, ms1s1 = (t[rows, None, :] for t in by_baby)
-        c2d2, s2, c2, s2d2, c2c2 = (t[rows, :, None] for t in by_giant)
         den = d1d1 + ms1s1 * c2c2
         return tuple((num / den).reshape(len(den), -1)[:, 1:steps + 1] for num in (
             s1 * c2d2 + c1d1 * s2, c1 * c2 - s1d1 * s2d2
@@ -490,36 +489,38 @@ def _jacobi_steps(u0: np.ndarray, h: np.ndarray, steps: int, m, m1):
     return at
 
 
-def _level_grid(
-    table: TableSpec, beta: float, phases: list[tuple[float, float]], steps: int
-):
-    """The per-level set-up of :func:`level_orbits`.
+def _twin(ellipse: bool, t: float, sign: float) -> tuple[float, tuple[float, float]]:
+    """The branch +1 twin of the seed (t, sign), and the (x, y) signs that mirror its orbit.
+
+    Bit for bit, as rounding is symmetric about zero: on an ellipse level
+    (t, -1) is (-t, +1) reflected in the short axis, sn being odd in u and
+    cn even, and on a hyperbola level (t, +1) reflected in the long axis.
+    """
+    if sign > 0.0:
+        return t, (1.0, 1.0)
+    return (-t, (-1.0, 1.0)) if ellipse else (t, (1.0, -1.0))
+
+
+def _level_grid(table: TableSpec, beta: float, turns: list[float], steps: int):
+    """The per-level set-up of :func:`level_orbits`, for seeds at branch +1 phases ``turns``.
 
     Returns the seeds' impact points ``(x0, y0)``, as columns, and a
-    function of a row slice of ``phases`` that gives those seeds'
+    function of a row slice of ``turns`` that gives those seeds'
     ``(x, y, qx, qy, inner)``, as :func:`level_orbits` does.
-
-    Mirror rule: on a hyperbola level (beta > b) the branch sign enters
-    only y, as a factor of +-1, and rounding is symmetric about zero, so
-    the seed (t, -1) gives x0, x, qx and inner equal to those of (t, +1)
-    and y0, y and qy negated exactly, bit for bit.
-    ``topology._level_signatures`` relies on this: the sign must stay out
-    of u0, h and x there.
     """
     fam = table.fam
     a, b, lam = fam.a, fam.b, table.inner_lam
     sa, sb = math.sqrt(a), math.sqrt(b)
     sx, sy = table.outer_map.signs
-    turns, sign = (np.array(c, dtype=float)[:, None] for c in zip(*phases))
     phi, m, m1 = _caustic_modulus(a, b, beta)
     an, bn, _ = _agm(m, m1)
-    u0 = (2.0 * math.pi / an[-1]) * turns  # 4K(m) t, with the 4K that _jacobi reduces by
+    u0 = (2.0 * math.pi / an[-1]) * np.array(turns)[:, None]  # 4K(m) t, _jacobi's 4K
     # A seed (u0, h) puts impact k at phase u0 + k h before magic; the
     # maps' u -> -u flips the sign of sn, and u -> u + 2K those of sn and cn.
     if beta < b:
-        h = sign * (2.0 * _ellipf(phi, an, bn))
+        h = 2.0 * _ellipf(phi, an, bn)
 
-        def impacts(sn, cn, k, rows):
+        def impacts(sn, cn, k):
             # after an odd number of bounces the flips have sent u to -u
             # and flip-long and half-turn have added 2K: the point changes
             # sign as the map's (sx, sy)
@@ -530,30 +531,28 @@ def _level_grid(
     else:
         root_m = math.sqrt(m)
         if lam is None:
-            advance, turn = 2.0 * _ellipf(phi, an, bn), -sy
+            h, turn = 2.0 * _ellipf(phi, an, bn), -sy
             ax, ay = sa, sb
         else:
-            advance, turn = _annulus_advance(a, b, beta, lam, an, bn), sy
+            h, turn = _annulus_advance(a, b, beta, lam, an, bn), sy
             ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
-        h = np.full_like(u0, advance)
 
-        def impacts(sn, cn, k, rows):
+        def impacts(sn, cn, k):
             # after an odd number of outer hits flip-short and half-turn
             # have added 2K to u (x changes sign as sx) and the branch
-            # sign s has turned; s is a factor of y only (the mirror
-            # rule of the docstring)
+            # has turned
             odd = (k if lam is None else k // 2) % 2 == 1
             inner = (k % 2 == 1) & (lam is not None)
             x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m * sn
-            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * sign[rows] * _dn(sn, cn, m1)
+            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * _dn(sn, cn, m1)
             return x, y, inner
 
-    x0, y0, _ = impacts(*_jacobi(u0, m, m1)[:2], np.zeros((1, 1), dtype=int), slice(None))
+    x0, y0, _ = impacts(*_jacobi(u0, m, m1)[:2], np.zeros((1, 1), dtype=int))
     tables = _jacobi_steps(u0, h, steps, m, m1)
     k = np.arange(1, steps + 1)[None, :]
 
     def grid(rows: slice):
-        x, y, inner = impacts(*tables(rows), k, rows)
+        x, y, inner = impacts(*tables(rows), k)
         qx, qy = np.where(inner, 1.0, sx) * x, np.where(inner, 1.0, sy) * y
         return x, y, qx, qy, np.broadcast_to(inner, x.shape)
 
@@ -593,7 +592,8 @@ def level_orbits(
     Every seed lies on beta exactly, so the modulus and the advance are
     set up once for the level, and the phases u0 + k h come from a table
     of about 2 sqrt(steps) Jacobi values per seed by the addition theorem
-    (:func:`_jacobi_steps`).
+    (:func:`_jacobi_steps`).  Only branch +1 runs: a branch -1 row is the
+    mirror image of its :func:`_twin`'s.
 
     Raises
     ------
@@ -611,5 +611,7 @@ def level_orbits(
         if not (math.isfinite(t) and sign in (1.0, -1.0)):
             raise ValueError(f"seed phase {(t, sign)} needs a finite t and a sign of +1 or -1")
     _check_level(table, beta)
-    _, grid = _level_grid(table, beta, phases, steps)
-    return grid(slice(None))
+    twins, signs = zip(*(_twin(beta < table.fam.b, t, sign) for t, sign in phases))
+    x, y, qx, qy, inner = _level_grid(table, beta, twins, steps)[1](slice(None))
+    fx, fy = np.array(signs).T[:, :, None]
+    return fx * x, fy * y, fx * qx, fy * qy, inner

@@ -6,13 +6,12 @@ labels (winding sense for ellipse caustics; vertical direction,
 hyperbola branch, and axis side for hyperbola caustics) and merging
 labels that occur on a single trajectory.  The trajectories start at
 phases spread evenly over the level's angle variable and run in closed
-form (:func:`level_orbits`).  On a hyperbola level the reflection in
-the long axis maps each seed of branch +1 exactly onto the seed of
-branch -1 at the same phase, so each phase runs once, and a branch -1
-seed's labels are the mirror of its twin's (U<->D, T<->B).  Singular
-levels (caustic parameter 0, b, or a) are described by their closed
-orbits and their separatrix families, both counted from the magic
-map's signs without a bounce;
+form (:func:`level_orbits`).  A reflection in an axis maps each seed
+of branch -1 exactly onto a seed of branch +1, its twin, so only
+branch +1 runs, and a branch -1 seed's labels are the mirror of its
+twin's (CW<->CCW, U<->D, T<->B).  Singular levels (caustic parameter
+0, b, or a) are described by their closed orbits and their separatrix
+families, both counted from the magic map's signs without a bounce;
 the two counts pick out one of the complexity-one atoms A, B, A**, C2.
 Finally, each studied system carries a small static graph — atoms
 joined along torus families, decorated with the marks (r, eps, n)
@@ -31,6 +30,7 @@ from .dynamics import (
     TableSpec,
     _check_level,
     _level_grid,
+    _twin,
 )
 from .geometry import ConfocalFamily, classify_caustic
 
@@ -123,6 +123,9 @@ class FomenkoGraph:
 _WINDING_LABELS = ("CCW", "CW")
 # vertical direction, hyperbola branch, long-axis side
 _HYPERBOLA_LABELS = tuple(ud + lr + side for ud in "UD" for lr in "RL" for side in "TBX")
+# each label's image in the mirror of a branch +1 orbit onto a branch -1 one
+_MIRROR = dict(zip(_WINDING_LABELS + _HYPERBOLA_LABELS, ("CW", "CCW") + tuple(
+    ud + lr + side for ud in "DU" for lr in "RL" for side in "BTX")))
 
 
 def _hyperbola_labels(
@@ -171,11 +174,13 @@ def _level_phases(samples: int) -> list[tuple[float, float]]:
     t is the Jacobi phase of the outer wall in turns (see
     :func:`level_orbits`), the angle variable of each torus, and sign the
     branch.  Branch +1 gets (samples + 1) // 2 seeds and branch -1 the
-    other samples // 2; seed j of n on a branch sits at t = (j + 1/2) / n,
-    so an odd count puts one seed more on branch +1.
+    other samples // 2, so an odd count puts one seed more on branch +1.
+    Seed j of n sits at t = (j + 1/2) / n, taken one turn back past 1/2:
+    its numerator is an exact half-integer, so for an even n the negative
+    of each seed's t is again a seed's t, bit for bit.
     """
     return [
-        ((j + 0.5) / n, sign)
+        ((j + 0.5 if 2 * j < n else j + 0.5 - n) / n, sign)
         for sign, n in ((1.0, (samples + 1) // 2), (-1.0, samples // 2))
         for j in range(n)
     ]
@@ -193,27 +198,23 @@ def _level_signatures(
 ) -> list[set[str]]:
     """Labels observed along each seed's trajectory, read off its closed-form orbit.
 
-    The level is set up once for all seeds, as in :func:`level_orbits`,
-    and its grid is read in blocks of SEED_BLOCK seeds.
-
     Ellipse caustics get winding labels {CW, CCW}: the sense in which
     each segment turns about the center, the sign of px qy - py qx for a
     segment from p to q.  The segment's line touches an ellipse caustic,
     which surrounds the center, so the sign is never zero.  Hyperbola
     caustics get the segment labels of :func:`_hyperbola_labels`.
 
-    On a hyperbola level the orbit of (t, -1) is the orbit of (t, +1)
-    reflected in the long axis, y and qy negated exactly (the mirror
-    rule of :func:`_level_grid`'s docstring), and its labels are those
-    of (t, +1) with U and D, and T and B, swapped.  So each
-    distinct t runs once, as a branch +1 seed, and a branch -1 seed takes
-    the mirrored labels: half the work when both branches share their t,
-    as they do for an even number of :func:`_level_phases`.
+    A branch -1 seed's orbit is its branch +1 :func:`_twin`'s mirrored,
+    bit for bit, so its labels are the twin's mapped by ``_MIRROR``, and
+    each distinct twin runs once: half the seeds of :func:`_level_phases`
+    when each branch gets an even number.  The level is set up once for
+    them all, as in :func:`level_orbits`, and read in blocks of SEED_BLOCK.
     """
     fam = table.fam
     winding = beta < fam.b
     names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
-    runs = phases if winding else [(t, 1.0) for t in dict.fromkeys(t for t, _ in phases)]
+    twins = [_twin(winding, t, sign)[0] for t, sign in phases]
+    runs = list(dict.fromkeys(twins))
     (x0, y0), grid = _level_grid(table, beta, runs, steps)
     out: list[set[str]] = []
     for lo in range(0, len(runs), SEED_BLOCK):
@@ -230,13 +231,10 @@ def _level_signatures(
             h = np.hypot(vx, vy)
             code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
         out += _label_sets(code, names)
-    if winding:
-        return out
-    upper = {t: labels for (t, _), labels in zip(runs, out)}
-    mirror = str.maketrans("UDTB", "DUBT")
+    upper = dict(zip(runs, out))
     return [
-        upper[t] if sign > 0.0 else {lab.translate(mirror) for lab in upper[t]}
-        for t, sign in phases
+        upper[t] if sign > 0.0 else {_MIRROR[lab] for lab in upper[t]}
+        for t, (_, sign) in zip(twins, phases)
     ]
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -25,7 +26,9 @@ from magicbilliards import (
 )
 from magicbilliards import dynamics, geometry, topology
 from magicbilliards.dynamics import (
+    _check_level,
     _level_grid,
+    _twin,
     level_orbits,
     phase_at,
     phase_distance,
@@ -73,14 +76,22 @@ def _name(table: TableSpec) -> str:
     return f"{table.shape}-{table.outer_map.value}"
 
 
+def _seed_points(table: TableSpec, beta: float, phases) -> tuple[np.ndarray, np.ndarray]:
+    """Impact 0 of each seed phase, as columns: its twin's, mirrored as level_orbits mirrors."""
+    twins = [_twin(beta < table.fam.b, t, sign) for t, sign in phases]
+    (x0, y0), _ = _level_grid(table, beta, [t for t, _ in twins], 1)
+    fx, fy = np.array([signs for _, signs in twins]).T[:, :, None]
+    return fx * x0, fy * y0
+
+
 def _seed_states(table: TableSpec, beta: float, phases) -> list[BoundaryPhase]:
     """The state of each seed phase, for the scalar references below.
 
     The closed form's impact 0 is the point, and its first wall point,
     before magic, fixes the direction along the first segment.
     """
-    (x0, y0), grid = _level_grid(table, beta, phases, 1)
-    _, _, qx, qy, _ = grid(slice(None))
+    x0, y0 = _seed_points(table, beta, phases)
+    _, _, qx, qy, _ = level_orbits(table, beta, phases, 1)
     states = []
     for px, py, hx, hy in zip(x0[:, 0], y0[:, 0], qx[:, 0], qy[:, 0]):
         h = math.hypot(hx - px, hy - py)
@@ -184,13 +195,46 @@ def test_seeds_cover_boundary_and_branches():
         assert senses == [sign for _, sign in _level_phases(32)]
 
 
-@pytest.mark.parametrize("samples", [16, 17, 64, 65])
+@pytest.mark.parametrize("samples", [16, 17, 18, 64, 65])
 def test_seed_phases_split_evenly_between_the_branches(samples):
-    # an odd count puts the one seed more on branch +1
+    # an odd count puts the one seed more on branch +1; seed j of n is the
+    # phase (j + 1/2) / n turns, in this order, taken one turn back past
+    # 1/2 and rounded once
     phases = _level_phases(samples)
     assert len(phases) == samples
     for sign, n in ((1.0, (samples + 1) // 2), (-1.0, samples // 2)):
-        assert [t for t, s in phases if s == sign] == [(j + 0.5) / n for j in range(n)]
+        turns = [Fraction(2 * j + 1, 2 * n) for j in range(n)]
+        want = [float(t - 1 if t > Fraction(1, 2) else t) for t in turns]
+        assert [t for t, s in phases if s == sign] == want
+        # the first half is bit for bit the phase (j + 1/2) / n
+        assert want[: (n + 1) // 2] == [(j + 0.5) / n for j in range((n + 1) // 2)]
+
+
+@pytest.mark.parametrize("samples", [16, 32, 64, 100, 132])
+def test_seed_phases_of_an_even_branch_are_closed_under_negation(samples):
+    # so on an ellipse level the twin (-t, +1) of every seed (t, -1) is a
+    # seed, and only branch +1 runs
+    phases = _level_phases(samples)
+    for sign in (1.0, -1.0):
+        turns = [t for t, s in phases if s == sign]
+        assert sorted(t.hex() for t in turns) == sorted((-t).hex() for t in turns)
+    assert {t for t, s in phases if s > 0.0} == {t for t, s in phases if s < 0.0}
+
+
+@pytest.mark.parametrize("samples", [16, 32, 64])
+def test_even_sample_counts_run_half_their_seeds(samples, monkeypatch):
+    # every branch -1 seed takes its twin's labels, on both kinds of level
+    rows = []
+
+    def counted(table, beta, turns, steps):
+        rows.append(len(turns))
+        return _level_grid(table, beta, turns, steps)
+
+    monkeypatch.setattr(topology, "_level_grid", counted)
+    for table in SIX:
+        for beta in (2.5, 6.0):
+            classify_level(table, beta, samples=samples, steps=50)
+    assert rows == [samples // 2] * 12
 
 
 def test_odd_sample_counts_classify_as_even_ones():
@@ -413,12 +457,13 @@ BLOCK_LEVELS = [
     "table,beta", BLOCK_LEVELS, ids=[f"{_name(t)}-{b}" for t, b in BLOCK_LEVELS]
 )
 def test_block_grids_are_rows_of_the_whole_grid(table, beta):
-    # _level_signatures reads the grid block by block; each seed's orbit
-    # must be bit for bit the one level_orbits gives with every seed
-    phases = _level_phases(64)
-    whole = level_orbits(table, beta, phases, 1000)
-    _, grid = _level_grid(table, beta, phases, 1000)
-    for lo in range(0, len(phases), SEED_BLOCK):
+    # _level_signatures reads the grid of the branch +1 seeds, the twins of
+    # all 64, block by block; each seed's orbit must be bit for bit the one
+    # level_orbits gives with every seed
+    turns = [t for t, sign in _level_phases(64) if sign > 0.0]
+    whole = level_orbits(table, beta, [(t, 1.0) for t in turns], 1000)
+    _, grid = _level_grid(table, beta, turns, 1000)
+    for lo in range(0, len(turns), SEED_BLOCK):
         for w, part in zip(whole, grid(slice(lo, lo + SEED_BLOCK))):
             assert np.array_equal(w[lo:lo + SEED_BLOCK], part)
 
@@ -429,42 +474,56 @@ EIGHT = list(ELL.values()) + list(ANN.values())
 @pytest.mark.parametrize("frac", [0.001, 0.4, 0.999])
 @pytest.mark.parametrize("table", EIGHT, ids=[_name(t) for t in EIGHT])
 def test_branch_minus_one_orbits_are_exact_mirrors(table, frac):
-    # the branch sign changes only the sign of y in the closed form, so
-    # reflection in the long axis maps the (t, +1) orbit onto (t, -1)
+    # level_orbits gives the orbit of (t, -1) as the orbit of its twin
+    # reflected in an axis: on an ellipse level (-t, +1) in the short axis,
+    # on a hyperbola level (t, +1) in the long axis.  Each reflected orbit
+    # must also be the one the scalar bounce loop gives from that seed.
     fam = table.fam
-    beta = fam.b + frac * (fam.a - fam.b)
     ts = [t for t, sign in _level_phases(64) if sign > 0.0] + [-2.3, 0.0, 7.9]
-    (x0p, y0p), grid_p = _level_grid(table, beta, [(t, 1.0) for t in ts], 300)
-    (x0m, y0m), grid_m = _level_grid(table, beta, [(t, -1.0) for t in ts], 300)
-    xp, yp, qxp, qyp, inner_p = grid_p(slice(None))
-    xm, ym, qxm, qym, inner_m = grid_m(slice(None))
-    for same in ((x0p, x0m), (xp, xm), (qxp, qxm), (inner_p, inner_m)):
-        assert np.array_equal(*same)
-    for plus, minus in ((y0p, y0m), (yp, ym), (qyp, qym)):
-        assert np.array_equal(-plus, minus)
+    for beta in (frac * (table.inner_lam or fam.b), fam.b + frac * (fam.a - fam.b)):
+        ellipse = beta < fam.b
+        minus = [(t, -1.0) for t in ts]
+        xp, yp, qxp, qyp, inner_p = level_orbits(
+            table, beta, [(-t if ellipse else t, 1.0) for t in ts], 300
+        )
+        xm, ym, qxm, qym, inner_m = level_orbits(table, beta, minus, 300)
+        if ellipse:
+            pairs = ((xp, -xm), (qxp, -qxm), (yp, ym), (qyp, qym))
+        else:
+            pairs = ((xp, xm), (qxp, qxm), (yp, -ym), (qyp, -qym))
+        for plus, mirrored in pairs + ((inner_p, inner_m),):
+            assert np.array_equal(plus, mirrored)
+        for i, s0 in enumerate(_seed_states(table, beta, minus[::9])):
+            traj = trajectory(table, s0, 40)
+            gap = np.hypot(xm[9 * i, :40] - traj.x[1:], ym[9 * i, :40] - traj.y[1:])
+            assert gap.max() <= 1e-9 * math.sqrt(fam.a)
 
 
 def _per_seed_signatures(table, beta, phases, steps):
-    """Every seed's labels from its own orbit, in blocks: the reference for the mirror."""
+    """Every seed's labels from its own orbit: the reference for the mirror."""
     fam = table.fam
     winding = beta < fam.b
     names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
-    (x0, y0), grid = _level_grid(table, beta, phases, steps)
-    out = []
-    for lo in range(0, len(phases), SEED_BLOCK):
-        rows = slice(lo, lo + SEED_BLOCK)
-        x, y, qx, qy, _ = grid(rows)
-        px = np.hstack([x0[rows], x[:, :-1]])
-        py = np.hstack([y0[rows], y[:, :-1]])
-        if winding:
-            spin = px * qy - py * qx
-            code = np.where(spin > 0.0, 0, np.where(spin < 0.0, 1, -1))
-        else:
-            vx, vy = qx - px, qy - py
-            h = np.hypot(vx, vy)
-            code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
-        out += _label_sets(code, names)
-    return out
+    x0, y0 = _seed_points(table, beta, phases)
+    x, y, qx, qy, _ = level_orbits(table, beta, phases, steps)
+    px = np.hstack([x0, x[:, :-1]])
+    py = np.hstack([y0, y[:, :-1]])
+    if winding:
+        spin = px * qy - py * qx
+        code = np.where(spin > 0.0, 0, np.where(spin < 0.0, 1, -1))
+    else:
+        vx, vy = qx - px, qy - py
+        h = np.hypot(vx, vy)
+        code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
+    return _label_sets(code, names)
+
+
+def _is_regular(table, beta):
+    try:
+        _check_level(table, beta)
+    except ValueError:
+        return False
+    return True
 
 
 @given(
@@ -472,6 +531,7 @@ def _per_seed_signatures(table, beta, phases, steps):
     ratio=st.floats(0.02, 0.98),
     kind=st.sampled_from(list(MagicKind)),
     wall=st.one_of(st.none(), st.floats(0.05, 0.95)),
+    ellipse=st.booleans(),
     frac=st.floats(1e-4, 1.0 - 1e-4),
     seeds=st.one_of(
         st.sampled_from([16, 17, 32, 33, 64, 65]),
@@ -482,11 +542,12 @@ def _per_seed_signatures(table, beta, phases, steps):
     steps=st.integers(1, 300),
 )
 @settings(max_examples=200, deadline=None)
-def test_mirrored_signatures_match_every_seed_run(a, ratio, kind, wall, frac, seeds, steps):
+def test_mirrored_signatures_match_every_seed_run(a, ratio, kind, wall, ellipse, frac, seeds, steps):
     fam = ConfocalFamily(a, a * ratio)
     table = TableSpec(fam, kind, None if wall is None else wall * fam.b)
-    beta = fam.b + frac * (fam.a - fam.b)
-    assume(not classify_caustic(fam, beta).kind.startswith("degenerate"))
+    beta = frac * fam.b if ellipse else fam.b + frac * (fam.a - fam.b)
+    # an ellipse level under an annulus' inner wall carries no orbit
+    assume(_is_regular(table, beta))
     phases = _level_phases(seeds) if isinstance(seeds, int) else seeds
     assert _level_signatures(table, beta, phases, steps) == _per_seed_signatures(
         table, beta, phases, steps
