@@ -409,9 +409,12 @@ def _ellipf(phi: float, a: list[float], b: list[float]) -> float:
 
     tan(phi_{n+1} - phi_n) = (b_n / a_n) tan phi_n, on the branch where
     phi_{n+1} is about 2 phi_n, and F = phi_N / (2^N a_N) (DLMF 19.8).
+    The atan2 form below has a positive denominator, so it needs no sign
+    of tan phi_n, which is roundoff where phi_n lands on an odd multiple of pi/2.
     """
     for an, bn in zip(a[:-1], b[:-1]):
-        phi += math.atan(bn / an * math.tan(phi)) + math.pi * round(phi / math.pi)
+        s, c = math.sin(phi), math.cos(phi)
+        phi = 2.0 * phi - math.atan2((an - bn) * s * c, an * c * c + bn * s * s)
     return phi / (2.0 ** (len(a) - 1) * a[-1])
 
 

@@ -374,6 +374,17 @@ def test_topology_level_report(tmp_path):
     assert doc["sample_count"] == 64
 
 
+@pytest.mark.parametrize("system", ["half-turn", "identity"])
+def test_topology_counts_two_tori_at_a_period_eight_caustic(tmp_path, system):
+    # `periodic --a 10 --b 7.5 --n 8` reports this level, rho = 3/8, where
+    # each Landen phase of F(phi|m) lands on an odd multiple of pi/2
+    out = tmp_path / "topo.json"
+    rc = main(["topology", "--a", "10", "--b", "7.5", "--system", system,
+               "--beta", "7.071451058107543", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["component_count"] == 2
+
+
 def test_topology_graph_document(tmp_path):
     out = tmp_path / "topo.json"
     rc = main(["topology", "--system", "flip-long", "--out", str(out)])

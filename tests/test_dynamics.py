@@ -34,6 +34,7 @@ from magicbilliards.dynamics import (
     _jacobi,
     _jacobi_steps,
 )
+from magicbilliards.certificates import find_periodic_caustics
 from magicbilliards.geometry import GRAZE_RTOL, HIT_TMIN_RTOL, _hit_time
 
 FAM = ConfocalFamily(9.0, 4.0)
@@ -461,6 +462,59 @@ def test_elliptic_integrals_match_mpmath(a, ratio, where, frac, offset, inner, p
                 mp.elliprf(eb - el, ebeta - el, ea - el) - mp.elliprf(eb, ebeta, ea)
             )
             assert abs(_annulus_advance(a, b, beta, lam, an, bn) - want) <= 4e-15 * want
+
+
+# Periodic caustics of period 8 and 16 have a dyadic rotation number
+# F/2K, so the Landen phases of F(phi|m) land on odd multiples of pi/2,
+# where tan phi has no sign to trust.  The search finds the levels of
+# three families; these two, found by `periodic --n 8`, gave F/K = 1 for
+# 0.75 when the branch of each step was picked by rounding phi/pi.
+DYADIC_FAMILIES = [(9.0, 4.0), (10.0, 2.0), (10.0, 7.5)]
+ROUNDED_BRANCH_LEVELS = [(10.0, 7.5, 7.071451058107543), (9.0, 4.0, 4.0370210080143325)]
+# (a, b, beta, inner wall, F/2K of the annulus advance): walls where the
+# advance's rotation number is dyadic, found with scipy's elliprf
+DYADIC_WALLS = [
+    (9.0, 4.0, 6.5, 3.813961264605878, 3 / 16),
+    (9.0, 4.0, 8.0, 3.9778480884792686, 7 / 32),
+    (10.0, 2.0, 3.6, 1.9887856228781688, 3 / 16),
+    (10.0, 2.0, 6.0, 1.655520834682585, 3 / 32),
+    (10.0, 7.5, 8.0, 7.172053516503158, 7 / 32),
+    (10.0, 7.5, 8.75, 6.903196302608449, 3 / 16),
+    (10.0, 7.5, 9.5, 5.343828085287883, 3 / 32),
+]
+
+
+def _annulus_advance_at_30_digits(a, b, beta, lam):
+    ea, eb, ebeta, el = (mp.mpf(v) for v in (a, b, beta, lam))
+    return mp.sqrt(ea - eb) * (mp.elliprf(eb - el, ebeta - el, ea - el) - mp.elliprf(eb, ebeta, ea))
+
+
+@pytest.mark.parametrize("a,b", DYADIC_FAMILIES)
+def test_elliptic_integrals_match_mpmath_at_dyadic_periodic_caustics(a, b):
+    levels = {
+        r.beta for n in (8, 16) for r in find_periodic_caustics(MagicKind.IDENTITY, n, a, b, (0.0, a))
+    }
+    assert min(levels) < b < max(levels)
+    levels |= {beta for fa, fb, beta in ROUNDED_BRANCH_LEVELS if (fa, fb) == (a, b)}
+    for beta in sorted(levels):
+        phase, m, m1 = _caustic_modulus(a, b, beta)
+        an, bn, _ = _agm(m, m1)
+        with mp.workdps(30):
+            want = mp.ellipf(phase, 1 - mp.mpf(m1))
+            assert abs(_ellipf(phase, an, bn) - want) <= 4e-15 * want
+            if beta > b:
+                want = _annulus_advance_at_30_digits(a, b, beta, 0.75 * b)
+                assert abs(_annulus_advance(a, b, beta, 0.75 * b, an, bn) - want) <= 4e-15 * want
+
+
+@pytest.mark.parametrize("a,b,beta,lam,rho", DYADIC_WALLS)
+def test_annulus_advance_matches_mpmath_where_its_rotation_is_dyadic(a, b, beta, lam, rho):
+    _, m, m1 = _caustic_modulus(a, b, beta)
+    an, bn, _ = _agm(m, m1)
+    with mp.workdps(30):
+        want = _annulus_advance_at_30_digits(a, b, beta, lam)
+        assert abs(want / (2 * mp.ellipk(1 - mp.mpf(m1))) - rho) <= 1e-13
+        assert abs(_annulus_advance(a, b, beta, lam, an, bn) - want) <= 4e-15 * want
 
 
 _PHASES = [(0.3, 1.0)]

@@ -25,6 +25,7 @@ from magicbilliards import (
     trajectory,
 )
 from magicbilliards import dynamics, geometry, topology
+from magicbilliards.certificates import find_periodic_caustics
 from magicbilliards.dynamics import (
     _check_level,
     _level_grid,
@@ -697,6 +698,27 @@ def test_level_reports_are_pinned_across_families(a, b, inner, kind, beta, caust
     assert classify_level(table, beta) == LevelSetReport(
         beta, caustic, count, 64, tuple(evidence)
     )
+
+
+@pytest.mark.parametrize("a,b", [(9.0, 4.0), (10.0, 2.0), (10.0, 7.5)])
+def test_periodic_caustics_report_as_the_paper(a, b):
+    # the levels of period 8 and 16, where the Landen phases of the
+    # rotation number land on odd multiples of pi/2, on the six tables
+    # (inner wall 0.75 b)
+    fam = ConfocalFamily(a, b)
+    levels = {
+        r.beta for n in (8, 16) for r in find_periodic_caustics(MagicKind.IDENTITY, n, a, b, (0.0, a))
+    }
+    for beta in sorted(levels):
+        for kind in (MagicKind.FLIP_LONG, MagicKind.FLIP_SHORT, MagicKind.HALF_TURN):
+            for table in (TableSpec(fam, kind), TableSpec(fam, kind, 0.75 * b)):
+                if not _is_regular(table, beta):
+                    continue
+                caustic = "ellipse" if beta < b else "hyperbola"
+                count, evidence = PINNED_COUNTS[(table.shape, kind, caustic)]
+                assert classify_level(table, beta) == LevelSetReport(
+                    beta, caustic, count, 64, tuple(evidence)
+                )
 
 
 def _graph_doc(system, atoms, edges, n, levels, provenance):
