@@ -36,7 +36,7 @@ from magicbilliards.dynamics import (
     step,
     step_inverse,
 )
-from magicbilliards.geometry import caustic_of_line, classify_caustic
+from magicbilliards.geometry import caustic_of_line
 from magicbilliards.topology import (
     SEED_BLOCK,
     _GRAPH_DATA,
