@@ -43,7 +43,7 @@ from magicbilliards.topology import (
     _HYPERBOLA_LABELS,
     _WINDING_LABELS,
     _hyperbola_labels,
-    _label_sets,
+    _label_masks,
     _level_phases,
     _level_signatures,
     _merge_count,
@@ -309,6 +309,67 @@ def _scalar_signature(table, beta, s0, steps):
     return labels
 
 
+def _signature_sets(table, beta, phases, steps):
+    """_level_signatures as label sets, for the scalar references."""
+    names = _WINDING_LABELS if beta < table.fam.b else _HYPERBOLA_LABELS
+    return [
+        {lab for j, lab in enumerate(names) if mask >> j & 1}
+        for mask in _level_signatures(table, beta, phases, steps)
+    ]
+
+
+def _string_merge_count(signatures):
+    """Union-find over label strings: the reference for _merge_count."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    evidence = []
+    seen = set()
+    for sig in signatures:
+        labs = sorted(sig)
+        for lab in labs:
+            parent.setdefault(lab, lab)
+        for other in labs[1:]:
+            ra, rb = find(labs[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+            pair = (labs[0], other)
+            if pair not in seen:
+                seen.add(pair)
+                evidence.append(pair)
+    classes = {find(lab) for lab in parent}
+    return (len(classes) if classes else 1), evidence
+
+
+def _masks(signatures, names):
+    """Label sets as the masks of _level_signatures: bit j for names[j]."""
+    return [sum(1 << names.index(lab) for lab in sig) for sig in signatures]
+
+
+@given(data=st.data(), names=st.sampled_from([_WINDING_LABELS, _HYPERBOLA_LABELS]))
+@settings(max_examples=300, deadline=None)
+def test_mask_merge_matches_the_string_union_find(data, names):
+    # trajectories drawn from a small pool of label sets, so sets repeat;
+    # empty and single-label sets and the empty list all occur
+    pool = data.draw(st.lists(st.sets(st.sampled_from(names)), min_size=1, max_size=6))
+    signatures = data.draw(st.lists(st.sampled_from(pool), max_size=24))
+    assert _merge_count(_masks(signatures, names), names) == _string_merge_count(signatures)
+
+
+@pytest.mark.parametrize("names", [_WINDING_LABELS, _HYPERBOLA_LABELS])
+def test_mask_merge_edge_cases_match_the_string_union_find(names):
+    # a mask's lowest bit is the first label of its set in sorted order
+    assert list(names) == sorted(names)
+    for signatures in ([], [set()], [{names[0]}], [{names[1]}, set(), {names[0]}],
+                       [set(names)] * 3, [{names[1]}, {names[0], names[1]}, {names[1]}]):
+        assert _merge_count(_masks(signatures, names), names) == _string_merge_count(signatures)
+
+
 OTHER = ConfocalFamily(12.0, 3.0)
 LEVEL_PAIRS = [
     (ELL[MagicKind.FLIP_LONG], 2.5),
@@ -326,16 +387,16 @@ LEVEL_PAIRS = [
 def test_batched_labels_match_scalar_reference(table, beta):
     phases = _level_phases(16)
     want = [_scalar_signature(table, beta, s0, 400) for s0 in _seed_states(table, beta, phases)]
-    assert _level_signatures(table, beta, phases, 400) == want
-    count, evidence = _merge_count([sig for sig in want if sig])
+    assert _signature_sets(table, beta, phases, 400) == want
+    count, evidence = _string_merge_count([sig for sig in want if sig])
     rep = classify_level(table, beta, samples=16, steps=400)
     assert (rep.component_count, rep.merge_evidence) == (count, tuple(evidence))
 
 
-def _any_label_sets(code, names):
-    """The label sets of the rows of code, by comparing it with every label index."""
-    seen = (code[:, :, None] == np.arange(len(names))).any(axis=1)
-    return [{names[j] for j in np.flatnonzero(row)} for row in seen]
+def _any_label_masks(code):
+    """The label masks of the rows of code, by comparing it with every label index."""
+    seen = (code[:, :, None] == np.arange(len(_HYPERBOLA_LABELS))).any(axis=1)
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in seen]
 
 
 def test_label_bit_masks_match_the_comparison_with_every_label():
@@ -346,7 +407,7 @@ def test_label_bit_masks_match_the_comparison_with_every_label():
             code = rng.integers(-1, len(names), size=shape)
             code[0] = -1
             code[1, : shape[1] // 2] = -1
-            assert _label_sets(code, names) == _any_label_sets(code, names)
+            assert _label_masks(code) == _any_label_masks(code)
 
 
 @pytest.mark.parametrize(
@@ -355,7 +416,7 @@ def test_label_bit_masks_match_the_comparison_with_every_label():
 def test_level_label_bit_masks_match_the_comparison(table, beta, monkeypatch):
     phases = _level_phases(64)
     got = _level_signatures(table, beta, phases, 1000)
-    monkeypatch.setattr(topology, "_label_sets", _any_label_sets)
+    monkeypatch.setattr(topology, "_label_masks", _any_label_masks)
     assert got == _level_signatures(table, beta, phases, 1000)
 
 
@@ -423,7 +484,7 @@ def test_winding_labels_are_the_senses_of_the_scalar_segments(table, beta):
         traj = trajectory(table, s0, 400)
         spins = [x * qy - y * qx for x, y, qx, qy in zip(traj.x, traj.y, traj.hx, traj.hy)]
         want.append({lab for lab, on in (("CCW", max(spins) > 0.0), ("CW", min(spins) < 0.0)) if on})
-    assert _level_signatures(table, beta, phases, 400) == want
+    assert _signature_sets(table, beta, phases, 400) == want
 
 
 @pytest.mark.parametrize(
@@ -504,7 +565,6 @@ def _per_seed_signatures(table, beta, phases, steps):
     """Every seed's labels from its own orbit: the reference for the mirror."""
     fam = table.fam
     winding = beta < fam.b
-    names = _WINDING_LABELS if winding else _HYPERBOLA_LABELS
     x0, y0 = _seed_points(table, beta, phases)
     x, y, qx, qy, _ = level_orbits(table, beta, phases, steps)
     px = np.hstack([x0, x[:, :-1]])
@@ -516,7 +576,7 @@ def _per_seed_signatures(table, beta, phases, steps):
         vx, vy = qx - px, qy - py
         h = np.hypot(vx, vy)
         code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
-    return _label_sets(code, names)
+    return _label_masks(code)
 
 
 def _is_regular(table, beta):
