@@ -48,7 +48,7 @@ from .geometry import (
     tangent_directions,
 )
 
-# default closure tolerance, times sqrt(a)
+# default closure tolerance on the dimensionless phase_distance
 CLOSURE_RTOL = 1e-7
 
 
@@ -304,7 +304,7 @@ def detect_closure(
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     if tol is None:
-        tol = CLOSURE_RTOL * math.sqrt(table.fam.a)
+        tol = CLOSURE_RTOL
     _check_velocity(*s0.v)
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
     theta0 = math.atan2(s0.at[1], s0.at[0])

@@ -257,6 +257,19 @@ def test_detect_closure_winding():
         assert rep.winding in (1, -1)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+def test_detect_closure_default_tolerance_is_scale_free(scale):
+    # a caustic 2e-5 (relative) off the 4-periodic one misses closure by a
+    # phase distance of 1.5e-4 at every scale: far above the default
+    # tolerance, which phase_distance, being dimensionless, must not scale
+    fam = ConfocalFamily(9.0 * scale, 4.0 * scale)
+    p = fam.boundary_point(0.9)
+    v = tangent_directions(fam, 36.0 / 13.0 * (1.0 + 2e-5) * scale, p)[0]
+    table = TableSpec(fam, MagicKind.IDENTITY)
+    assert closure_defect(table, BoundaryPhase(p, v), 4) == pytest.approx(1.575e-4, rel=1e-3)
+    assert detect_closure(table, BoundaryPhase(p, v), 4) is None
+
+
 @pytest.mark.parametrize(
     "a, b, beta",
     [(9.0, 4.0, 1.3), (9.0, 4.0, 6.0), (9.0, 4.0, 8.9),
