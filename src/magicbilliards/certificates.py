@@ -91,7 +91,8 @@ INFINITY = CurvePoint(None, None)
 
 @dataclass(frozen=True)
 class PellPair:
-    """Solution (p, q) of a polynomial Pell identity, ascending coefficients."""
+    """Solution (p, q) of a polynomial Pell identity, ascending coefficients
+    in sigma = a s (see ``pell_solve``)."""
 
     p: tuple[float, ...]
     q: tuple[float, ...]
@@ -478,31 +479,40 @@ def pell_solve(
 ) -> PellPair | None:
     """Solve the Pell identity for (system, n) at caustic beta, or None.
 
-    Even n: p^2 - s(s-1/a)(s-1/b)(s-1/beta) q^2 = 1, degrees (m, m-2).
-    Odd flip-long: (s-1/b) p^2 - s(s-1/a)(s-1/beta) q^2 = -1, (m, m-1).
-    Odd half-turn: s p^2 - (s-1/a)(s-1/b)(s-1/beta) q^2 = 1, (m, m-1).
+    In sigma = a s, that is for the dimensionless cubic (1, b/a, beta/a)
+    as in ``cayley_det``, so that p, q and the residual do not grow with
+    the size of the table:
+    Even n: p^2 - sigma(sigma-1)(sigma-a/b)(sigma-a/beta) q^2 = 1, degrees (m, m-2).
+    Odd flip-long: (sigma-a/b) p^2 - sigma(sigma-1)(sigma-a/beta) q^2 = -1, (m, m-1).
+    Odd half-turn: sigma p^2 - (sigma-1)(sigma-a/b)(sigma-a/beta) q^2 = 1, (m, m-1).
 
-    The series seed is polished by MINPACK's Levenberg-Marquardt (lmder,
-    Jacobian column scaling) on the defect coefficients, with their exact
-    Jacobian; returns None when no identity exists for the parity or the
-    polished residual stays above ``PELL_TOL``.
+    The series seed is accepted when its defect is already within
+    ``PELL_TOL``; otherwise it is polished by MINPACK's Levenberg-Marquardt
+    (lmder, Jacobian column scaling) on the defect coefficients, with
+    their exact Jacobian.  Returns None when no identity exists for the
+    parity or the residual stays above ``PELL_TOL``.
     """
-    from scipy.optimize import leastsq  # deferred: scipy.optimize is slow to import
-
     _check_caustic(a, b, beta)
     if n < 2:
         raise ValueError("need n >= 2")
+    a, b, beta = 1.0, b / a, beta / a
     seed = _pell_seed(system, n, a, b, beta)
     if seed is None:
         return None
-    p0, q0 = seed
     defect, jac, plen = _pell_defect(system, n, a, b, beta)
-    z0 = np.concatenate([p0, q0])
-    # maxfev as least_squares(method="lm") sets it; leastsq's own default is 100 (n + 1)
-    z, _ = leastsq(
-        defect, z0, Dfun=jac, ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=100 * len(z0)
-    )
+    z = np.concatenate(seed)
     residual = float(np.max(np.abs(defect(z))))
+    if residual > PELL_TOL:
+        from scipy.optimize import leastsq  # deferred: scipy.optimize is slow to import
+
+        # maxfev as least_squares(method="lm") sets it; leastsq's own default
+        # is 100 (n + 1).  full_output reports a maxfev stop in its return
+        # value instead of a RuntimeWarning.
+        z = leastsq(
+            defect, z, Dfun=jac, ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=100 * len(z),
+            full_output=True,
+        )[0]
+        residual = float(np.max(np.abs(defect(z))))
     if residual > PELL_TOL:
         return None
     p, q = z[:plen], z[plen:]

@@ -505,24 +505,33 @@ def _poly(coeffs, s):
 
 SAMPLES = [0.012, 0.05, 0.09, 0.13]
 
+# pell_solve works on the dimensionless cubic (1, b/a, beta/a): its p and q
+# are polynomials in sigma = a s, so the s-samples are taken at sigma = A s.
+
+
+def _cubic(sigma, beta):
+    """(sigma - 1)(sigma - a/b)(sigma - a/beta) on (A, B)."""
+    return (sigma - 1.0) * (sigma - A / B) * (sigma - A / beta)
+
 
 def test_pell_even_identity_on_samples():
     beta = 36.0 / 13.0
     pair = pell_solve(MagicKind.IDENTITY, 4, A, B, beta)
     assert pair is not None
     assert pair.degrees == (2, 0)
-    for s in SAMPLES:
-        lhs = _poly(pair.p, s) ** 2
-        rhs = s * (s - 1.0 / A) * (s - 1.0 / B) * (s - 1.0 / beta) * _poly(pair.q, s) ** 2
+    for sigma in (A * s for s in SAMPLES):
+        lhs = _poly(pair.p, sigma) ** 2
+        rhs = sigma * _cubic(sigma, beta) * _poly(pair.q, sigma) ** 2
         assert lhs - rhs == pytest.approx(1.0, abs=1e-8)
 
 
 def test_pell_even_known_coefficients():
+    """p = 1 - 26 s + 72 s^2 and q = 72 in s, that is p(sigma) = 1 - 26/9 sigma + 8/9 sigma^2."""
     pair = pell_solve(MagicKind.IDENTITY, 4, A, B, 36.0 / 13.0)
     p = np.asarray(pair.p)
     q = np.asarray(pair.q)
-    assert p == pytest.approx([1.0, -26.0, 72.0], abs=1e-6)
-    assert q == pytest.approx([72.0], abs=1e-6)
+    assert p == pytest.approx([1.0, -26.0 / 9.0, 8.0 / 9.0], abs=1e-6)
+    assert q == pytest.approx([8.0 / 9.0], abs=1e-6)
 
 
 def test_pell_flip_long_odd_on_samples():
@@ -530,9 +539,9 @@ def test_pell_flip_long_odd_on_samples():
     pair = pell_solve(MagicKind.FLIP_LONG, 3, A, B, beta)
     assert pair is not None
     assert pair.degrees == (1, 0)
-    for s in SAMPLES:
-        lhs = (s - 1.0 / B) * _poly(pair.p, s) ** 2
-        rhs = s * (s - 1.0 / A) * (s - 1.0 / beta) * _poly(pair.q, s) ** 2
+    for sigma in (A * s for s in SAMPLES):
+        lhs = (sigma - A / B) * _poly(pair.p, sigma) ** 2
+        rhs = sigma * (sigma - 1.0) * (sigma - A / beta) * _poly(pair.q, sigma) ** 2
         assert lhs - rhs == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -541,9 +550,9 @@ def test_pell_half_turn_odd_on_samples():
     pair = pell_solve(MagicKind.HALF_TURN, 3, A, B, beta)
     assert pair is not None
     assert pair.degrees == (1, 0)
-    for s in SAMPLES:
-        lhs = s * _poly(pair.p, s) ** 2
-        rhs = (s - 1.0 / A) * (s - 1.0 / B) * (s - 1.0 / beta) * _poly(pair.q, s) ** 2
+    for sigma in (A * s for s in SAMPLES):
+        lhs = sigma * _poly(pair.p, sigma) ** 2
+        rhs = _cubic(sigma, beta) * _poly(pair.q, sigma) ** 2
         assert lhs - rhs == pytest.approx(1.0, abs=1e-8)
 
 
@@ -676,6 +685,12 @@ def test_pell_defect_and_jacobian_match_the_padded_form_bit_for_bit(system, beta
 PELL_FAMILIES = [
     (2.5, 0.375), (17.0, 4.25), (6.4, 2.24), (11.3, 5.085),
     (3.7, 2.035), (14.2, 9.23), (8.8, 6.16), (19.5, 16.575),
+    # the unscaled fit left n = 6 residuals of 2^-19 here, above PELL_TOL
+    (19.480299577757606, 15.642950020828906),
+]
+# the benchmark's sweep of one family
+SWEEP = [(s, n) for n in range(4, 13, 2) for s in ("identity", "flip-short")] + [
+    (s, n) for n in range(3, 13) for s in ("half-turn", "flip-long")
 ]
 PELL_SEARCHES = [
     (MagicKind.IDENTITY, 4), (MagicKind.IDENTITY, 6),
@@ -695,6 +710,56 @@ def test_pell_solves_at_every_low_period_root(a, b):
     for r in roots:
         assert r.pell_residual is not None, (r.system, r.n, r.beta)
         assert r.pell_residual < PELL_TOL, (r.system, r.n, r.beta)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_pell_solves_at_every_root_of_a_rescaled_family(scale):
+    """(9, 4) scale: every root of the four systems at n <= 8 passes PELL_TOL."""
+    a, b = A * scale, B * scale
+    count = 0
+    for kind in MagicKind:
+        for n in range(3, 9):
+            if n % 2 == 1 and kind is MagicKind.IDENTITY:
+                continue
+            for r in find_periodic_caustics(kind, n, a, b, (0.0, a)):
+                assert r.pell_residual is not None, (kind, n, r.beta)
+                assert r.pell_residual < PELL_TOL, (kind, n, r.beta)
+                count += 1
+    assert count == 52
+
+
+def test_pell_polishes_only_where_the_seed_misses(monkeypatch):
+    """leastsq runs at no root of the (9, 4) sweep, and on (20, 3) only at
+    the two n = 10 roots next to b, in each system."""
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.leastsq
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "leastsq", counting)
+    for a, b in [(A, B), (20.0, 3.0)]:
+        polished = []
+        for system, n in SWEEP:
+            kind = MagicKind(system)
+            del calls[:]
+            roots = find_periodic_caustics(kind, n, a, b, (0.0, a))
+            in_search = len(calls)
+            for r in roots:
+                del calls[:]
+                pell_solve(kind, n, a, b, r.beta)
+                if calls:
+                    polished.append((system, n, r.beta))
+            assert in_search == sum(p[:2] == (system, n) for p in polished)
+        if a == A:
+            assert polished == []
+        else:
+            systems = ("identity", "flip-short", "half-turn", "flip-long")
+            assert [p[:2] for p in polished] == [(s, 10) for s in systems for _ in range(2)]
+            assert all(abs(beta - b) < 1e-4 for _, _, beta in polished), polished
 
 
 def _pell_seed_reference(system, n, a, b, beta):
@@ -752,19 +817,23 @@ def test_pell_seed_matches_the_padded_products_bit_for_bit():
 
 
 def _pell_reference(system, n, a, b, beta):
-    """pell_solve through least_squares(method="lm") with Jacobian column scaling."""
+    """pell_solve on (1, b/a, beta/a): the seed when it is within PELL_TOL,
+    else its polish through least_squares(method="lm") with Jacobian column
+    scaling."""
     from scipy.optimize import least_squares
 
+    a, b, beta = 1.0, b / a, beta / a
     seed = _pell_seed(system, n, a, b, beta)
     if seed is None:
         return None
     defect, jac, plen = _pell_defect(system, n, a, b, beta)
-    fit = least_squares(
-        defect, np.concatenate(seed), jac=jac, method="lm", x_scale="jac",
-        ftol=1e-15, xtol=1e-15, gtol=1e-15,
-    )
-    z = fit.x
+    z = np.concatenate(seed)
     residual = float(np.max(np.abs(defect(z))))
+    if residual > PELL_TOL:
+        z = least_squares(
+            defect, z, jac=jac, method="lm", x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+        ).x
+        residual = float(np.max(np.abs(defect(z))))
     if residual > PELL_TOL:
         return None
     p, q = z[:plen], z[plen:]
@@ -777,20 +846,28 @@ def _pell_reference(system, n, a, b, beta):
 
 @pytest.mark.parametrize("a, b", [(9.0, 4.0), (20.0, 3.0)])
 def test_pell_matches_the_least_squares_reference_bit_for_bit(a, b):
-    """Every root for n <= 6 and the four systems; residuals lie far below PELL_TOL."""
+    """Every root for n <= 6 and the four systems; residuals lie far below PELL_TOL.
+
+    On (20, 3) the two identity n = 10 roots next to b are added: there the
+    seed misses PELL_TOL and the polish runs.
+    """
+    searches = [(kind, n) for kind in MagicKind for n in range(3, 7)]
+    if a == 20.0:
+        searches.append((MagicKind.IDENTITY, 10))
     count = 0
-    for kind in MagicKind:
-        for n in range(3, 7):
-            if n % 2 == 1 and kind is MagicKind.IDENTITY:
+    for kind, n in searches:
+        if n % 2 == 1 and kind is MagicKind.IDENTITY:
+            continue
+        for r in find_periodic_caustics(kind, n, a, b, (0.0, a)):
+            if n == 10 and abs(r.beta - b) > 1e-4:
                 continue
-            for r in find_periodic_caustics(kind, n, a, b, (0.0, a)):
-                pair = pell_solve(kind, n, a, b, r.beta)
-                want = _pell_reference(kind, n, a, b, r.beta)
-                got = None if pair is None else (
-                    [c.hex() for c in pair.p], [c.hex() for c in pair.q], pair.residual.hex()
-                )
-                assert got == want, (kind, n, r.beta)
-                count += pair is not None
+            pair = pell_solve(kind, n, a, b, r.beta)
+            want = _pell_reference(kind, n, a, b, r.beta)
+            got = None if pair is None else (
+                [c.hex() for c in pair.p], [c.hex() for c in pair.q], pair.residual.hex()
+            )
+            assert got == want, (kind, n, r.beta)
+            count += pair is not None
     assert count >= 20
 
 
@@ -818,23 +895,23 @@ def test_evaluators_reject_an_invalid_family_or_caustic(evaluator, a, b, beta):
 # ---------------------------------------------------------------------------
 # regression pin for the periodic sweep
 
-SWEEP = [(s, n) for n in range(4, 13, 2) for s in ("identity", "flip-short")] + [
-    (s, n) for n in range(3, 13) for s in ("half-turn", "flip-long")
-]
-SWEEP_9_4_SHA256 = "73a2f25d9e1fb1acd9f5898e8cff984edf3ef0ab154b2826e7a57b4271b38d56"
+SWEEP_9_4_SHA256 = "6e932686f9092f4edfa7f32a5d856ddc97ba06c6f64f6fc48fd8a48d4763fe53"
+# the same sweep without pell_residual, unchanged since the Pell identity
+# moved onto the dimensionless cubic
+SWEEP_9_4_NO_PELL_SHA256 = "e9bd4f09c16eb238eb0c5add212fb5fc58a7ea516bf8c88ac10fba4238438a20"
 
 
 def test_sweep_certificates_are_pinned_on_9_4():
     """SHA-256 of every CertificateBundle field of the benchmark sweep on (9, 4).
 
     Identity and flip-short at even n = 4..12, half-turn and flip-long at
-    n = 3..12: 124 roots, each field as float.hex or None.  (20, 3)
-    stays out: at two of its roots (beta = 3.000739966621415, n = 8, and
-    beta = 2.999850981215205, half-turn n = 9) the Pell residual sits on
-    the round-off floor next to PELL_TOL, and whether pell_solve passes
-    there varies from one call to the next.
+    n = 3..12: 124 roots, each field as float.hex or None, once with and
+    once without pell_residual.  (20, 3) stays out: its n = 8 root
+    (beta = 3.000739966621415) reads 1.6e-8, but at half-turn n = 9
+    (beta = 2.999850981215205) the Pell residual reads 6.4e-7, still
+    within 2x of PELL_TOL.
     """
-    digest = hashlib.sha256()
+    digest, no_pell = hashlib.sha256(), hashlib.sha256()
     count = 0
     for system, n in SWEEP:
         for r in find_periodic_caustics(MagicKind(system), n, A, B, (0.0, A)):
@@ -844,8 +921,11 @@ def test_sweep_certificates_are_pinned_on_9_4():
                 r.torsion_residual.hex(), pell, r.closure_residual.hex(),
             ]
             digest.update((" ".join(fields) + "\n").encode())
+            del fields[5]  # pell_residual
+            no_pell.update((" ".join(fields) + "\n").encode())
             count += 1
     assert count == 124
+    assert no_pell.hexdigest() == SWEEP_9_4_NO_PELL_SHA256
     assert digest.hexdigest() == SWEEP_9_4_SHA256
 
 
@@ -913,7 +993,8 @@ def test_rotation_number_degenerate():
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported on first use by the search and the Pell solver."""
+    """scipy is imported on first use: by the search (brentq, and scipy.special
+    for the rotation number), and by the Pell solver only for its fallback polish."""
     code = "import sys, magicbilliards; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
     out = subprocess.run(
