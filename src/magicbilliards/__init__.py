@@ -40,7 +40,6 @@ from .dynamics import (
     closure_defect,
     detect_closure,
     level_orbits,
-    phase_at,
     phase_distance,
     step,
     step_inverse,
@@ -56,7 +55,6 @@ from .geometry import (
     NotOnConic,
     caustic_of_line,
     classify_caustic,
-    from_elliptic,
     normal_at,
     tangent_directions,
     to_elliptic,
@@ -115,11 +113,9 @@ __all__ = [
     "ec_neg",
     "find_periodic_caustics",
     "fomenko_graph",
-    "from_elliptic",
     "level_orbits",
     "normal_at",
     "pell_solve",
-    "phase_at",
     "phase_distance",
     "rotation_number",
     "singular_level_report",

@@ -180,6 +180,32 @@ def _divide_linear(coeffs: list[float], b: float) -> list[float]:
 # Cayley-type determinants
 
 
+def _series_hankel(system: MagicKind, n: int, a: float, b: float, beta: float):
+    """The series of a root and its Hankel matrix, read by the determinant and the Pell seed.
+
+    n terms on (1, b/a, beta/a), divided by (b/a - x) for odd flip-long; the
+    matrix has (n-1)//2 rows, entries s_{3+i+j} (even n) or s_{2+i+j} (odd n).
+    """
+    s = _sqrt_cubic_coeffs(1.0, b / a, beta / a, n)
+    if n % 2 == 1 and system is MagicKind.FLIP_LONG:
+        s = _divide_linear(s, b / a)
+    size, first = (n - 1) // 2, 3 - n % 2
+    return s, np.array([[s[first + i + j] for j in range(size)] for i in range(size)])
+
+
+def _check_cayley(system: MagicKind, n: int, a: float, b: float, beta: float) -> None:
+    """``cayley_det``'s argument checks; odd flip-short is left to its marker."""
+    _check_caustic(a, b, beta)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if n % 2 == 1 and system is not MagicKind.FLIP_SHORT:
+        if system is MagicKind.IDENTITY:
+            raise UnsupportedParity("identity system: no odd-period certificate")
+        _check_distinct(a, b, beta)
+        if system is MagicKind.FLIP_LONG and not (b < beta < a):
+            raise ValueError("odd flip-long certificate needs a hyperbola caustic")
+
+
 def cayley_det(
     system: MagicKind, n: int, a: float, b: float, beta: float
 ) -> float | CayleyMarker:
@@ -196,33 +222,12 @@ def cayley_det(
     dimensionless coefficients keep entries O(1).  Only the root set in
     beta matters, and it is invariant under the scaling.
     """
-    _check_caustic(a, b, beta)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n % 2 == 0:
-        m = n // 2
-        if m < 2:
-            return 1.0  # empty matrix: no n=2 condition, nothing vanishes
-        coeffs = _sqrt_cubic_coeffs(1.0, b / a, beta / a, n)
-        size = m - 1
-        mat = np.array(
-            [[coeffs[3 + i + j] for j in range(size)] for i in range(size)]
-        )
-        return float(np.linalg.det(mat))
-
-    m = (n - 1) // 2
-    if system is MagicKind.FLIP_SHORT:
+    _check_cayley(system, n, a, b, beta)
+    if n == 2:
+        return 1.0  # empty matrix: no n=2 condition, nothing vanishes
+    if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
         return CayleyMarker.ALWAYS_FALSE
-    if system is MagicKind.IDENTITY:
-        raise UnsupportedParity("identity system: no odd-period certificate")
-    _check_distinct(a, b, beta)
-    coeffs = _sqrt_cubic_coeffs(1.0, b / a, beta / a, n)
-    if system is MagicKind.FLIP_LONG:
-        if not (b < beta < a):
-            raise ValueError("odd flip-long certificate needs a hyperbola caustic")
-        coeffs = _divide_linear(coeffs, b / a)
-    mat = np.array([[coeffs[2 + i + j] for j in range(m)] for i in range(m)])
-    return float(np.linalg.det(mat))
+    return float(np.linalg.det(_series_hankel(system, n, a, b, beta)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,33 +397,36 @@ def _pell_key(system: MagicKind, n: int) -> str | MagicKind:
     return "even" if n % 2 == 0 else system
 
 
-def _pell_seed(system: MagicKind, n: int, a: float, b: float, beta: float):
-    """Initial (p, q) from the series: SVD null vector + truncated product.
-
-    Writing the target identity in the trajectory variable x = 1/s turns
-    it into lead(x) u(x)^2 - quad(x) w(x)^2 = c x^n, where u approximates
-    series*w truncated at degree m = n // 2 and c must have the sign the
-    identity needs.  The coefficients of the series product in degrees
-    m+1..n-1 must vanish; near a root the smallest singular vector of
-    that coefficient map is the seed for w.  Just one product reaches
-    x^n, so c is u_m^2 for even n and odd flip-long and w_top^2 for odd
-    half-turn; p and q are scaled by the leading constants lead(0) and
-    quad(0): 1 and a b beta, or b and a beta for flip-long.
-    Returns (p, q) in the s-variable, or None when no certificate exists.
-    """
+def _pell_exists(system: MagicKind, n: int, b: float, beta: float) -> bool:
+    """Whether (system, n) has a Pell identity at the dimensionless (b, beta)."""
     key = _pell_key(system, n)
     # n = 2: q would be the zero polynomial and p^2 = 1 has no solution
     if n < 3 or key in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT):
+        return False
+    return key is not MagicKind.FLIP_LONG or b < beta < 1.0
+
+
+def _pell_seed(system: MagicKind, n: int, b: float, beta: float, s, hankel):
+    """Initial (p, q) from the series: SVD null vector + truncated product.
+
+    Writing the target identity in x = 1/sigma turns it into
+    lead(x) u(x)^2 - quad(x) w(x)^2 = c x^n, where u approximates
+    series*w truncated at degree m = n // 2 and c must have the sign the
+    identity needs.  The coefficients of the series product in degrees
+    m+1..n-1 must vanish; that map is ``_series_hankel``'s matrix with its
+    columns reversed, and near a root its smallest singular vector is the
+    seed for w.  Just one product reaches x^n, so c is u_m^2 for even n
+    and odd flip-long and w_top^2 for odd half-turn; p and q are scaled by
+    lead(0) and quad(0): 1 and b beta, or b and beta for flip-long.
+    Returns (p, q) as sigma-coefficients on (1, b, beta), with b and beta
+    the dimensionless b/a and beta/a, or None when no certificate exists.
+    """
+    if not _pell_exists(system, n, b, beta):
         return None
+    key = _pell_key(system, n)
     flip = key is MagicKind.FLIP_LONG
-    if flip and not (b < beta < a):
-        return None
-    s = _sqrt_cubic_coeffs(a, b, beta, n)
-    if flip:  # the series divided by b - x
-        s = _divide_linear(s, b)
     m = n // 2
-    mat = np.array([[s[k - j] for j in range(n - 1 - m)] for k in range(m + 1, n)])
-    _, _, vh = np.linalg.svd(mat)
+    _, _, vh = np.linalg.svd(hankel[:, ::-1])
     w = vh[-1]
     u = np.convolve(np.array(s), w)[: m + 1]
     top = w[-1] if key is MagicKind.HALF_TURN else u[-1]
@@ -426,12 +434,12 @@ def _pell_seed(system: MagicKind, n: int, a: float, b: float, beta: float):
     if c <= 0.0:
         return None
     if flip:
-        return u[::-1] * math.sqrt(b / c), w[::-1] * math.sqrt(a * beta / c)
-    return u[::-1] / math.sqrt(c), w[::-1] * math.sqrt(a * b * beta / c)
+        return u[::-1] * math.sqrt(b / c), w[::-1] * math.sqrt(beta / c)
+    return u[::-1] / math.sqrt(c), w[::-1] * math.sqrt(b * beta / c)
 
 
-def _pell_defect(system: MagicKind, n: int, a: float, b: float, beta: float):
-    """Defect coefficients of the s-variable Pell identity, and their Jacobian.
+def _pell_defect(system: MagicKind, n: int, b: float, beta: float):
+    """Defect coefficients of the sigma Pell identity on (1, b, beta), and their Jacobian.
 
     The defect lead*p*p - quart*q*q - target is a quadratic form in
     z = (p, q) (* is convolution), so its derivative along p_j is
@@ -439,14 +447,14 @@ def _pell_defect(system: MagicKind, n: int, a: float, b: float, beta: float):
     down j rows.  With deg p = n // 2 and q as long as the seed's, both
     products have degree n, so no term needs padding.
     """
-    ra, rb, rbeta = 1.0 / a, 1.0 / b, 1.0 / beta
+    rb, rbeta = 1.0 / b, 1.0 / beta
     s = np.array([0.0, 1.0])
     key = _pell_key(system, n)
     target = -1.0 if key is MagicKind.FLIP_LONG else 1.0
     if key is MagicKind.FLIP_LONG:
-        lead, quart = np.array([-rb, 1.0]), np.convolve(s, np.convolve([-ra, 1.0], [-rbeta, 1.0]))
+        lead, quart = np.array([-rb, 1.0]), np.convolve(s, np.convolve([-1.0, 1.0], [-rbeta, 1.0]))
     else:
-        cubic = np.convolve(np.convolve([-ra, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0]))
+        cubic = np.convolve(np.convolve([-1.0, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0]))
         lead, quart = (np.array([1.0]), np.convolve(s, cubic)) if key == "even" else (s, cubic)
     plen = n // 2 + 1
 
@@ -495,11 +503,17 @@ def pell_solve(
     _check_caustic(a, b, beta)
     if n < 2:
         raise ValueError("need n >= 2")
-    a, b, beta = 1.0, b / a, beta / a
-    seed = _pell_seed(system, n, a, b, beta)
+    if not _pell_exists(system, n, b / a, beta / a):
+        return None
+    return _pell_fit(system, n, b / a, beta / a, *_series_hankel(system, n, a, b, beta))
+
+
+def _pell_fit(system: MagicKind, n: int, b: float, beta: float, s, hankel) -> PellPair | None:
+    """``pell_solve`` on the dimensionless (b, beta), from ``_series_hankel``'s (s, hankel)."""
+    seed = _pell_seed(system, n, b, beta, s, hankel)
     if seed is None:
         return None
-    defect, jac, plen = _pell_defect(system, n, a, b, beta)
+    defect, jac, plen = _pell_defect(system, n, b, beta)
     z = np.concatenate(seed)
     residual = float(np.max(np.abs(defect(z))))
     if residual > PELL_TOL:
@@ -535,13 +549,15 @@ def _closure_residual(system: MagicKind, n: int, a: float, b: float, beta: float
 
 
 def _bundle(system: MagicKind, n: int, a: float, b: float, beta: float) -> CertificateBundle:
-    det = cayley_det(system, n, a, b, beta)
-    pell = pell_solve(system, n, a, b, beta)
+    """All four residuals at one root; the series and its matrix are built once."""
+    _check_cayley(system, n, a, b, beta)
+    s, hankel = _series_hankel(system, n, a, b, beta)
+    pell = _pell_fit(system, n, b / a, beta / a, s, hankel)
     return CertificateBundle(
         system=system,
         n=n,
         beta=beta,
-        cayley_value=float(det),
+        cayley_value=float(np.linalg.det(hankel)),
         torsion_residual=torsion_check(system, n, a, b, beta),
         pell_residual=None if pell is None else pell.residual,
         closure_residual=_closure_residual(system, n, a, b, beta),

@@ -343,16 +343,6 @@ def tangent_phase(fam: ConfocalFamily, beta: float) -> BoundaryPhase | None:
     return None
 
 
-def phase_at(
-    table: TableSpec, t: float, direction: tuple[float, float]
-) -> BoundaryPhase:
-    """Convenience: outer-boundary phase at parameter t with a given direction."""
-    _check_velocity(*direction)
-    p = table.fam.boundary_point(t)
-    h = math.hypot(*direction)
-    return BoundaryPhase(p, (direction[0] / h, direction[1] / h), "outer")
-
-
 # ---------------------------------------------------------------------------
 # caustic levels in closed form
 #

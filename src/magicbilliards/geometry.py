@@ -165,24 +165,6 @@ def elliptic_columns(fam: ConfocalFamily, x, y) -> tuple[np.ndarray, np.ndarray]
     return lam1, lam2
 
 
-def from_elliptic(
-    fam: ConfocalFamily,
-    coords: EllipticCoords,
-    quadrant: tuple[int, int],
-) -> tuple[float, float]:
-    """Invert :func:`to_elliptic`; ``quadrant`` supplies the lost signs.
-
-    x² = (a−λ1)(a−λ2)/(a−b),  y² = (b−λ1)(λ2−b)/(a−b).
-    """
-    sx, sy = quadrant
-    den = fam.a - fam.b
-    x2 = (fam.a - coords.lam1) * (fam.a - coords.lam2) / den
-    y2 = (fam.b - coords.lam1) * (coords.lam2 - fam.b) / den
-    return math.copysign(math.sqrt(max(x2, 0.0)), sx), math.copysign(
-        math.sqrt(max(y2, 0.0)), sy
-    )
-
-
 def caustic_of_line(
     fam: ConfocalFamily, p: tuple[float, float], v: tuple[float, float]
 ) -> CausticId:

@@ -54,6 +54,7 @@ from magicbilliards.certificates import (
     _mul_u,
     _pell_defect,
     _pell_seed,
+    _series_hankel,
     _sqrt_cubic_coeffs,
 )
 
@@ -147,6 +148,66 @@ def test_cayley_odd_markers_and_errors():
     with pytest.raises(ValueError):
         # flip-long odd periods need a hyperbola caustic
         cayley_det(MagicKind.FLIP_LONG, 3, A, B, 2.5)
+
+
+def _cayley_det_two_branches(system, n, a, b, beta):
+    """cayley_det with its even and odd matrices built in separate branches."""
+    certificates._check_caustic(a, b, beta)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if n % 2 == 0:
+        m = n // 2
+        if m < 2:
+            return 1.0
+        coeffs = _sqrt_cubic_coeffs(1.0, b / a, beta / a, n)
+        size = m - 1
+        mat = np.array([[coeffs[3 + i + j] for j in range(size)] for i in range(size)])
+        return float(np.linalg.det(mat))
+    m = (n - 1) // 2
+    if system is MagicKind.FLIP_SHORT:
+        return CayleyMarker.ALWAYS_FALSE
+    if system is MagicKind.IDENTITY:
+        raise UnsupportedParity("identity system: no odd-period certificate")
+    certificates._check_distinct(a, b, beta)
+    coeffs = _sqrt_cubic_coeffs(1.0, b / a, beta / a, n)
+    if system is MagicKind.FLIP_LONG:
+        if not (b < beta < a):
+            raise ValueError("odd flip-long certificate needs a hyperbola caustic")
+        coeffs = _divide_linear(coeffs, b / a)
+    mat = np.array([[coeffs[2 + i + j] for j in range(m)] for i in range(m)])
+    return float(np.linalg.det(mat))
+
+
+def test_cayley_index_rule_matches_the_two_branch_form_bit_for_bit():
+    """One index rule, entries s_{3+i+j} (even n) or s_{2+i+j} (odd n) on
+    (n-1)//2 rows, gives the two-branch values, markers and exceptions.
+
+    The four systems, n = 2..16, one ellipse and two hyperbola caustics
+    on (9, 4), (20, 3) and four seeded families with b/a in [0.15, 0.85].
+    """
+    rng = np.random.default_rng(23)
+    families = [(9.0, 4.0), (20.0, 3.0)]
+    families += [(a, a * r) for a, r in zip(rng.uniform(1.0, 20.0, 4), rng.uniform(0.15, 0.85, 4))]
+    values = 0
+    for a, b in families:
+        for beta in (0.37 * b, b + 0.21 * (a - b), b + 0.83 * (a - b)):
+            for system in MagicKind:
+                for n in range(2, 17):
+                    case = (a, b, beta, system, n)
+                    try:
+                        want = _cayley_det_two_branches(system, n, a, b, beta)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as got:
+                            cayley_det(system, n, a, b, beta)
+                        assert (got.type, str(got.value)) == (type(exc), str(exc)), case
+                        continue
+                    got = cayley_det(system, n, a, b, beta)
+                    if isinstance(want, CayleyMarker):
+                        assert got is want, case
+                    else:
+                        assert got.hex() == want.hex(), case
+                    values += 1
+    assert values == 912
 
 
 def test_root_sets_match_goldens():
@@ -579,7 +640,7 @@ def test_pell_returns_none_off_root():
 )
 def test_pell_jacobian_matches_central_differences(kind, n, beta):
     """The closed-form Jacobian of the Pell defect equals its numerical derivative."""
-    defect, jac, plen = _pell_defect(kind, n, A, B, beta)
+    defect, jac, plen = _pell_defect(kind, n, B / A, beta / A)
     z = np.random.default_rng(n).uniform(-2.0, 2.0, plen + (n - 1) // 2)
     h = 1e-5
     fd = np.column_stack(
@@ -659,7 +720,7 @@ def test_pell_products_have_one_length_for_every_key(system):
         lead, quart, _ = _pell_polys_reference(system, n, A, B, 5.3)
         plen, qlen = _pell_unknowns(n)
         assert len(lead) + 2 * plen - 2 == len(quart) + 2 * qlen - 2 == n + 1, n
-        defect, jac, got_plen = _pell_defect(system, n, A, B, 5.3)
+        defect, jac, got_plen = _pell_defect(system, n, B / A, 5.3 / A)
         z = np.ones(plen + qlen)
         assert got_plen == plen and defect(z).shape == (n + 1,)
         assert jac(z).shape == (n + 1, plen + qlen)
@@ -672,8 +733,8 @@ def test_pell_defect_and_jacobian_match_the_padded_form_bit_for_bit(system, beta
     for n in range(3, 17):
         if n % 2 == 1 and system is MagicKind.IDENTITY:
             continue
-        defect, jac, _ = _pell_defect(system, n, A, B, beta)
-        want_defect, want_jac = _pell_defect_reference(system, n, A, B, beta)
+        defect, jac, _ = _pell_defect(system, n, B / A, beta / A)
+        want_defect, want_jac = _pell_defect_reference(system, n, 1.0, B / A, beta / A)
         for _ in range(3):
             z = rng.uniform(-3.0, 3.0, sum(_pell_unknowns(n)))
             for got, want in ((defect(z), want_defect(z)), (jac(z), want_jac(z))):
@@ -797,7 +858,7 @@ def _pell_seed_reference(system, n, a, b, beta):
 
 
 def test_pell_seed_matches_the_padded_products_bit_for_bit():
-    """Every key and n = 3..40, on seeded families, b = 1 among them (lead(0) = 1)."""
+    """Every key and n = 3..40, on seeded families, on the dimensionless (b/a, beta/a)."""
     rng = np.random.default_rng(19)
     families = [(9.0, 4.0), (20.0, 3.0), (2.5, 1.0), (7.0, 1.0), *PELL_FAMILIES]
     families += [(a, a * r) for a, r in zip(rng.uniform(1.0, 20.0, 4), rng.uniform(0.15, 0.85, 4))]
@@ -806,8 +867,10 @@ def test_pell_seed_matches_the_padded_products_bit_for_bit():
         for beta in (0.37 * b, b + 0.21 * (a - b), b + 0.83 * (a - b)):
             for system in PELL_KEYS:
                 for n in range(3, 41):
-                    got = _pell_seed(system, n, a, b, beta)
-                    want = _pell_seed_reference(system, n, a, b, beta)
+                    got = _pell_seed(
+                        system, n, b / a, beta / a, *_series_hankel(system, n, a, b, beta)
+                    )
+                    want = _pell_seed_reference(system, n, 1.0, b / a, beta / a)
                     assert (got is None) == (want is None), (a, b, beta, system, n)
                     if got is not None:
                         for g, w in zip(got, want):
@@ -822,11 +885,12 @@ def _pell_reference(system, n, a, b, beta):
     scaling."""
     from scipy.optimize import least_squares
 
-    a, b, beta = 1.0, b / a, beta / a
-    seed = _pell_seed(system, n, a, b, beta)
+    s, hankel = _series_hankel(system, n, a, b, beta)
+    b, beta = b / a, beta / a
+    seed = _pell_seed(system, n, b, beta, s, hankel)
     if seed is None:
         return None
-    defect, jac, plen = _pell_defect(system, n, a, b, beta)
+    defect, jac, plen = _pell_defect(system, n, b, beta)
     z = np.concatenate(seed)
     residual = float(np.max(np.abs(defect(z))))
     if residual > PELL_TOL:
@@ -927,6 +991,24 @@ def test_sweep_certificates_are_pinned_on_9_4():
     assert count == 124
     assert no_pell.hexdigest() == SWEEP_9_4_NO_PELL_SHA256
     assert digest.hexdigest() == SWEEP_9_4_SHA256
+
+
+def test_sweep_builds_one_series_per_root(monkeypatch):
+    """The determinant and the Pell seed of a root read one series: over the
+    (9, 4) sweep of the pin above, _sqrt_cubic_coeffs runs once per root."""
+    calls = []
+    real = certificates._sqrt_cubic_coeffs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certificates, "_sqrt_cubic_coeffs", counting)
+    roots = sum(
+        len(find_periodic_caustics(MagicKind(system), n, A, B, (0.0, A))) for system, n in SWEEP
+    )
+    assert roots == 124
+    assert len(calls) == roots
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from magicbilliards import (
     closure_defect,
     detect_closure,
     level_orbits,
-    phase_at,
     phase_distance,
     step,
     step_inverse,
@@ -40,6 +39,11 @@ from magicbilliards.geometry import GRAZE_RTOL, HIT_TMIN_RTOL, _hit_time
 FAM = ConfocalFamily(9.0, 4.0)
 ELL = {k: TableSpec(FAM, k) for k in MagicKind}
 ANN = {k: TableSpec(FAM, k, 3.0) for k in MagicKind}
+
+
+def _unit(vx, vy):
+    h = math.hypot(vx, vy)
+    return vx / h, vy / h
 
 
 def test_magic_signs():
@@ -96,7 +100,7 @@ def test_vertical_chord_periods():
 
 
 def test_step_stays_on_boundary_unit_speed():
-    s = phase_at(ELL[MagicKind.HALF_TURN], 0.83, (-0.45, -0.89))
+    s = BoundaryPhase(FAM.boundary_point(0.83), _unit(-0.45, -0.89), "outer")
     for _ in range(50):
         s = step(ELL[MagicKind.HALF_TURN], s)
         assert abs(FAM.conic_residual(0.0, *s.at)) < 1e-9
@@ -108,7 +112,7 @@ def test_step_stays_on_boundary_unit_speed():
 def test_caustic_is_conserved(kind, inner):
     table = TableSpec(FAM, kind, inner)
     for t0, th in [(0.4, 3.8), (1.3, 4.4), (2.6, 5.6), (5.1, 1.9)]:
-        s = phase_at(table, t0, (math.cos(th), math.sin(th)))
+        s = BoundaryPhase(table.fam.boundary_point(t0), _unit(math.cos(th), math.sin(th)), "outer")
         nx, ny = s.at[0] / FAM.a, s.at[1] / FAM.b
         if s.v[0] * nx + s.v[1] * ny > -1e-2:
             continue  # outward or grazing start
@@ -125,7 +129,7 @@ def test_even_steps_match_identity(kind):
     table = TableSpec(FAM, kind)
     ident = ELL[MagicKind.IDENTITY]
     for t0, th in [(0.7, 3.6), (1.9, 5.0), (4.0, 1.3)]:
-        s = phase_at(table, t0, (math.cos(th), math.sin(th)))
+        s = BoundaryPhase(table.fam.boundary_point(t0), _unit(math.cos(th), math.sin(th)), "outer")
         nx, ny = s.at[0] / FAM.a, s.at[1] / FAM.b
         if s.v[0] * nx + s.v[1] * ny > -1e-2:
             continue
@@ -138,7 +142,7 @@ def test_even_steps_match_identity(kind):
 def test_step_inverse_roundtrip():
     for kind in MagicKind:
         for table in (ELL[kind], ANN[kind]):
-            s0 = phase_at(table, 2.2, (0.1, -0.995))
+            s0 = BoundaryPhase(table.fam.boundary_point(2.2), _unit(0.1, -0.995), "outer")
             s = s0
             for _ in range(7):
                 s = step(table, s)
@@ -182,12 +186,6 @@ def test_velocity_must_be_finite_and_nonzero(name, v):
         BOUNCE_CALLS[name](ELL[MagicKind.FLIP_LONG], s)
 
 
-@pytest.mark.parametrize("direction", [(0.0, 0.0), (math.nan, 0.5), (math.inf, 1.0)], ids=repr)
-def test_phase_at_needs_a_finite_nonzero_direction(direction):
-    with pytest.raises(ValueError, match="finite and nonzero"):
-        phase_at(ELL[MagicKind.FLIP_LONG], 0.3, direction)
-
-
 def test_trajectory_shape_and_crossings():
     s0 = BoundaryPhase((0.0, 2.0), (0.0, -1.0))
     traj = trajectory(ELL[MagicKind.FLIP_LONG], s0, 6)
@@ -204,7 +202,7 @@ def test_trajectory_shape_and_crossings():
 def test_annulus_inner_wall_is_reached():
     table = ANN[MagicKind.IDENTITY]
     # hyperbola-caustic chords pass near the center and must hit the inner wall
-    s = phase_at(table, 1.45, (-0.05, -0.999))
+    s = BoundaryPhase(table.fam.boundary_point(1.45), _unit(-0.05, -0.999), "outer")
     comps = set()
     for _ in range(40):
         s = step(table, s)
@@ -293,7 +291,8 @@ def test_tangent_phase_is_the_first_tangent_of_the_scan(a, b, beta):
 
 def test_trajectory_keeps_pre_magic_hits():
     for table in (ELL[MagicKind.FLIP_LONG], ANN[MagicKind.HALF_TURN]):
-        traj = trajectory(table, phase_at(table, 1.45, (-0.05, -0.999)), 40)
+        s0 = BoundaryPhase(table.fam.boundary_point(1.45), _unit(-0.05, -0.999), "outer")
+        traj = trajectory(table, s0, 40)
         assert len(traj.hits) == 40
         for hit, s in zip(traj.hits, traj.states[1:]):
             if s.component == "outer":

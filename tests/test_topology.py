@@ -31,7 +31,6 @@ from magicbilliards.dynamics import (
     _level_grid,
     _twin,
     level_orbits,
-    phase_at,
     phase_distance,
     step,
     step_inverse,
@@ -440,7 +439,8 @@ def test_regular_levels_need_no_scalar_geometry(monkeypatch):
         ConfocalFamily, "boundary_point", counted("boundary_point", ConfocalFamily.boundary_point)
     )
     # the wrappers see calls made inside the package
-    s0 = phase_at(ELL[MagicKind.FLIP_LONG], 1.2, (-1.0, -0.3))
+    h = math.hypot(1.0, 0.3)
+    s0 = BoundaryPhase(FAM.boundary_point(1.2), (-1.0 / h, -0.3 / h), "outer")
     trajectory(ELL[MagicKind.FLIP_LONG], s0, 3)
     dynamics.tangent_phase(FAM, 6.0)
     assert set(calls) == {"caustic_of_line", "tangent_directions", "_walk", "boundary_point"}
