@@ -1,6 +1,7 @@
 """Render one SVG per magic kind plus an annulus run (written to ./orbit_svgs)."""
 import math
 import os
+import sys
 
 from magicbilliards.cli import main
 
@@ -8,6 +9,7 @@ os.makedirs("orbit_svgs", exist_ok=True)
 
 x0 = 0.2995
 y0 = repr(2.0 * math.sqrt(1.0 - x0 * x0 / 9.0))
+failed = 0
 
 for kind in ("identity", "flip-long", "flip-short", "half-turn"):
     out = f"orbit_svgs/{kind}"
@@ -15,6 +17,7 @@ for kind in ("identity", "flip-long", "flip-short", "half-turn"):
                "--dx", "1", "--dy", "-0.35", "--bounces", "12",
                "--out", f"{out}.csv", "--svg", f"{out}.svg"])
     print(f"{kind:10s} -> {out}.svg" if rc == 0 else f"{kind}: failed ({rc})")
+    failed += rc != 0
 
 # same start on the annulus table; segments bounce off both walls
 rc = main(["simulate", "--table", "annulus", "--inner-lambda", "3",
@@ -22,3 +25,6 @@ rc = main(["simulate", "--table", "annulus", "--inner-lambda", "3",
            "--dx", "-0.2", "--dy", "-1", "--bounces", "14",
            "--out", "orbit_svgs/annulus.csv", "--svg", "orbit_svgs/annulus.svg"])
 print("annulus    -> orbit_svgs/annulus.svg" if rc == 0 else f"annulus: failed ({rc})")
+failed += rc != 0
+if failed:
+    sys.exit(1)

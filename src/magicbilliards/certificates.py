@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,7 +55,8 @@ BISECT_RTOL = 1e-12
 
 
 class DegenerateCubic(ValueError):
-    """Two of the cubic's roots coincide; the square-root series degenerates."""
+    """Two of the cubic's roots coincide, or one sits at 0 to within underflow;
+    the square-root series degenerates."""
 
 
 class UnsupportedParity(ValueError):
@@ -139,10 +141,13 @@ def _check_distinct(*roots: float) -> None:
 
 
 def _check_caustic(a: float, b: float, beta: float) -> None:
-    """The certificates' domain: a valid family and a caustic 0 < beta < a."""
+    """The certificates' domain: a valid family and a caustic 0 < beta < a
+    whose dimensionless cubic has a normal constant term (b/a)(beta/a)."""
     ConfocalFamily(a, b)  # validates a > b > 0, both finite
     if not (0.0 < beta < a):  # also rejects NaN
         raise ValueError(f"caustic parameter {beta} outside (0, {a})")
+    if (b / a) * (beta / a) < sys.float_info.min:  # the series divides by it
+        raise DegenerateCubic(f"cubic constant term (b/a)(beta/a) underflows at {a, b, beta}")
 
 
 def _sqrt_cubic_coeffs(p: float, q: float, r: float, nterms: int) -> list[float]:
@@ -564,6 +569,53 @@ def _bundle(system: MagicKind, n: int, a: float, b: float, beta: float) -> Certi
     )
 
 
+def _brent(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f in [lo, hi] by Brent's method (Brent 1973, ch. 4).
+
+    A statement-for-statement port of scipy's ``Zeros/brentq.c`` with its
+    defaults (rtol = 4 eps, 100 iterations), so it returns the root
+    ``scipy.optimize.brentq`` returns, bit for bit, without importing it.
+    """
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    xblk = fblk = spre = scur = 0.0
+    rtol = 4.0 * 2.0 ** -52  # 4 eps
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in 100 iterations, at {xcur!r}")
+
+
 def empty_reason(system: MagicKind, n: int) -> str | None:
     """Why no n-periodic caustic of ``system`` exists in any family, or None."""
     if n == 2:
@@ -586,7 +638,9 @@ def find_periodic_caustics(
     half-turn system, with rho the closed-form rotation number.  rho is
     monotone on each side of the focal level b, so every winding m whose
     target lies strictly between rho at the two ends of a window has
-    exactly one root there, solved to |dbeta| < 1e-12 a.  The windows
+    exactly one root there, solved to |dbeta| < 1e-12 a by ``_brent``,
+    which returns scipy's brentq root bit for bit but imports no
+    scipy.optimize (only the Pell fallback polish does).  The windows
     stay clear of the degenerate caustics {0, b, a} by
     ``ROOT_MARGIN_RTOL * a`` and, for the odd flip-long certificate,
     cover only the hyperbola range (b, a).  Every root comes back as a
@@ -608,17 +662,11 @@ def find_periodic_caustics(
         raise UnsupportedParity("identity system: no odd-period certificate")
     if empty_reason(system, n) is not None:
         return []
-    # deferred past the checks: scipy.optimize is slow to import
-    from scipy.optimize import brentq
-
     margin = ROOT_MARGIN_RTOL * a
     windows = [(margin, b - margin), (b + margin, a - margin)]
     if odd and system is MagicKind.FLIP_LONG:
         windows = windows[1:]
     half = 0.5 if odd and system is MagicKind.HALF_TURN else 0.0
-
-    def defect(beta: float, target: float) -> float:
-        return n * _rho(a, b, beta) - target
 
     roots: list[float] = []
     for wlo, whi in windows:
@@ -629,7 +677,9 @@ def find_periodic_caustics(
         for m in range(n):
             target = m + half
             if r1 < target / n < r2:
-                roots.append(brentq(defect, wlo, whi, args=(target,), xtol=BISECT_RTOL * a))
+                roots.append(_brent(
+                    lambda beta: n * _rho(a, b, beta) - target, wlo, whi, BISECT_RTOL * a
+                ))
     roots.sort()
     return [_bundle(system, n, a, b, r) for r in roots]
 
@@ -645,7 +695,7 @@ def _rho(a: float, b: float, beta: float) -> float:
     falls from 1/2 to 0 over the hyperbola caustics b < beta < a
     (Chang & Friedberg, J. Math. Phys. 29 (1988) 1537).
     """
-    from scipy.special import ellipk, ellipkinc  # deferred, like scipy.optimize
+    from scipy.special import ellipk, ellipkinc  # deferred: scipy is slow to import
 
     phi, k2, _ = _caustic_modulus(a, b, beta)
     return float(ellipkinc(phi, k2)) / (2.0 * float(ellipk(k2)))

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -24,6 +25,7 @@ from magicbilliards import (
     CayleyMarker,
     ConfocalFamily,
     CurvePoint,
+    DegenerateCubic,
     DegenerateFocal,
     INFINITY,
     MagicKind,
@@ -48,6 +50,7 @@ from magicbilliards.certificates import (
     _PREC,
     _U_SNAP,
     _add_u,
+    _brent,
     _curve_sums,
     _divide_linear,
     _double_u,
@@ -272,6 +275,52 @@ def test_search_finds_every_root_and_each_closes(a, b, kind, n, count):
         betas.append(bundle.beta)
     assert len(betas) == count
     assert all(lo < hi for lo, hi in zip(betas, betas[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    a0=st.floats(1.0, 10.0),
+    ratio=st.floats(0.02, 0.98),
+    kind=st.sampled_from(list(MagicKind)),
+    n=st.integers(3, 40),
+)
+def test_brent_matches_scipy_brentq_bit_for_bit(scale, a0, ratio, kind, n):
+    """Every winding the search solves gets scipy's brentq root, bit for bit."""
+    from scipy.optimize import brentq
+
+    assume(not (n % 2 and kind in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT)))
+    a = a0 * scale
+    b = ratio * a
+    roots = []
+
+    def both(f, lo, hi, xtol):
+        root = _brent(f, lo, hi, xtol)
+        assert root.hex() == brentq(f, lo, hi, xtol=xtol).hex(), (lo, hi, xtol)
+        roots.append(root)
+        return root
+
+    with mock.patch.object(certificates, "_brent", both), \
+            mock.patch.object(certificates, "_bundle", lambda *args: args[-1]):
+        betas = find_periodic_caustics(kind, n, a, b, (0.0, a))
+    assert betas == sorted(roots)
+
+
+def test_brent_raises_when_it_runs_out_of_iterations():
+    """A step function gives Brent no usable secant, so it bisects: [0, 1e25]
+    takes 124 iterations, past the limit of 100 that it shares with brentq."""
+    from scipy.optimize import brentq
+
+    def step(x):
+        return -1.0 if x < 1.0 else 1.0
+
+    assert brentq(step, 0.0, 1e25, xtol=1e-12, maxiter=124) == pytest.approx(1.0)
+    with pytest.raises(RuntimeError):
+        brentq(step, 0.0, 1e25, xtol=1e-12)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _brent(step, 0.0, 1e25, 1e-12)
+    with pytest.raises(ValueError, match="different signs"):
+        _brent(lambda x: 1.0, 0.0, 1.0, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -956,6 +1005,22 @@ def test_evaluators_reject_an_invalid_family_or_caustic(evaluator, a, b, beta):
         evaluator(MagicKind.IDENTITY, 4, a, b, beta)
 
 
+# f0 = (b/a)(beta/a), the constant term of the dimensionless cubic, is 0 or
+# subnormal: the square-root series would divide by it
+UNDERFLOWING_CAUSTICS = [
+    (1.0, 1e-200, 1e-200),
+    (1.0, 0.5, 1e-310),
+    (1e300, 1e-10, 1e-10),
+]
+
+
+@pytest.mark.parametrize("evaluator", [cayley_det, torsion_check, pell_solve])
+@pytest.mark.parametrize("a, b, beta", UNDERFLOWING_CAUSTICS)
+def test_evaluators_reject_a_cubic_whose_constant_term_underflows(evaluator, a, b, beta):
+    with pytest.raises(DegenerateCubic, match="underflows"):
+        evaluator(MagicKind.IDENTITY, 4, a, b, beta)
+
+
 # ---------------------------------------------------------------------------
 # regression pin for the periodic sweep
 
@@ -1075,8 +1140,9 @@ def test_rotation_number_degenerate():
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported on first use: by the search (brentq, and scipy.special
-    for the rotation number), and by the Pell solver only for its fallback polish."""
+    """scipy is imported on first use: scipy.special by the rotation number,
+    which the search solves with a plain-Python Brent, and scipy.optimize by
+    the Pell solver only for its fallback polish."""
     code = "import sys, magicbilliards; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
     out = subprocess.run(
@@ -1084,3 +1150,33 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_search_loads_scipy_optimize_only_for_the_pell_polish(tmp_path):
+    """In a fresh process a (9, 4) search of each system and the CLI's
+    ``periodic --a 9 --b 4 --n 8`` leave scipy.optimize unloaded; the
+    (20, 3) identity n = 10 search loads it, for the polish of its roots
+    next to b."""
+    argv = ["periodic", "--a", "9", "--b", "4", "--n", "8", "--out", str(tmp_path / "p.json")]
+    code = (
+        "import sys\n"
+        "from magicbilliards import MagicKind, find_periodic_caustics\n"
+        "from magicbilliards.cli import main\n"
+        "def loaded():\n"
+        "    return 'scipy.optimize' in sys.modules\n"
+        "for system in MagicKind:\n"
+        "    for n in (7, 8):\n"
+        "        if n % 2 == 0 or system is not MagicKind.IDENTITY:\n"
+        "            find_periodic_caustics(system, n, 9.0, 4.0, (0.0, 9.0))\n"
+        "after_search = loaded()\n"
+        f"rc = main({argv!r})\n"
+        "after_cli = loaded()\n"
+        "find_periodic_caustics(MagicKind.IDENTITY, 10, 20.0, 3.0, (0.0, 20.0))\n"
+        "print(after_search, rc, after_cli, loaded())\n"
+    )
+    src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False 0 False True"

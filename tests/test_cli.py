@@ -5,6 +5,7 @@ import math
 import os
 import re
 import hashlib
+import runpy
 import subprocess
 import sys
 import threading
@@ -631,3 +632,23 @@ def test_simulate_and_topology_load_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[0, 0, 0] []"
+
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+def test_draw_orbits_demo_exits_nonzero_when_a_call_fails(tmp_path, monkeypatch, capsys):
+    """The demo reports each failed simulate call and then exits 1, so a
+    script that runs it can tell."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("magicbilliards.cli.main", lambda argv: 2)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(os.path.join(DEMOS, "draw_orbits.py"), run_name="__main__")
+    assert exc.value.code != 0
+    assert capsys.readouterr().out.count("failed (2)") == 5
+
+
+def test_draw_orbits_demo_writes_five_drawings(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(os.path.join(DEMOS, "draw_orbits.py"), run_name="__main__")
+    assert len(list((tmp_path / "orbit_svgs").glob("*.svg"))) == 5
