@@ -3,11 +3,11 @@
 Three independent certificates decide whether the trajectories tangent to
 a confocal caustic C_beta close up after n reflections:
 
-* a Hankel-type determinant in the Taylor coefficients of
-  sqrt((a-x)(b-x)(beta-x)) (and of that series divided by (b-x)),
+* a Hankel-type determinant in the Taylor coefficients of the dimensionless
+  sqrt((1-x)(b/a-x)(beta/a-x)) (and of that series divided by (b/a-x)),
 * a torsion condition [n]Q0 = O on the cubic curve y^2 = (a-x)(b-x)(beta-x),
-* a polynomial Pell equation p^2 - s(s-1/a)(s-1/b)(s-1/beta) q^2 = 1
-  (with folded variants for the odd-period magic systems).
+* a polynomial Pell equation p^2 - sigma(sigma-1)(sigma-a/b)(sigma-a/beta) q^2 = 1
+  in sigma = a s (with folded variants for the odd-period magic systems).
 
 Which parities admit a certificate depends on the magic kind:
 

@@ -28,6 +28,7 @@ SHA-256 in the tests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -170,13 +171,11 @@ def cmd_simulate(
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
     fam = table.fam
-    if abs(fam.conic_residual(0.0, x0, y0)) > 1e-6:
-        raise ValueError(f"({x0}, {y0}) is not on the outer boundary")
+    nx, ny = normal_at(fam, 0.0, (x0, y0))  # NotOnConic off the outer wall
     h = math.hypot(dx, dy)
     if h < 1e-300:
         raise ValueError("direction (--dx, --dy) must be nonzero")
     v = (dx / h, dy / h)
-    nx, ny = normal_at(fam, 0.0, (x0, y0))
     if v[0] * nx + v[1] * ny <= 1e-12:
         raise ValueError("direction must point into the table")
     if bounces < 1:
@@ -201,16 +200,8 @@ def cmd_simulate(
 
 
 def _bundle_dict(b: CertificateBundle) -> dict:
-    return {
-        "system": b.system.value,
-        "n": b.n,
-        "beta": b.beta,
-        "cayley_value": b.cayley_value,
-        "torsion_residual": b.torsion_residual,
-        "pell_residual": b.pell_residual,
-        "closure_residual": b.closure_residual,
-        "verified": b.verified,
-    }
+    # the fields in declared order, the system by its name, then the verdict
+    return {**dataclasses.asdict(b), "system": b.system.value, "verified": b.verified}
 
 
 def cmd_periodic(
@@ -238,14 +229,7 @@ def cmd_topology(table: TableSpec, beta: float | None, out_json: str) -> int:
     """Level-set report (with --beta) or the system's Fomenko graph as JSON."""
     if beta is not None:
         rep = classify_level(table, beta)
-        doc = {
-            "system": f"{table.shape}:{table.outer_map.value}",
-            "beta": rep.beta,
-            "kind": rep.kind,
-            "component_count": rep.component_count,
-            "sample_count": rep.sample_count,
-            "merge_evidence": [list(pair) for pair in rep.merge_evidence],
-        }
+        doc = {"system": f"{table.shape}:{table.outer_map.value}", **dataclasses.asdict(rep)}
     else:
         doc = fomenko_graph(table).to_dict()
     _write_atomic(out_json, _dump_json(doc))

@@ -63,7 +63,7 @@ class MagicKind(Enum):
     def __new__(cls, value: str, signs: tuple[float, float]):
         kind = object.__new__(cls)
         kind._value_ = value
-        # a plain attribute: the step map reads it at every outer bounce
+        # a plain attribute: _walk reads it once per walk, not per bounce
         kind.signs = signs
         return kind
 

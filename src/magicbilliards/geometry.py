@@ -171,15 +171,16 @@ def caustic_of_line(
     """The confocal conic tangent to the line through ``p`` with direction ``v``.
 
     For a non-vertical line y = kx + m the tangency condition
-    m² = (a−λ)k² + (b−λ) gives λ = (a k² + b − m²)/(k² + 1); a vertical
-    line x = c is tangent to C_{a−c²}.  Near-vertical directions
-    (|v_x| < ``VERTICAL_VX``) use the vertical branch to avoid the
-    blow-up of the slope form.
+    m² = (a−λ)k² + (b−λ) gives λ = (a k² + b − m²)/(k² + 1).  Near-vertical
+    directions (|v_x| < ``VERTICAL_VX``), where the slope blows up, take
+    the normal form c² = (a−λ)v_y² + (b−λ)v_x² with c = x v_y − y v_x; for
+    a vertical unit direction it is a − x², bit for bit.
     """
     x, y = p
     vx, vy = v
     if abs(vx) < VERTICAL_VX:
-        lam = fam.a - x * x
+        c = x * vy - y * vx
+        lam = (fam.a * vy * vy + fam.b * vx * vx - c * c) / (vx * vx + vy * vy)
     else:
         k = vy / vx
         m = y - k * x
@@ -203,9 +204,10 @@ def caustic_column(fam: ConfocalFamily, x, y, vx, vy) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k = vy / vx
         m = y - k * x
+        c = x * vy - y * vx
         lam = np.where(
             np.abs(vx) < VERTICAL_VX,
-            fam.a - x * x,
+            (fam.a * vy * vy + fam.b * vx * vx - c * c) / (vx * vx + vy * vy),
             (fam.a * k * k + fam.b - m * m) / (k * k + 1.0),
         )
     # classify_caustic accepts every lam in (0, a); it judges the rest
@@ -303,32 +305,25 @@ def tangent_directions(
     aq = fam.a - beta - x * x
     bq = fam.b - beta - y * y
     nx, ny = normal_at(fam, 0.0, p)
-    dirs: list[tuple[float, float]] = []
-
-    def keep(vx: float, vy: float) -> None:
-        if vx * nx + vy * ny > 1e-12:
-            dirs.append((vx, vy))
-
-    if abs(aq) < 1e-12 * fam.a:
-        # vertical tangent through this point, plus one finite slope
-        keep(0.0, 1.0)
-        keep(0.0, -1.0)
-        if abs(x * y) > 1e-300:
-            k = -bq / (2.0 * x * y)
-            h = math.hypot(1.0, k)
-            keep(1.0 / h, k / h)
-            keep(-1.0 / h, -k / h)
+    disc = x * x * y * y - aq * bq
+    if disc < 0.0:
+        return []
+    # q/aq is the root of larger magnitude and bq/q, from the product of the
+    # roots, the other, so neither cancels; q = 0 only at a double root 0.
+    # At aq = 0 the k² term drops out: the larger root is the vertical line,
+    # and q = 0 leaves no finite one
+    xy = x * y
+    q = -xy - math.copysign(math.sqrt(disc), xy)
+    lines: list[tuple[float, float]] = []
+    if aq == 0.0:
+        lines.append((0.0, 1.0))
+        slopes = (bq / q,) if q != 0.0 else ()
     else:
-        disc = x * x * y * y - aq * bq
-        if disc < 0.0:
-            return []
-        # q/aq is the root of larger magnitude and bq/q, from the product of
-        # the roots, the other, so neither cancels; q = 0 only at a double root 0
-        xy = x * y
-        q = -xy - math.copysign(math.sqrt(disc), xy)
-        for k in (q / aq, bq / q) if q != 0.0 else (0.0, 0.0):
-            h = math.hypot(1.0, k)
-            keep(1.0 / h, k / h)
-            keep(-1.0 / h, -k / h)
+        slopes = (q / aq, bq / q) if q != 0.0 else (0.0, 0.0)
+    for k in slopes:
+        h = math.hypot(1.0, k)
+        lines.append((1.0 / h, k / h))
+    both = [d for vx, vy in lines for d in ((vx, vy), (-vx, -vy))]
+    dirs = [(vx, vy) for vx, vy in both if vx * nx + vy * ny > 1e-12]
     dirs.sort(key=lambda d: math.atan2(d[1], d[0]))
     return dirs

@@ -34,9 +34,9 @@ from .dynamics import (
 )
 from .geometry import ConfocalFamily, classify_caustic
 
-# seeds labelled together: a seed's labels never depend on another's.  One
-# block of all 32 rows of the default 64 seeds cost about 30 % of the
-# foliation-census ops/s and 3.7 MB of its peak RSS (2-core x86-64)
+# seeds labelled together (a seed's labels never depend on another's).  One
+# block of the default 32 rows took 4.5-5.1 ms per classify_level and 4 MB
+# more peak RSS; blocks of 8 took 2.3-3.0 ms (2-core x86-64 Xeon)
 SEED_BLOCK = 8
 
 _ATOM_LOOKUP = {
@@ -415,36 +415,28 @@ _GRAPH_DATA: dict[tuple[str, MagicKind], tuple] = {
 }
 
 
-def _cross_check(table: TableSpec, atoms: list[GraphAtom], edges: list[GraphEdge]) -> None:
+def _cross_check(table: TableSpec, graph: FomenkoGraph) -> None:
     """Fail loudly when numeric reports contradict the transcribed graph."""
     fam = table.fam
-    by_level: dict[str, list[GraphAtom]] = {"0": [], "b": [], "a": []}
-    for atom in atoms:
-        by_level[atom.level].append(atom)
-    center = by_level["b"][0]
-
+    levels = graph.singular_levels
     # closed-orbit counts at the torus ends must match the atom counts
     for level, lam in (("0", 0.0), ("a", fam.a)):
         rep = singular_level_report(table, lam)
-        if rep.closed_orbits != len(by_level[level]):
+        if rep.closed_orbits != len(levels[level]):
             raise TopologyMismatch(
                 f"level {level}: {rep.closed_orbits} closed orbits vs "
-                f"{len(by_level[level])} transcribed atoms"
+                f"{len(levels[level])} transcribed atoms"
             )
     # the focal atom itself
     rep_b = singular_level_report(table, fam.b)
-    if rep_b.atom != center.type:
-        raise TopologyMismatch(
-            f"focal level: numeric atom {rep_b.atom} vs transcribed {center.type}"
-        )
+    center = next(x.type for x in graph.atoms if x.id == levels["b"][0])
+    if rep_b.atom != center:
+        raise TopologyMismatch(f"focal level: numeric atom {rep_b.atom} vs transcribed {center}")
     # regular component counts on each side must match the edge counts
-    ids_e = {x.id for x in by_level["0"]}
-    ids_h = {x.id for x in by_level["a"]}
-    n_edges_e = sum(1 for e in edges if e.dst in ids_e or e.src in ids_e)
-    n_edges_h = sum(1 for e in edges if e.dst in ids_h or e.src in ids_h)
     beta_e = (5.0 / 6.0) * table.inner_lam if table.inner_lam else 0.625 * fam.b
     beta_h = fam.b + 0.4 * (fam.a - fam.b)
-    for beta, expected, side in ((beta_e, n_edges_e, "ellipse"), (beta_h, n_edges_h, "hyperbola")):
+    for level, beta, side in (("0", beta_e, "ellipse"), ("a", beta_h, "hyperbola")):
+        expected = sum(1 for e in graph.edges if {e.src, e.dst} & set(levels[level]))
         got = classify_level(table, beta, samples=16, steps=400).component_count
         if got != expected:
             raise TopologyMismatch(
@@ -468,8 +460,12 @@ def fomenko_graph(table: TableSpec) -> FomenkoGraph:
             f"no transcribed graph for {table.shape} with {table.outer_map.value}"
         )
     atom_rows, edge_rows, mark, prov = _GRAPH_DATA[key]
-    atoms = [GraphAtom(*row) for row in atom_rows]
-    edges = [GraphEdge(*row) for row in edge_rows]
-    _cross_check(table, atoms, edges)
-    name = f"{table.shape}:{table.outer_map.value}"
-    return FomenkoGraph(name, tuple(atoms), tuple(edges), mark, prov)
+    graph = FomenkoGraph(
+        f"{table.shape}:{table.outer_map.value}",
+        tuple(GraphAtom(*row) for row in atom_rows),
+        tuple(GraphEdge(*row) for row in edge_rows),
+        mark,
+        prov,
+    )
+    _cross_check(table, graph)
+    return graph

@@ -3,6 +3,7 @@ import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
 
 from magicbilliards import (
     CenterDegenerate,
@@ -233,6 +234,66 @@ def test_tangent_slopes_stay_exact_next_to_a_vertical_tangent():
         assert len(dirs) == 2
         for v in dirs:
             assert abs(caustic_of_line(fam, p, v).lam - beta) <= 1e-14 * a
+
+
+def _tangent_reference(fam, beta, p):
+    """The inward tangent directions at the float point p, to 50 digits.
+
+    A root r = -xy ± sqrt(disc) of the slope quadratic gives the line
+    (aq, r), or (r', bq) with r r' = aq bq; the longer of the two is
+    kept, so the vertical line at aq = 0 is no special case.
+    """
+    with mp.workdps(50):
+        x, y = mp.mpf(p[0]), mp.mpf(p[1])
+        aq = mp.mpf(fam.a) - mp.mpf(beta) - x * x
+        bq = mp.mpf(fam.b) - mp.mpf(beta) - y * y
+        disc = x * x * y * y - aq * bq
+        if disc < 0:
+            return []
+        sq = mp.sqrt(disc)
+        out = []
+        for r, r2 in ((-x * y + sq, -x * y - sq), (-x * y - sq, -x * y + sq)):
+            u = max((aq, r), (r2, bq), key=lambda w: mp.hypot(*w))
+            h = mp.hypot(*u)
+            for s in (1, -1):
+                d = (s * u[0] / h, s * u[1] / h)
+                if d[0] * x / fam.a + d[1] * y / fam.b < 0:
+                    out.append(d)
+        return out
+
+
+def _tangent_cases():
+    # wall points on the vertical tangent x² = a - beta, and up to 2e-11 a off
+    # it on either side, on both sides of b, and generic wall points
+    deltas = (0.0, 1e-13, 1e-12, 5e-12, 1e-11, 2e-11)
+    for a, b in ((9.0, 4.0), (20.0, 3.0), (10.0, 0.5)):
+        fam = ConfocalFamily(a, b)
+        for beta in (0.4 * b, 0.9 * b, b + 0.3 * (a - b), b + 0.8 * (a - b)):
+            for delta in deltas + tuple(-d for d in deltas[1:]):
+                x = math.sqrt(a - beta - delta * a)
+                y = math.sqrt(b * (1.0 - x * x / a))
+                for sx, sy in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)):
+                    yield fam, beta, (sx * x, sy * y)
+            for k in range(16):
+                yield fam, beta, fam.boundary_point(2.0 * math.pi * (k + 0.3) / 16)
+    # a - beta - x² is 0.0 in floats here
+    yield FAM, 5.0, (2.0, math.sqrt(20.0 / 9.0))
+
+
+def test_tangent_directions_round_trip_through_caustic_of_line():
+    """Each tangent direction's line touches C_beta to 1e-14 a, and the
+    directions match 50-digit ones, also next to a vertical tangent."""
+    aq_zero = False
+    for fam, beta, p in _tangent_cases():
+        dirs = tangent_directions(fam, beta, p)
+        aq_zero |= fam.a - beta - p[0] * p[0] == 0.0
+        want = _tangent_reference(fam, beta, p)
+        assert len(dirs) == len(want)
+        for d in dirs:
+            assert abs(caustic_of_line(fam, p, d).lam - beta) <= 1e-14 * fam.a, (fam, beta, p, d)
+            err = min(max(abs(d[0] - float(w[0])), abs(d[1] - float(w[1]))) for w in want)
+            assert err <= 1e-14, (fam, beta, p, d, err)
+    assert aq_zero
 
 
 # ---------------------------------------------------------------------------
