@@ -198,8 +198,10 @@ def _series_hankel(system: MagicKind, n: int, a: float, b: float, beta: float):
     return s, np.array([[s[first + i + j] for j in range(size)] for i in range(size)])
 
 
-def _check_cayley(system: MagicKind, n: int, a: float, b: float, beta: float) -> None:
-    """``cayley_det``'s argument checks; odd flip-short is left to its marker."""
+def _check_certificate(system: MagicKind, n: int, a: float, b: float, beta: float) -> None:
+    """The domain of ``cayley_det`` and ``torsion_check``: (system, parity of n, caustic
+    side) with a periodicity condition, and at odd n three distinct cubic roots (else
+    the curve is singular).  Odd flip-short is left to each caller."""
     _check_caustic(a, b, beta)
     if n < 2:
         raise ValueError("need n >= 2")
@@ -227,7 +229,7 @@ def cayley_det(
     dimensionless coefficients keep entries O(1).  Only the root set in
     beta matters, and it is invariant under the scaling.
     """
-    _check_cayley(system, n, a, b, beta)
+    _check_certificate(system, n, a, b, beta)
     if n == 2:
         return 1.0  # empty matrix: no n=2 condition, nothing vanishes
     if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
@@ -372,16 +374,13 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
     flip-long adds the 2-torsion point Q_b = (b, 0) (so the condition is
     [n](Q0 - Q_b) = O), half-turn again uses [n]Q0.  The residual is
     1/(1+|x|) of the resulting point — 0 at infinity — to be compared
-    against ``TORSION_TOL``.
+    against ``TORSION_TOL``.  It raises where ``cayley_det`` raises, and at
+    odd flip-short, which has no torsion condition.
     """
-    _check_caustic(a, b, beta)
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_certificate(system, n, a, b, beta)
     odd = n % 2 == 1
-    if odd and system in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT):
-        raise UnsupportedParity(f"{system.value}: no odd-period torsion condition")
-    if odd and system is MagicKind.FLIP_LONG and not (b < beta < a):
-        raise ValueError("odd flip-long certificate needs a hyperbola caustic")
+    if odd and system is MagicKind.FLIP_SHORT:
+        raise UnsupportedParity("flip-short: no odd-period torsion condition")
     s2, s1, s0 = _curve_sums(a, b, beta)
     t = _mul_u(n, (fzero, mpf_sqrt(s0, _PREC, _RND)), s2, s1)
     if odd and system is MagicKind.FLIP_LONG:
@@ -397,18 +396,11 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
 # polynomial Pell equations
 
 
-def _pell_key(system: MagicKind, n: int) -> str | MagicKind:
-    """Key of the Pell identity for (system, n): "even", or the odd-n system."""
-    return "even" if n % 2 == 0 else system
-
-
 def _pell_exists(system: MagicKind, n: int, b: float, beta: float) -> bool:
     """Whether (system, n) has a Pell identity at the dimensionless (b, beta)."""
-    key = _pell_key(system, n)
-    # n = 2: q would be the zero polynomial and p^2 = 1 has no solution
-    if n < 3 or key in (MagicKind.IDENTITY, MagicKind.FLIP_SHORT):
-        return False
-    return key is not MagicKind.FLIP_LONG or b < beta < 1.0
+    if n % 2 == 0 or system is MagicKind.HALF_TURN:
+        return n >= 3  # n = 2: q would be the zero polynomial and p^2 = 1 has no solution
+    return system is MagicKind.FLIP_LONG and b < beta < 1.0
 
 
 def _pell_seed(system: MagicKind, n: int, b: float, beta: float, s, hankel):
@@ -428,17 +420,15 @@ def _pell_seed(system: MagicKind, n: int, b: float, beta: float, s, hankel):
     """
     if not _pell_exists(system, n, b, beta):
         return None
-    key = _pell_key(system, n)
-    flip = key is MagicKind.FLIP_LONG
     m = n // 2
     _, _, vh = np.linalg.svd(hankel[:, ::-1])
     w = vh[-1]
     u = np.convolve(np.array(s), w)[: m + 1]
-    top = w[-1] if key is MagicKind.HALF_TURN else u[-1]
+    top = w[-1] if n % 2 == 1 and system is MagicKind.HALF_TURN else u[-1]
     c = top * top
     if c <= 0.0:
         return None
-    if flip:
+    if n % 2 == 1 and system is MagicKind.FLIP_LONG:
         return u[::-1] * math.sqrt(b / c), w[::-1] * math.sqrt(beta / c)
     return u[::-1] / math.sqrt(c), w[::-1] * math.sqrt(b * beta / c)
 
@@ -454,13 +444,13 @@ def _pell_defect(system: MagicKind, n: int, b: float, beta: float):
     """
     rb, rbeta = 1.0 / b, 1.0 / beta
     s = np.array([0.0, 1.0])
-    key = _pell_key(system, n)
-    target = -1.0 if key is MagicKind.FLIP_LONG else 1.0
-    if key is MagicKind.FLIP_LONG:
+    flip = n % 2 == 1 and system is MagicKind.FLIP_LONG
+    target = -1.0 if flip else 1.0
+    if flip:
         lead, quart = np.array([-rb, 1.0]), np.convolve(s, np.convolve([-1.0, 1.0], [-rbeta, 1.0]))
     else:
         cubic = np.convolve(np.convolve([-1.0, 1.0], [-rb, 1.0]), np.array([-rbeta, 1.0]))
-        lead, quart = (np.array([1.0]), np.convolve(s, cubic)) if key == "even" else (s, cubic)
+        lead, quart = (np.array([1.0]), np.convolve(s, cubic)) if n % 2 == 0 else (s, cubic)
     plen = n // 2 + 1
 
     def defect(z: np.ndarray) -> np.ndarray:
@@ -555,7 +545,7 @@ def _closure_residual(system: MagicKind, n: int, a: float, b: float, beta: float
 
 def _bundle(system: MagicKind, n: int, a: float, b: float, beta: float) -> CertificateBundle:
     """All four residuals at one root; the series and its matrix are built once."""
-    _check_cayley(system, n, a, b, beta)
+    _check_certificate(system, n, a, b, beta)
     s, hankel = _series_hankel(system, n, a, b, beta)
     pell = _pell_fit(system, n, b / a, beta / a, s, hankel)
     return CertificateBundle(

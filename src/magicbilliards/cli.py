@@ -229,7 +229,7 @@ def cmd_topology(table: TableSpec, beta: float | None, out_json: str) -> int:
     """Level-set report (with --beta) or the system's Fomenko graph as JSON."""
     if beta is not None:
         rep = classify_level(table, beta)
-        doc = {"system": f"{table.shape}:{table.outer_map.value}", **dataclasses.asdict(rep)}
+        doc = {"system": table.label, **dataclasses.asdict(rep)}
     else:
         doc = fomenko_graph(table).to_dict()
     _write_atomic(out_json, _dump_json(doc))

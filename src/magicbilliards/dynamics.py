@@ -92,6 +92,10 @@ class TableSpec:
     def shape(self) -> str:
         return "ellipse" if self.inner_lam is None else "annulus"
 
+    @property
+    def label(self) -> str:
+        return f"{self.shape}:{self.outer_map.value}"
+
 
 @dataclass(frozen=True, slots=True)
 class BoundaryPhase:
@@ -287,13 +291,8 @@ def closure_defect(table: TableSpec, s0: BoundaryPhase, n: int) -> float:
     return phase_distance(table.fam, BoundaryPhase((x, y), (vx, vy)), s0)
 
 
-def detect_closure(
-    table: TableSpec,
-    s0: BoundaryPhase,
-    n_max: int,
-    tol: float | None = None,
-) -> ClosureReport | None:
-    """Smallest period n <= n_max with phase distance to s0 below tol.
+def detect_closure(table: TableSpec, s0: BoundaryPhase, n_max: int) -> ClosureReport | None:
+    """Smallest period n <= n_max with phase distance to s0 below ``CLOSURE_RTOL``.
 
     The winding number (signed circulations around the center) is
     reported only for ellipse-caustic trajectories, as the rounded sum
@@ -303,8 +302,6 @@ def detect_closure(
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if tol is None:
-        tol = CLOSURE_RTOL
     _check_velocity(*s0.v)
     caustic = caustic_of_line(table.fam, s0.at, s0.v)
     theta0 = math.atan2(s0.at[1], s0.at[0])
@@ -317,7 +314,7 @@ def detect_closure(
         total += math.remainder(th - prev, 2.0 * math.pi)
         prev = th
         d = phase_distance(table.fam, s, s0)
-        if d < tol:
+        if d < CLOSURE_RTOL:
             winding = None
             if caustic.kind == "ellipse":
                 turns = total / (2.0 * math.pi)

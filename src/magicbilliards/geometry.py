@@ -266,28 +266,19 @@ def _inward_normal(aa: float, bb: float, x: float, y: float, lam: float) -> tupl
     return -gx / h, -gy / h
 
 
-def normal_at(
-    fam: ConfocalFamily,
-    lam: float,
-    p: tuple[float, float],
-    inner: bool = False,
-) -> tuple[float, float]:
-    """Unit normal of C_lam at ``p``, pointing into the table interior.
+def normal_at(fam: ConfocalFamily, lam: float, p: tuple[float, float]) -> tuple[float, float]:
+    """Inward unit normal −∇/|∇| of C_lam at ``p``.
 
-    For the outer boundary (and any conic enclosing the table) the
-    interior normal is the inward one, ``−∇``; for the inner wall of an
-    annulus the table lies outside the conic, so pass ``inner=True`` to
-    get the outward ``+∇`` instead.
+    It points into the table at the outer wall (and at any conic enclosing
+    the table).  At the inner wall of an annulus the table lies outside
+    the conic: negate the result there.
 
     Raises
     ------
     NotOnConic
         if ``p`` violates the conic equation by more than 1e-8.
     """
-    nx, ny = _inward_normal(fam.a - lam, fam.b - lam, *p, lam)
-    if inner:
-        return -nx, -ny
-    return nx, ny
+    return _inward_normal(fam.a - lam, fam.b - lam, *p, lam)
 
 
 def tangent_directions(

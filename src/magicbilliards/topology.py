@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DegenerateLevel,  # the error classify_level raises through _check_level
     MagicKind,
     TableSpec,
     _check_level,
@@ -461,7 +460,7 @@ def fomenko_graph(table: TableSpec) -> FomenkoGraph:
         )
     atom_rows, edge_rows, mark, prov = _GRAPH_DATA[key]
     graph = FomenkoGraph(
-        f"{table.shape}:{table.outer_map.value}",
+        table.label,
         tuple(GraphAtom(*row) for row in atom_rows),
         tuple(GraphEdge(*row) for row in edge_rows),
         mark,

@@ -223,7 +223,7 @@ def test_bounce_loop_matches_the_object_step_bit_for_bit(
     lam = table.inner_lam
     if start == "inner" and lam is not None:
         p = (math.sqrt(fam.a - lam) * math.cos(t), math.sqrt(fam.b - lam) * math.sin(t))
-        s0 = BoundaryPhase(p, _turned(normal_at(fam, lam, p, inner=True), psi), "inner")
+        s0 = BoundaryPhase(p, _turned(tuple(-c for c in normal_at(fam, lam, p)), psi), "inner")
     elif start == "anywhere":
         p = (scale * math.sqrt(fam.a) * math.cos(t), scale * math.sqrt(fam.b) * math.sin(3.0 * t))
         s0 = BoundaryPhase(p, _turned((1.0, 0.0), 4.0 * psi))

@@ -1021,6 +1021,41 @@ def test_evaluators_reject_a_cubic_whose_constant_term_underflows(evaluator, a, 
         evaluator(MagicKind.IDENTITY, 4, a, b, beta)
 
 
+def test_cayley_and_torsion_reject_alike():
+    """torsion_check raises exactly where cayley_det raises, with the same
+    type and message, and returns a number wherever cayley_det does.
+
+    The four systems, n = 2..9, on (9, 4), (20, 3) and a near-circular
+    family, at an ellipse caustic, 1e-13 either side of b, a hyperbola
+    caustic and 1e-13 under a.  Odd flip-short is left out: cayley_det
+    marks it ALWAYS_FALSE where torsion_check has no condition to state.
+    At (9, 4) half-turn n = 5, beta = 4 (1 + 1e-13), the curve is singular
+    and both must raise DegenerateCubic.
+    """
+    raised = values = 0
+    for a, b in [(9.0, 4.0), (20.0, 3.0), (9.0, 9.0 * (1.0 - 1e-13))]:
+        near = (b * (1.0 - 1e-13), b * (1.0 + 1e-13), a * (1.0 - 1e-13))
+        for beta in (0.37 * b, *near, b + 0.21 * (a - b)):
+            for system in MagicKind:
+                for n in range(2, 10):
+                    if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
+                        continue
+                    case = (a, b, beta, system, n)
+                    try:
+                        cayley_det(system, n, a, b, beta)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as got:
+                            torsion_check(system, n, a, b, beta)
+                        assert (got.type, str(got.value)) == (type(exc), str(exc)), case
+                        raised += 1
+                        continue
+                    assert isinstance(torsion_check(system, n, a, b, beta), float), case
+                    values += 1
+    assert (raised, values) == (156, 264)
+    with pytest.raises(DegenerateCubic):
+        torsion_check(MagicKind.HALF_TURN, 5, A, B, B * (1.0 + 1e-13))
+
+
 # ---------------------------------------------------------------------------
 # regression pin for the periodic sweep
 

@@ -249,7 +249,7 @@ def test_detect_closure_winding():
     beta = 36.0 / 13.0
     p = FAM.boundary_point(0.9)
     for v in tangent_directions(FAM, beta, p):
-        rep = detect_closure(ELL[MagicKind.IDENTITY], BoundaryPhase(p, v), 8, tol=1e-5)
+        rep = detect_closure(ELL[MagicKind.IDENTITY], BoundaryPhase(p, v), 8)
         assert rep is not None
         assert rep.period == 4
         assert rep.winding in (1, -1)
