@@ -25,18 +25,14 @@ root so every certificate is checked independently.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import (
-    dps_to_prec, from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_eq, mpf_le,
-    mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, round_nearest, to_float,
-)
 
 from .dynamics import MagicKind, TableSpec, _caustic_modulus, closure_defect, tangent_phase
 from .geometry import ConfocalFamily, classify_caustic
@@ -242,29 +238,106 @@ def cayley_det(
 
 # The curve y^2 = (a-x)(b-x)(beta-x) is brought to the monic model
 # y^2 = u^3 + s2 u^2 + s1 u + s0 by u = -x, so the chord-tangent formulas
-# take their textbook form.  The law runs on mpmath's raw mpf tuples
-# through mpmath.libmp: each operation is correctly rounded at _PREC
-# bits, so the results are those of mpf objects at EC_DPS digits
-# without the object overhead.  A doubling is the tangent step alone
-# (_double_u): for two equal points the general law's ordering, snap and
-# averaging change nothing, and its vertical chord is the case y = 0.
-# Products by 2 and halvings are exact shifts of the exponent.  So every
-# result is the same, bit for bit, as adding the point to itself.
+# take their textbook form.  The law runs on binary floats held as pairs
+# (m, e) of Python ints, worth m 2^e: each operation is exact and then
+# rounded to nearest, ties to even, at _PREC bits (_round), as mpf
+# arithmetic at EC_DPS digits is.  Correctly rounded results are unique,
+# so every value is mpmath's bit for bit, without its objects or its
+# normalisation to odd mantissas.  One value has many pairs, so values
+# are compared only through _cmp, and zero is m == 0.  An m has at most
+# _PREC + 1 bits (a carry in _round can reach 2^_PREC); _div and _sqrt
+# rely on that for their guard bits.  A doubling is the tangent step
+# alone (_double_u): for two equal points the general law's ordering,
+# snap and averaging change nothing, and its vertical chord is the case
+# y = 0.  Products by 2 and halvings are exact shifts of the exponent.
+# So every result is the same, bit for bit, as adding the point to
+# itself.
 
-_PREC = dps_to_prec(EC_DPS)
-_RND = round_nearest
-_ONE, _THREE = from_int(1), from_int(3)
-_SNAP = from_float(_U_SNAP)
+_PREC = round((EC_DPS + 1) * math.log2(10))  # mpmath's dps_to_prec(EC_DPS): 169 bits
+_ONE, _THREE = (1, 0), (3, 0)
+
+
+def _from_float(v: float):
+    """The double v, exactly."""
+    m, d = v.as_integer_ratio()  # d is a power of two
+    return m, 1 - d.bit_length()
+
+
+def _round(m: int, e: int):
+    """m 2^e rounded to _PREC bits, to nearest with ties to even."""
+    k = m.bit_length() - _PREC
+    if k <= 0:
+        return m, e
+    q = m >> (k - 1)  # floor, with one guard bit; the bits below it are sticky
+    if q & 1 and (q & 2 or m & ((1 << (k - 1)) - 1)):
+        q += 1
+    return q >> 1, e + k
+
+
+def _add(x, y):
+    (m1, e1), (m2, e2) = x, y
+    if e1 > e2:
+        return _round((m1 << (e1 - e2)) + m2, e2)
+    return _round(m1 + (m2 << (e2 - e1)), e1)
+
+
+def _sub(x, y):
+    return _add(x, (-y[0], y[1]))
+
+
+def _mul(x, y):
+    return _round(x[0] * y[0], x[1] + y[1])
+
+
+def _div(x, y):
+    """x / y from a quotient of at least _PREC + 2 bits and a sticky bit."""
+    (m1, e1), (m2, e2) = x, y
+    shift = _PREC + 3 + m2.bit_length() - m1.bit_length()
+    q, r = divmod(abs(m1) << shift, abs(m2))
+    q = q << 1 | (r != 0)
+    return _round(-q if (m1 < 0) != (m2 < 0) else q, e1 - e2 - shift - 1)
+
+
+def _sqrt(x):
+    """sqrt(x), x >= 0, from a root of at least _PREC + 2 bits and a sticky bit."""
+    m, e = x
+    if e & 1:
+        m, e = m << 1, e - 1
+    k = _PREC + 3 - m.bit_length() // 2
+    m <<= 2 * k
+    r = math.isqrt(m)
+    return _round(r << 1 | (r * r != m), e // 2 - k - 1)
+
+
+def _abs(x):
+    return abs(x[0]), x[1]
+
+
+def _shift(x, k: int):
+    """x 2^k, exactly."""
+    return x[0], x[1] + k
+
+
+def _cmp(x, y) -> int:
+    """-1, 0 or 1 as x <, = or > y."""
+    (m1, e1), (m2, e2) = x, y
+    if e1 > e2:
+        m1 <<= e1 - e2
+    else:
+        m2 <<= e2 - e1
+    return (m1 > m2) - (m1 < m2)
+
+
+_SNAP = _from_float(_U_SNAP)
 
 
 def _curve_sums(a: float, b: float, beta: float):
     """s2, s1, s0 of the monic model (elementary symmetric functions of a, b, beta)."""
-    a, b, beta = from_float(a), from_float(b), from_float(beta)
-    ab = mpf_mul(a, b, _PREC, _RND)
-    s2 = mpf_add(mpf_add(a, b, _PREC, _RND), beta, _PREC, _RND)
-    s1 = mpf_add(ab, mpf_mul(a, beta, _PREC, _RND), _PREC, _RND)
-    s1 = mpf_add(s1, mpf_mul(b, beta, _PREC, _RND), _PREC, _RND)
-    return s2, s1, mpf_mul(ab, beta, _PREC, _RND)
+    a, b, beta = _from_float(a), _from_float(b), _from_float(beta)
+    ab = _mul(a, b)
+    s2 = _add(_add(a, b), beta)
+    s1 = _add(_add(ab, _mul(a, beta)), _mul(b, beta))
+    return s2, s1, _mul(ab, beta)
 
 
 def _double_u(P, s2, s1):
@@ -272,31 +345,26 @@ def _double_u(P, s2, s1):
 
     A point with y = 0 is 2-torsion: its tangent is vertical.
     """
-    if P is None or P[1] == fzero:
+    if P is None or not P[1][0]:
         return None
     u, y = P
     # lam = (3 u^2 + 2 s2 u + s1) / (2 y); the doublings are exact shifts
-    num = mpf_mul(mpf_mul(_THREE, u, _PREC, _RND), u, _PREC, _RND)
-    num = mpf_add(num, mpf_mul(mpf_shift(s2, 1), u, _PREC, _RND), _PREC, _RND)
-    num = mpf_add(num, s1, _PREC, _RND)
-    lam = mpf_div(num, mpf_shift(y, 1), _PREC, _RND)
-    return _third_point(lam, u, u, y, s2)
+    num = _add(_add(_mul(_mul(_THREE, u), u), _mul(_shift(s2, 1), u)), s1)
+    return _third_point(_div(num, _shift(y, 1)), u, u, y, s2)
 
 
 def _third_point(lam, u1, u2, y1, s2):
     """The sum of two points from the slope lam of their chord or tangent."""
     # u3 = lam^2 - s2 - u1 - u2, y3 = lam (u1 - u3) - y1
-    u3 = mpf_sub(mpf_mul(lam, lam, _PREC, _RND), s2, _PREC, _RND)
-    u3 = mpf_sub(mpf_sub(u3, u1, _PREC, _RND), u2, _PREC, _RND)
-    y3 = mpf_mul(lam, mpf_sub(u1, u3, _PREC, _RND), _PREC, _RND)
-    return u3, mpf_sub(y3, y1, _PREC, _RND)
+    u3 = _sub(_sub(_sub(_mul(lam, lam), s2), u1), u2)
+    return u3, _sub(_mul(lam, _sub(u1, u3)), y1)
 
 
 def _add_u(P, Q, s2, s1):
     """Chord-tangent addition on the monic model; None is infinity.
 
-    Points are pairs of raw ``_mpf_`` values and every operation rounds
-    to nearest at ``_PREC`` bits, as mpf arithmetic under
+    Points are pairs of (m, e) values and every operation rounds to
+    nearest at ``_PREC`` bits, as mpf arithmetic under
     ``mp.workdps(EC_DPS)`` would.
     """
     if P is None:
@@ -306,21 +374,21 @@ def _add_u(P, Q, s2, s1):
     u1, y1 = P
     u2, y2 = Q
     # canonical order makes addition commute bit-for-bit
-    if (mpf_lt(y2, y1) if mpf_eq(u2, u1) else mpf_lt(u2, u1)):
+    if (_cmp(u2, u1) or _cmp(y2, y1)) < 0:
         u1, y1, u2, y2 = u2, y2, u1, y1
     # Copies of one point reached through different addition chains agree
     # only to working precision, so a secant slope between them would be
     # catastrophically cancelled noise; snap to the tangent/vertical case.
     # Rounding to nearest is symmetric, so |u2 - u1| is |u1 - u2| exactly.
-    du = mpf_sub(u2, u1, _PREC, _RND)
-    scale = mpf_add(mpf_add(_ONE, mpf_abs(u1), _PREC, _RND), mpf_abs(u2), _PREC, _RND)
-    if mpf_le(mpf_abs(du), mpf_mul(_SNAP, scale, _PREC, _RND)):
-        if mpf_le(mpf_abs(mpf_add(y1, y2, _PREC, _RND)), mpf_abs(mpf_sub(y1, y2, _PREC, _RND))):
+    du = _sub(u2, u1)
+    scale = _add(_add(_ONE, _abs(u1)), _abs(u2))
+    if _cmp(_abs(du), _mul(_SNAP, scale)) <= 0:
+        ysum = _add(y1, y2)
+        if _cmp(_abs(ysum), _abs(_sub(y1, y2))) <= 0:
             return None  # inverse pair (or doubled 2-torsion): vertical chord
         # the mean point: halving is an exact shift
-        u = mpf_shift(mpf_add(u1, u2, _PREC, _RND), -1)
-        return _double_u((u, mpf_shift(mpf_add(y1, y2, _PREC, _RND), -1)), s2, s1)
-    return _third_point(mpf_div(mpf_sub(y2, y1, _PREC, _RND), du, _PREC, _RND), u1, u2, y1, s2)
+        return _double_u((_shift(_add(u1, u2), -1), _shift(ysum, -1)), s2, s1)
+    return _third_point(_div(_sub(y2, y1), du), u1, u2, y1, s2)
 
 
 def _mul_u(k: int, P, s2, s1):
@@ -335,11 +403,6 @@ def _mul_u(k: int, P, s2, s1):
         P = _double_u(P, s2, s1)
 
 
-def _raw(v) -> tuple:
-    """``v`` as a raw mpf value rounded to ``_PREC`` bits."""
-    return mp.mpf(v, prec=_PREC)._mpf_
-
-
 def ec_add(P: CurvePoint, Q: CurvePoint, a: float, b: float, beta: float) -> CurvePoint:
     """Group law on y^2 = (a-x)(b-x)(beta-x), identity at infinity.
 
@@ -350,18 +413,27 @@ def ec_add(P: CurvePoint, Q: CurvePoint, a: float, b: float, beta: float) -> Cur
         return Q
     if Q.is_infinity:
         return P
+    import mpmath as mp  # deferred: the torsion certificate itself needs no mpmath
+    from mpmath.libmp import from_man_exp
+
+    def pair(v):  # v as an (m, e) pair, rounded to _PREC bits
+        sign, m, e, _ = mp.mpf(v, prec=_PREC)._mpf_
+        return (-m if sign else m), e
+
+    (pm, pe), (qm, qe) = pair(P.x), pair(Q.x)
     s2, s1, _ = _curve_sums(a, b, beta)
-    pu = (mpf_neg(_raw(P.x)), _raw(P.y))
-    qu = (mpf_neg(_raw(Q.x)), _raw(Q.y))
-    r = _add_u(pu, qu, s2, s1)
+    r = _add_u(((-pm, pe), pair(P.y)), ((-qm, qe), pair(Q.y)), s2, s1)  # u = -x
     if r is None:
         return INFINITY
-    return CurvePoint(mp.make_mpf(mpf_neg(r[0])), mp.make_mpf(r[1]))
+    (xm, xe), (ym, ye) = r
+    return CurvePoint(mp.make_mpf(from_man_exp(-xm, xe)), mp.make_mpf(from_man_exp(ym, ye)))
 
 
 def ec_neg(P: CurvePoint) -> CurvePoint:
     if P.is_infinity:
         return P
+    import mpmath as mp  # deferred, as in ec_add; P.y is already an mpf
+
     # exact sign flip: plain unary minus would re-round to the ambient
     # precision and the result could miss y1 == -y2 inside ec_add
     return CurvePoint(P.x, mp.fneg(P.y, exact=True))
@@ -382,14 +454,15 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
     if odd and system is MagicKind.FLIP_SHORT:
         raise UnsupportedParity("flip-short: no odd-period torsion condition")
     s2, s1, s0 = _curve_sums(a, b, beta)
-    t = _mul_u(n, (fzero, mpf_sqrt(s0, _PREC, _RND)), s2, s1)
+    t = _mul_u(n, ((0, 0), _sqrt(s0)), s2, s1)
     if odd and system is MagicKind.FLIP_LONG:
         # [n](Q0 - Q_b) = [n]Q0 + Q_b since Q_b is 2-torsion and n is odd
-        t = _add_u(t, (mpf_neg(from_float(b)), fzero), s2, s1)
+        mb, eb = _from_float(b)
+        t = _add_u(t, ((-mb, eb), (0, 0)), s2, s1)
     if t is None:
         return 0.0
-    denom = mpf_add(_ONE, mpf_abs(t[0]), _PREC, _RND)
-    return to_float(mpf_div(_ONE, denom, _PREC, _RND), rnd=_RND)
+    m, e = _div(_ONE, _add(_ONE, _abs(t[0])))
+    return math.ldexp(float(m), e)  # float() rounds to nearest, ties to even
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +751,15 @@ def find_periodic_caustics(
 # rotation number
 
 
+@functools.cache
+def _elliptic_integrals():
+    """scipy's K(k) and F(phi, k), imported on first use (scipy is slow to
+    import) and only once: an import statement in ``_rho`` would run on every call."""
+    from scipy.special import ellipk, ellipkinc
+
+    return ellipk, ellipkinc
+
+
 def _rho(a: float, b: float, beta: float) -> float:
     """Chang-Friedberg rotation number F(phi, k) / (2 K(k)) at caustic beta.
 
@@ -685,8 +767,7 @@ def _rho(a: float, b: float, beta: float) -> float:
     falls from 1/2 to 0 over the hyperbola caustics b < beta < a
     (Chang & Friedberg, J. Math. Phys. 29 (1988) 1537).
     """
-    from scipy.special import ellipk, ellipkinc  # deferred: scipy is slow to import
-
+    ellipk, ellipkinc = _elliptic_integrals()
     phi, k2, _ = _caustic_modulus(a, b, beta)
     return float(ellipkinc(phi, k2)) / (2.0 * float(ellipk(k2)))
 

@@ -18,7 +18,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.libmp import from_float, fzero, mpf_neg, mpf_sqrt, round_nearest
+from mpmath.libmp import (
+    dps_to_prec, from_float, from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sqrt,
+    mpf_sub, round_nearest, to_float,
+)
 
 import magicbilliards
 from magicbilliards import (
@@ -49,16 +52,23 @@ from magicbilliards.certificates import (
     TORSION_TOL,
     _PREC,
     _U_SNAP,
+    _add,
     _add_u,
     _brent,
+    _cmp,
     _curve_sums,
+    _div,
     _divide_linear,
     _double_u,
+    _from_float,
+    _mul,
     _mul_u,
     _pell_defect,
     _pell_seed,
     _series_hankel,
+    _sqrt,
     _sqrt_cubic_coeffs,
+    _sub,
 )
 
 A, B = 9.0, 4.0
@@ -324,6 +334,97 @@ def test_brent_raises_when_it_runs_out_of_iterations():
 
 
 # ---------------------------------------------------------------------------
+# the torsion law's (m, e) binary floats, against mpmath.libmp
+
+_MANT = st.integers(-(2**_PREC - 1), 2**_PREC - 1)
+_VALUE = st.tuples(_MANT, st.integers(-600, 600))
+
+
+def _mpf(x):
+    return from_man_exp(*x)  # exact: no rounding at prec 0
+
+
+def _agree(got, want):
+    """An (m, e) result and a raw mpf are the same number."""
+    assert _mpf(got) == want
+
+
+@given(x=_VALUE, y=_VALUE, gap=st.integers(_PREC + 5, 3 * _PREC), flip=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_binary_float_ops_round_as_mpmath(x, y, gap, flip):
+    """add, sub, mul, div and the comparison agree with libmp at _PREC bits,
+    to nearest: on arbitrary operands, across exponent gaps that take libmp's
+    sticky shortcut, and on differences that cancel to zero."""
+    X, Y = _mpf(x), _mpf(y)
+    _agree(_add(x, y), mpf_add(X, Y, _PREC, round_nearest))
+    _agree(_sub(x, y), mpf_sub(X, Y, _PREC, round_nearest))
+    _agree(_mul(x, y), mpf_mul(X, Y, _PREC, round_nearest))
+    if y[0]:
+        _agree(_div(x, y), mpf_div(X, Y, _PREC, round_nearest))
+    assert _cmp(x, y) == mpf_cmp(X, Y)
+    # a number whose top bit is gap bits below x's, of either sign, on either side
+    tiny = (y[0] or 1) * (-1 if flip else 1)
+    far = (tiny, x[1] + x[0].bit_length() - tiny.bit_length() - gap)
+    if x[0]:
+        F = _mpf(far)
+        _agree(_add(x, far), mpf_add(X, F, _PREC, round_nearest))
+        _agree(_add(far, x), mpf_add(F, X, _PREC, round_nearest))
+        _agree(_sub(x, far), mpf_sub(X, F, _PREC, round_nearest))
+        _agree(_sub(far, x), mpf_sub(F, X, _PREC, round_nearest))
+    # cancellation: x - x and x + (-x) are zero, from any pair of exponents
+    assert _sub(x, x)[0] == 0 and _add(x, (-x[0], x[1]))[0] == 0
+    assert _sub(x, (x[0] << 3, x[1] - 3))[0] == 0 and _cmp(x, (x[0] << 3, x[1] - 3)) == 0
+
+
+@given(
+    m=st.integers(2 ** (_PREC - 2) + 1, 2 ** (_PREC - 1) - 1), odd=st.booleans(),
+    e=st.integers(-300, 300), negative=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_binary_float_ties_go_to_even(m, odd, e, negative):
+    """x +- half an ulp of x lies half-way between two neighbours and rounds to
+    the even one: up from an odd x, down from an even x."""
+    m = 2 * m + odd  # exactly _PREC bits, not a power of two
+    sign = -1 if negative else 1
+    x, half = (sign * m, e + 1), (sign, e)
+    up, down = _add(x, half), _sub(x, half)
+    assert _cmp(up, (sign * (m + odd), e + 1)) == 0
+    assert _cmp(down, (sign * (m - odd), e + 1)) == 0
+    _agree(up, mpf_add(_mpf(x), _mpf(half), _PREC, round_nearest))
+    _agree(down, mpf_sub(_mpf(x), _mpf(half), _PREC, round_nearest))
+
+
+@given(
+    p=st.integers(1, 2**80), q=st.integers(1, 2**80), e=st.integers(-300, 300),
+    f=st.integers(-300, 300), odd=st.booleans(), negative=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_binary_float_div_and_sqrt_round_as_mpmath(p, q, e, f, odd, negative):
+    """Exact and inexact quotients; square roots of perfect squares, of odd
+    exponents, and of the rest; and the double a result rounds to, by the
+    conversion ``torsion_check`` makes."""
+    sign = -1 if negative else 1
+    x, y = (sign * p * q, e + f), (q, f)
+    assert _cmp(_div(x, y), (sign * p, e)) == 0  # exact quotient
+    for num, den in ((x, y), ((sign * p, e), (q, f)), ((p, e), (3 * q, f))):
+        _agree(_div(num, den), mpf_div(_mpf(num), _mpf(den), _PREC, round_nearest))
+    square = (p * p, 2 * e)
+    assert _cmp(_sqrt(square), (p, e)) == 0
+    for v in (square, (p * p, 2 * e + 1), (p, e), (p, 2 * e + odd)):
+        r = _sqrt(v)
+        _agree(r, mpf_sqrt(_mpf(v), _PREC, round_nearest))
+        assert math.ldexp(float(r[0]), r[1]) == to_float(_mpf(r), rnd=round_nearest)
+    for v in (_div((p, e), (q, f)), (p * q, -60)):
+        assert math.ldexp(float(v[0]), v[1]) == to_float(_mpf(v), rnd=round_nearest)
+
+
+@given(v=st.floats(allow_nan=False, allow_infinity=False))
+def test_binary_float_holds_a_double_exactly(v):
+    assert _mpf(_from_float(v)) == from_float(v)
+    assert _PREC == dps_to_prec(EC_DPS)
+
+
+# ---------------------------------------------------------------------------
 # elliptic curve arithmetic
 
 
@@ -558,18 +659,25 @@ def test_torsion_matches_the_reference_at_every_9_4_root():
 )
 @settings(max_examples=60, deadline=None)
 def test_tangent_step_equals_adding_a_point_to_itself(a, ratio, hyperbola, frac):
-    """[2]P by the tangent step is the law's P + P as raw tuples, along the
-    points [k]Q0 and, for odd flip-long, [k]Q0 + Q_b."""
+    """[2]P by the tangent step is the law's P + P, value for value, along
+    the points [k]Q0 and, for odd flip-long, [k]Q0 + Q_b."""
     b = a * ratio
     beta = b + frac * (a - b) if hyperbola else frac * b
     s2, s1, s0 = _curve_sums(a, b, beta)
-    q0 = (fzero, mpf_sqrt(s0, _PREC, round_nearest))
-    q_b = (mpf_neg(from_float(b)), fzero)
+    q0 = ((0, 0), _sqrt(s0))
+    mb, eb = _from_float(b)
+    q_b = ((-mb, eb), (0, 0))
     assert _double_u(q_b, s2, s1) is None and _add_u(q_b, q_b, s2, s1) is None
+
+    def same(P, Q):  # one value has many (m, e) pairs
+        if P is None or Q is None:
+            return P is Q
+        return all(_cmp(p, q) == 0 for p, q in zip(P, Q))
+
     for k in range(1, 17):
         point = _mul_u(k, q0, s2, s1)
         for p in (point, _add_u(point, q_b, s2, s1)):
-            assert _double_u(p, s2, s1) == _add_u(p, p, s2, s1)
+            assert same(_double_u(p, s2, s1), _add_u(p, p, s2, s1))
 
 
 @pytest.mark.parametrize("beta", [2.5, 5.3])
@@ -1185,6 +1293,41 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_search_and_cli_load_no_mpmath(tmp_path):
+    """The torsion law runs on Python ints: in a fresh process the import, a
+    search of each system on (9, 4) and (20, 3) at n = 10 and 11, and the
+    simulate and topology commands leave mpmath unloaded; ec_add, which takes
+    and returns mpf points, loads it."""
+    runs = [
+        ["simulate", "--x0", "0", "--y0", "2", "--dx", "0", "--dy", "-1", "--svg",
+         str(tmp_path / "run.svg"), "--out", str(tmp_path / "run.csv")],
+        ["topology", "--system", "flip-long", "--out", str(tmp_path / "graph.json")],
+        ["topology", "--system", "half-turn", "--beta", "2.5", "--out", str(tmp_path / "level.json")],
+    ]
+    code = (
+        "import sys\n"
+        "from magicbilliards import CurvePoint, MagicKind, ec_add, find_periodic_caustics\n"
+        "from magicbilliards.cli import main\n"
+        "found = 0\n"
+        "for system in MagicKind:\n"
+        "    for a, b in ((9.0, 4.0), (20.0, 3.0)):\n"
+        "        for n in (10, 11):\n"
+        "            if n % 2 == 0 or system is not MagicKind.IDENTITY:\n"
+        "                found += len(find_periodic_caustics(system, n, a, b, (0.0, a)))\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "before = 'mpmath' in sys.modules\n"
+        "# the three 2-torsion points sum to O: (9, 0) + (4, 0) = (2.5, 0)\n"
+        "r = ec_add(CurvePoint(9.0, 0.0), CurvePoint(4.0, 0.0), 9.0, 4.0, 2.5)\n"
+        "print(found > 0, codes, before, 'mpmath' in sys.modules, (r.x, r.y) == (2.5, 0))\n"
+    )
+    src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "True [0, 0, 0] False True True"
 
 
 def test_search_loads_scipy_optimize_only_for_the_pell_polish(tmp_path):
