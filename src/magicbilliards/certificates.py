@@ -37,7 +37,7 @@ import numpy as np
 from .dynamics import MagicKind, TableSpec, _caustic_modulus, closure_defect, tangent_phase
 from .geometry import ConfocalFamily, classify_caustic
 
-EC_DPS = 50  # working precision (decimal digits) for curve arithmetic
+EC_DPS = 50  # working precision (decimal digits) of ec_add; torsion_check is exact
 TORSION_TOL = 1e-8
 # relative u-distance below which two curve points count as the same point
 # (well above the ~1e-49 representation noise, far below any root spacing)
@@ -237,196 +237,93 @@ def cayley_det(
 # elliptic-curve torsion
 
 # The curve y^2 = (a-x)(b-x)(beta-x) is brought to the monic model
-# y^2 = u^3 + s2 u^2 + s1 u + s0 by u = -x, so the chord-tangent formulas
-# take their textbook form.  The law runs on binary floats held as pairs
-# (m, e) of Python ints, worth m 2^e: each operation is exact and then
-# rounded to nearest, ties to even, at _PREC bits (_round), as mpf
-# arithmetic at EC_DPS digits is.  Correctly rounded results are unique,
-# so every value is mpmath's bit for bit, without its objects or its
-# normalisation to odd mantissas.  One value has many pairs, so values
-# are compared only through _cmp, and zero is m == 0.  An m has at most
-# _PREC + 1 bits (a carry in _round can reach 2^_PREC); _div and _sqrt
-# rely on that for their guard bits.  A doubling is the tangent step
-# alone (_double_u): for two equal points the general law's ordering,
-# snap and averaging change nothing, and its vertical chord is the case
-# y = 0.  Products by 2 and halvings are exact shifts of the exponent.
-# So every result is the same, bit for bit, as adding the point to
-# itself.
-
-_PREC = round((EC_DPS + 1) * math.log2(10))  # mpmath's dps_to_prec(EC_DPS): 169 bits
-_ONE, _THREE = (1, 0), (3, 0)
+# y^2 = u^3 + s2 u^2 + s1 u + s0 by u = -x, so that Q0 = (0, sqrt(s0)) and the
+# division polynomials take their textbook form (Washington 2008, section 3.2):
+# [n]Q0 has u = -psi_{n-1} psi_{n+1} / psi_n^2, all at u = 0, and is O where
+# psi_n vanishes.  With a, b and beta over one power-of-two denominator d, the
+# model scaled by d (u -> d u, y -> d^(3/2) y) has integer s2, s1 and s0, and
+# psi_k(0) is g_k y for even k and g_k for odd k with integer g_k.  So the
+# residual is a ratio of integers, rounded once.
 
 
-def _from_float(v: float):
-    """The double v, exactly."""
-    m, d = v.as_integer_ratio()  # d is a power of two
-    return m, 1 - d.bit_length()
+def _division_values(n: int, s2: int, s1: int, s0: int) -> dict[int, int]:
+    """g_k for k = n - 1, n, n + 1 and every index their recursion reaches.
+
+    psi_k(0) on y^2 = u^3 + s2 u^2 + s1 u + s0 is g_k y for even k and g_k
+    for odd k, with y^2 = s0.  Each step of the recursion halves k, so it
+    evaluates O(log n) indices, each once.
+    """
+    b8 = 4 * s2 * s0 - s1 * s1
+    g = {0: 0, 1: 1, 2: 2, 3: b8, 4: 4 * s1 * b8 - 32 * s0 * s0}
+
+    def at(k: int) -> int:
+        if k not in g:
+            m = k // 2
+            if k % 2:  # psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3
+                p, q = at(m + 2) * at(m) ** 3, at(m - 1) * at(m + 1) ** 3
+                g[k] = p * s0 * s0 - q if m % 2 == 0 else p - q * s0 * s0
+            else:  # psi_{2m} = (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2) psi_m / psi_2
+                g[k] = (at(m + 2) * at(m - 1) ** 2 - at(m - 2) * at(m + 1) ** 2) * at(m) // 2
+        return g[k]
+
+    for k in (n - 1, n, n + 1):
+        at(k)
+    return g
 
 
-def _round(m: int, e: int):
-    """m 2^e rounded to _PREC bits, to nearest with ties to even."""
-    k = m.bit_length() - _PREC
-    if k <= 0:
-        return m, e
-    q = m >> (k - 1)  # floor, with one guard bit; the bits below it are sticky
-    if q & 1 and (q & 2 or m & ((1 << (k - 1)) - 1)):
-        q += 1
-    return q >> 1, e + k
-
-
-def _add(x, y):
-    (m1, e1), (m2, e2) = x, y
-    if e1 > e2:
-        return _round((m1 << (e1 - e2)) + m2, e2)
-    return _round(m1 + (m2 << (e2 - e1)), e1)
-
-
-def _sub(x, y):
-    return _add(x, (-y[0], y[1]))
-
-
-def _mul(x, y):
-    return _round(x[0] * y[0], x[1] + y[1])
-
-
-def _div(x, y):
-    """x / y from a quotient of at least _PREC + 2 bits and a sticky bit."""
-    (m1, e1), (m2, e2) = x, y
-    shift = _PREC + 3 + m2.bit_length() - m1.bit_length()
-    q, r = divmod(abs(m1) << shift, abs(m2))
-    q = q << 1 | (r != 0)
-    return _round(-q if (m1 < 0) != (m2 < 0) else q, e1 - e2 - shift - 1)
-
-
-def _sqrt(x):
-    """sqrt(x), x >= 0, from a root of at least _PREC + 2 bits and a sticky bit."""
-    m, e = x
-    if e & 1:
-        m, e = m << 1, e - 1
-    k = _PREC + 3 - m.bit_length() // 2
-    m <<= 2 * k
-    r = math.isqrt(m)
-    return _round(r << 1 | (r * r != m), e // 2 - k - 1)
-
-
-def _abs(x):
-    return abs(x[0]), x[1]
-
-
-def _shift(x, k: int):
-    """x 2^k, exactly."""
-    return x[0], x[1] + k
-
-
-def _cmp(x, y) -> int:
-    """-1, 0 or 1 as x <, = or > y."""
-    (m1, e1), (m2, e2) = x, y
-    if e1 > e2:
-        m1 <<= e1 - e2
+def _torsion_residual(system: MagicKind, n: int, a: float, b: float, beta: float) -> float:
+    """``torsion_check``'s residual, on a domain already checked."""
+    (pa, qa), (pb, qb), (pt, qt) = (v.as_integer_ratio() for v in (a, b, beta))
+    d = max(qa, qb, qt)  # each is a power of two, so each divides d
+    a, b, beta = pa * (d // qa), pb * (d // qb), pt * (d // qt)
+    s0 = a * b * beta
+    g = _division_values(n, a + b + beta, a * b + a * beta + b * beta, s0)
+    # u([n]Q0) = -num / den on the scaled model
+    num, den = g[n - 1] * g[n + 1], g[n] * g[n]
+    if n % 2:
+        num *= s0
     else:
-        m2 <<= e2 - e1
-    return (m1 > m2) - (m1 < m2)
-
-
-_SNAP = _from_float(_U_SNAP)
-
-
-def _curve_sums(a: float, b: float, beta: float):
-    """s2, s1, s0 of the monic model (elementary symmetric functions of a, b, beta)."""
-    a, b, beta = _from_float(a), _from_float(b), _from_float(beta)
-    ab = _mul(a, b)
-    s2 = _add(_add(a, b), beta)
-    s1 = _add(_add(ab, _mul(a, beta)), _mul(b, beta))
-    return s2, s1, _mul(ab, beta)
-
-
-def _double_u(P, s2, s1):
-    """[2]P on the monic model by the tangent formula; None is infinity.
-
-    A point with y = 0 is 2-torsion: its tangent is vertical.
-    """
-    if P is None or not P[1][0]:
-        return None
-    u, y = P
-    # lam = (3 u^2 + 2 s2 u + s1) / (2 y); the doublings are exact shifts
-    num = _add(_add(_mul(_mul(_THREE, u), u), _mul(_shift(s2, 1), u)), s1)
-    return _third_point(_div(num, _shift(y, 1)), u, u, y, s2)
-
-
-def _third_point(lam, u1, u2, y1, s2):
-    """The sum of two points from the slope lam of their chord or tangent."""
-    # u3 = lam^2 - s2 - u1 - u2, y3 = lam (u1 - u3) - y1
-    u3 = _sub(_sub(_sub(_mul(lam, lam), s2), u1), u2)
-    return u3, _sub(_mul(lam, _sub(u1, u3)), y1)
-
-
-def _add_u(P, Q, s2, s1):
-    """Chord-tangent addition on the monic model; None is infinity.
-
-    Points are pairs of (m, e) values and every operation rounds to
-    nearest at ``_PREC`` bits, as mpf arithmetic under
-    ``mp.workdps(EC_DPS)`` would.
-    """
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    u1, y1 = P
-    u2, y2 = Q
-    # canonical order makes addition commute bit-for-bit
-    if (_cmp(u2, u1) or _cmp(y2, y1)) < 0:
-        u1, y1, u2, y2 = u2, y2, u1, y1
-    # Copies of one point reached through different addition chains agree
-    # only to working precision, so a secant slope between them would be
-    # catastrophically cancelled noise; snap to the tangent/vertical case.
-    # Rounding to nearest is symmetric, so |u2 - u1| is |u1 - u2| exactly.
-    du = _sub(u2, u1)
-    scale = _add(_add(_ONE, _abs(u1)), _abs(u2))
-    if _cmp(_abs(du), _mul(_SNAP, scale)) <= 0:
-        ysum = _add(y1, y2)
-        if _cmp(_abs(ysum), _abs(_sub(y1, y2))) <= 0:
-            return None  # inverse pair (or doubled 2-torsion): vertical chord
-        # the mean point: halving is an exact shift
-        return _double_u((_shift(_add(u1, u2), -1), _shift(ysum, -1)), s2, s1)
-    return _third_point(_div(_sub(y2, y1), du), u1, u2, y1, s2)
-
-
-def _mul_u(k: int, P, s2, s1):
-    """[k]P for k >= 1 by binary double-and-add, from the lowest bit up."""
-    acc = None
-    while True:
-        if k & 1:
-            acc = _add_u(acc, P, s2, s1)
-        k >>= 1
-        if not k:
-            return acc
-        P = _double_u(P, s2, s1)
+        den *= s0
+    if n % 2 and system is MagicKind.FLIP_LONG:
+        # [n](Q0 - Q_b) = [n]Q0 + Q_b, as Q_b = (-b, 0) is 2-torsion and n is odd:
+        # u = -b + (a - b)(beta - b) / (u([n]Q0) + b)
+        num, den = b * (b * den - num) - (a - b) * (beta - b) * den, b * den - num
+    # 1/(1 + |u|) with u = -num / (d den); den is 0 at the point O, where num is not
+    den = d * abs(den)
+    return den / (den + abs(num))  # int / int is correctly rounded
 
 
 def ec_add(P: CurvePoint, Q: CurvePoint, a: float, b: float, beta: float) -> CurvePoint:
     """Group law on y^2 = (a-x)(b-x)(beta-x), identity at infinity.
 
-    Runs at ``EC_DPS`` decimal digits; double precision loses too much
-    near the identity for the torsion residuals to mean anything.
+    Runs the chord-tangent law on mpmath numbers at ``EC_DPS`` decimal
+    digits; double precision loses too much near the identity for
+    repeated additions to mean anything.
     """
     if P.is_infinity:
         return Q
     if Q.is_infinity:
         return P
     import mpmath as mp  # deferred: the torsion certificate itself needs no mpmath
-    from mpmath.libmp import from_man_exp
 
-    def pair(v):  # v as an (m, e) pair, rounded to _PREC bits
-        sign, m, e, _ = mp.mpf(v, prec=_PREC)._mpf_
-        return (-m if sign else m), e
-
-    (pm, pe), (qm, qe) = pair(P.x), pair(Q.x)
-    s2, s1, _ = _curve_sums(a, b, beta)
-    r = _add_u(((-pm, pe), pair(P.y)), ((-qm, qe), pair(Q.y)), s2, s1)  # u = -x
-    if r is None:
-        return INFINITY
-    (xm, xe), (ym, ye) = r
-    return CurvePoint(mp.make_mpf(from_man_exp(-xm, xe)), mp.make_mpf(from_man_exp(ym, ye)))
+    with mp.workdps(EC_DPS):
+        a, b, beta = mp.mpf(a), mp.mpf(b), mp.mpf(beta)
+        s2, s1 = a + b + beta, a * b + a * beta + b * beta
+        # the monic model in u = -x, in a canonical order, so addition commutes bit for bit
+        (u1, y1), (u2, y2) = sorted([(-mp.mpf(P.x), mp.mpf(P.y)), (-mp.mpf(Q.x), mp.mpf(Q.y))])
+        # Copies of one point reached through different addition chains agree
+        # only to working precision, so a secant slope between them would be
+        # catastrophically cancelled noise; snap to the tangent/vertical case.
+        if abs(u2 - u1) <= _U_SNAP * (1 + abs(u1) + abs(u2)):
+            if abs(y1 + y2) <= abs(y1 - y2):
+                return INFINITY  # inverse pair (or doubled 2-torsion): vertical chord
+            u1 = u2 = (u1 + u2) / 2
+            y1 = (y1 + y2) / 2
+            lam = (3 * u1 * u1 + 2 * s2 * u1 + s1) / (2 * y1)
+        else:
+            lam = (y2 - y1) / (u2 - u1)
+        u3 = lam * lam - s2 - u1 - u2
+        return CurvePoint(-u3, lam * (u1 - u3) - y1)
 
 
 def ec_neg(P: CurvePoint) -> CurvePoint:
@@ -446,23 +343,15 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
     flip-long adds the 2-torsion point Q_b = (b, 0) (so the condition is
     [n](Q0 - Q_b) = O), half-turn again uses [n]Q0.  The residual is
     1/(1+|x|) of the resulting point — 0 at infinity — to be compared
-    against ``TORSION_TOL``.  It raises where ``cayley_det`` raises, and at
-    odd flip-short, which has no torsion condition.
+    against ``TORSION_TOL``.  It is exact, from integer division
+    polynomials at the doubles a, b and beta, with one rounding to the
+    nearest double.  It raises where ``cayley_det`` raises, and at odd
+    flip-short, which has no torsion condition.
     """
     _check_certificate(system, n, a, b, beta)
-    odd = n % 2 == 1
-    if odd and system is MagicKind.FLIP_SHORT:
+    if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
         raise UnsupportedParity("flip-short: no odd-period torsion condition")
-    s2, s1, s0 = _curve_sums(a, b, beta)
-    t = _mul_u(n, ((0, 0), _sqrt(s0)), s2, s1)
-    if odd and system is MagicKind.FLIP_LONG:
-        # [n](Q0 - Q_b) = [n]Q0 + Q_b since Q_b is 2-torsion and n is odd
-        mb, eb = _from_float(b)
-        t = _add_u(t, ((-mb, eb), (0, 0)), s2, s1)
-    if t is None:
-        return 0.0
-    m, e = _div(_ONE, _add(_ONE, _abs(t[0])))
-    return math.ldexp(float(m), e)  # float() rounds to nearest, ties to even
+    return _torsion_residual(system, n, a, b, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +515,7 @@ def _bundle(system: MagicKind, n: int, a: float, b: float, beta: float) -> Certi
         n=n,
         beta=beta,
         cayley_value=float(np.linalg.det(hankel)),
-        torsion_residual=torsion_check(system, n, a, b, beta),
+        torsion_residual=_torsion_residual(system, n, a, b, beta),
         pell_residual=None if pell is None else pell.residual,
         closure_residual=_closure_residual(system, n, a, b, beta),
     )
