@@ -378,9 +378,12 @@ def _pell_seed(system: MagicKind, n: int, b: float, beta: float, s, hankel):
     and odd flip-long and w_top^2 for odd half-turn; p and q are scaled by
     lead(0) and quad(0): 1 and b beta, or b and beta for flip-long.
     Returns (p, q) as sigma-coefficients on (1, b, beta), with b and beta
-    the dimensionless b/a and beta/a, or None when no certificate exists.
+    the dimensionless b/a and beta/a, or None when no certificate exists
+    or the series overflowed (an SVD of inf entries is garbage or raises).
     """
     if not _pell_exists(system, n, b, beta):
+        return None
+    if not math.isfinite(s[-1]):  # the recurrence carries an overflow to the last term
         return None
     m = n // 2
     _, _, vh = np.linalg.svd(hankel[:, ::-1])
@@ -462,11 +465,21 @@ def pell_solve(
         raise ValueError("need n >= 2")
     if not _pell_exists(system, n, b / a, beta / a):
         return None
-    return _pell_fit(system, n, b / a, beta / a, *_series_hankel(system, n, a, b, beta))
+    fit = _pell_fit(system, n, b / a, beta / a, *_series_hankel(system, n, a, b, beta))
+    if fit is None:
+        return None
+    p, q, residual = fit
+    if p[-1] < 0.0:
+        p = -p
+    if len(q) and q[np.argmax(np.abs(q))] < 0.0:
+        q = -q
+    return PellPair(tuple(p.tolist()), tuple(q.tolist()), residual)
 
 
-def _pell_fit(system: MagicKind, n: int, b: float, beta: float, s, hankel) -> PellPair | None:
-    """``pell_solve`` on the dimensionless (b, beta), from ``_series_hankel``'s (s, hankel)."""
+def _pell_fit(system: MagicKind, n: int, b: float, beta: float, s, hankel):
+    """The Pell fit on the dimensionless (b, beta), from ``_series_hankel``'s (s, hankel):
+    (p, q, residual), with p and q before ``pell_solve`` normalises their signs, or
+    None when no identity exists or the residual is not within ``PELL_TOL``."""
     seed = _pell_seed(system, n, b, beta, s, hankel)
     if seed is None:
         return None
@@ -484,14 +497,9 @@ def _pell_fit(system: MagicKind, n: int, b: float, beta: float, s, hankel) -> Pe
             full_output=True,
         )[0]
         residual = float(np.max(np.abs(defect(z))))
-    if residual > PELL_TOL:
+    if not residual <= PELL_TOL:  # also rejects NaN
         return None
-    p, q = z[:plen], z[plen:]
-    if p[-1] < 0.0:
-        p = -p
-    if len(q) and q[np.argmax(np.abs(q))] < 0.0:
-        q = -q
-    return PellPair(tuple(float(c) for c in p), tuple(float(c) for c in q), residual)
+    return z[:plen], z[plen:], residual
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +517,14 @@ def _bundle(system: MagicKind, n: int, a: float, b: float, beta: float) -> Certi
     """All four residuals at one root; the series and its matrix are built once."""
     _check_certificate(system, n, a, b, beta)
     s, hankel = _series_hankel(system, n, a, b, beta)
-    pell = _pell_fit(system, n, b / a, beta / a, s, hankel)
+    fit = _pell_fit(system, n, b / a, beta / a, s, hankel)
     return CertificateBundle(
         system=system,
         n=n,
         beta=beta,
         cayley_value=float(np.linalg.det(hankel)),
         torsion_residual=_torsion_residual(system, n, a, b, beta),
-        pell_residual=None if pell is None else pell.residual,
+        pell_residual=None if fit is None else fit[2],
         closure_residual=_closure_residual(system, n, a, b, beta),
     )
 
@@ -642,9 +650,13 @@ def find_periodic_caustics(
 
 @functools.cache
 def _elliptic_integrals():
-    """scipy's K(k) and F(phi, k), imported on first use (scipy is slow to
-    import) and only once: an import statement in ``_rho`` would run on every call."""
-    from scipy.special import ellipk, ellipkinc
+    """K(k) and F(phi, k) from ``scipy.special.cython_special``, imported on first
+    use (scipy is slow to import) and only once: an import statement in ``_rho``
+    would run on every call.  These are the compiled routines that the
+    ``scipy.special`` ufuncs dispatch to, called directly on Python floats and
+    returning Python floats; a ufunc call on a Python float pays several times
+    the routine's own cost in per-call dispatch."""
+    from scipy.special.cython_special import ellipk, ellipkinc
 
     return ellipk, ellipkinc
 
@@ -658,7 +670,7 @@ def _rho(a: float, b: float, beta: float) -> float:
     """
     ellipk, ellipkinc = _elliptic_integrals()
     phi, k2, _ = _caustic_modulus(a, b, beta)
-    return float(ellipkinc(phi, k2)) / (2.0 * float(ellipk(k2)))
+    return ellipkinc(phi, k2) / (2.0 * ellipk(k2))
 
 
 def rotation_number(a: float, b: float, beta: float) -> float:

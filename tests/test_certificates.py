@@ -53,9 +53,11 @@ from magicbilliards.certificates import (
     _divide_linear,
     _pell_defect,
     _pell_seed,
+    _rho,
     _series_hankel,
     _sqrt_cubic_coeffs,
 )
+from magicbilliards.dynamics import _caustic_modulus
 
 A, B = 9.0, 4.0
 
@@ -1004,6 +1006,38 @@ def test_pell_matches_the_least_squares_reference_bit_for_bit(a, b):
     assert count >= 20
 
 
+@pytest.mark.parametrize("n, beta", [(100, 0.005799555901084596), (120, 0.004027949053944891)])
+def test_pell_returns_none_on_an_overflowed_series(capfd, n, beta):
+    """(9, 4) identity at its winding-1 root: the series overflows, and once
+    a term is not finite no later one is, so the last term shows it.  The
+    Pell solver returns None there, raises nothing, and writes nothing to
+    stderr (an SVD of inf entries makes LAPACK print a warning, then pass
+    the root at n = 100 and fail to converge at n = 120)."""
+    finite = [math.isfinite(c) for c in _sqrt_cubic_coeffs(1.0, B / A, beta / A, n)]
+    assert not finite[-1]
+    assert finite == sorted(finite, reverse=True)
+    assert pell_solve(MagicKind.IDENTITY, n, A, B, beta) is None
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("a, b", [(9.0, 4.0), (20.0, 3.0)])
+def test_bundle_pell_residual_is_pell_solves(a, b):
+    """The four systems at n = 3..12: at every root the bundle's Pell residual
+    is pell_solve's, bit for bit, or both are None."""
+    count = 0
+    for kind in MagicKind:
+        for n in range(3, 13):
+            if n % 2 == 1 and kind is MagicKind.IDENTITY:
+                continue
+            for r in find_periodic_caustics(kind, n, a, b, (0.0, a)):
+                pair = pell_solve(kind, n, a, b, r.beta)
+                want = None if pair is None else pair.residual.hex()
+                got = None if r.pell_residual is None else r.pell_residual.hex()
+                assert got == want, (kind, n, r.beta)
+                count += 1
+    assert count > 100
+
+
 # ---------------------------------------------------------------------------
 # argument checks shared by the evaluators
 
@@ -1194,17 +1228,75 @@ def test_rotation_number_degenerate():
         rotation_number(A, B, 9.7)
 
 
+def _rho_arguments():
+    """Every (a, b, beta) at which full searches evaluate rho: (9, 4), (20, 3),
+    (9, 4) scaled by 10^-6, 10^-3, 10^3 and 10^6, and six seeded families of
+    scale 1e-6 to 1e6, the four systems at n = 3..40, with the bundles left out."""
+    rng = np.random.default_rng(32)
+    families = [(9.0, 4.0), (20.0, 3.0), *((A * s, B * s) for s in (1e-6, 1e-3, 1e3, 1e6))]
+    families += [
+        (a, a * r) for a, r in zip(10.0 ** rng.uniform(-6.0, 6.0, 6), rng.uniform(0.15, 0.85, 6))
+    ]
+    args = set()
+
+    def recording(a, b, beta):
+        args.add((a, b, beta))
+        return _rho(a, b, beta)
+
+    with mock.patch.object(certificates, "_rho", recording), \
+            mock.patch.object(certificates, "_bundle", lambda *_: None):
+        for a, b in families:
+            for kind in MagicKind:
+                for n in range(3, 41):
+                    if n % 2 == 0 or kind is not MagicKind.IDENTITY:
+                        find_periodic_caustics(kind, n, a, b, (0.0, a))
+    return sorted(args)
+
+
+def test_rho_is_scipy_ufuncs_bit_for_bit():
+    """_rho calls the compiled routines behind scipy.special's ellipk and
+    ellipkinc directly; it returns what the ufuncs give, compared by ==, at
+    every argument of the searches above and at 20,000 seeded draws, a
+    quarter of them within 1e-12 to 1e-3 relative of b."""
+    import scipy.special as sc
+
+    rng = np.random.default_rng(3201)
+    draws = []
+    for i in range(20_000):
+        a = 10.0 ** rng.uniform(-6.0, 6.0)
+        b = a * rng.uniform(0.01, 0.99)
+        if i % 4 == 0:
+            beta = b * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -3.0))
+        else:
+            beta = rng.uniform(0.0, a)
+        if 0.0 < beta < a and beta != b:
+            draws.append((float(a), float(b), float(beta)))
+    args = _rho_arguments()
+    assert len(args) > 40_000
+    for a, b, beta in args + draws:
+        phi, m, _ = _caustic_modulus(a, b, beta)
+        want = float(sc.ellipkinc(phi, m)) / (2.0 * float(sc.ellipk(m)))
+        assert _rho(a, b, beta) == want, (a, b, beta)
+
+
 def test_import_loads_no_scipy():
-    """scipy is imported on first use: scipy.special by the rotation number,
-    which the search solves with a plain-Python Brent, and scipy.optimize by
-    the Pell solver only for its fallback polish."""
-    code = "import sys, magicbilliards; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    """scipy is imported on first use: scipy.special.cython_special by the
+    rotation number, which the search solves with a plain-Python Brent, and
+    scipy.optimize by the Pell solver only for its fallback polish.  In a
+    fresh process the import loads no scipy module, and a search then loads
+    cython_special, whose compiled K and F the rotation number calls."""
+    code = (
+        "import sys, magicbilliards\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "magicbilliards.find_periodic_caustics(magicbilliards.MagicKind.IDENTITY, 6, 9.0, 4.0, (0.0, 9.0))\n"
+        "print('scipy.special.cython_special' in sys.modules)\n"
+    )
     src = os.path.dirname(os.path.dirname(magicbilliards.__file__))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "True"]
 
 
 def test_search_and_cli_load_no_mpmath(tmp_path):
