@@ -50,14 +50,13 @@ from .geometry import (
     CausticId,
     CenterDegenerate,
     ConfocalFamily,
-    EllipticCoords,
     NoForwardHit,
     NotOnConic,
     caustic_of_line,
     classify_caustic,
+    elliptic_columns,
     normal_at,
     tangent_directions,
-    to_elliptic,
 )
 from .topology import (
     FomenkoGraph,
@@ -87,7 +86,6 @@ __all__ = [
     "DegenerateCubic",
     "DegenerateFocal",
     "DegenerateLevel",
-    "EllipticCoords",
     "FomenkoGraph",
     "GraphAtom",
     "GraphEdge",
@@ -111,6 +109,7 @@ __all__ = [
     "detect_closure",
     "ec_add",
     "ec_neg",
+    "elliptic_columns",
     "find_periodic_caustics",
     "fomenko_graph",
     "level_orbits",
@@ -123,7 +122,6 @@ __all__ = [
     "step_inverse",
     "tangent_directions",
     "tangent_phase",
-    "to_elliptic",
     "torsion_check",
     "trajectory",
 ]

@@ -96,12 +96,6 @@ class PellPair:
     q: tuple[float, ...]
     residual: float
 
-    @property
-    def degrees(self) -> tuple[int, int]:
-        # the zero polynomial reports degree -1
-        dq = len(self.q) - 1 if any(c != 0.0 for c in self.q) else -1
-        return len(self.p) - 1, dq
-
 
 @dataclass(frozen=True)
 class CertificateBundle:
@@ -185,13 +179,15 @@ def _series_hankel(system: MagicKind, n: int, a: float, b: float, beta: float):
     """The series of a root and its Hankel matrix, read by the determinant and the Pell seed.
 
     n terms on (1, b/a, beta/a), divided by (b/a - x) for odd flip-long; the
-    matrix has (n-1)//2 rows, entries s_{3+i+j} (even n) or s_{2+i+j} (odd n).
+    matrix has (n-1)//2 rows, entries s_{3+i+j} (even n) or s_{2+i+j} (odd n); at
+    n = 2 it is the 0x0 matrix, whose determinant is 1.
     """
     s = _sqrt_cubic_coeffs(1.0, b / a, beta / a, n)
     if n % 2 == 1 and system is MagicKind.FLIP_LONG:
         s = _divide_linear(s, b / a)
     size, first = (n - 1) // 2, 3 - n % 2
-    return s, np.array([[s[first + i + j] for j in range(size)] for i in range(size)])
+    hankel = np.array([[s[first + i + j] for j in range(size)] for i in range(size)])
+    return s, hankel.reshape(size, size)
 
 
 def _check_certificate(system: MagicKind, n: int, a: float, b: float, beta: float) -> None:
@@ -215,10 +211,11 @@ def cayley_det(
     """Hankel determinant whose vanishing certifies n-periodicity at caustic beta.
 
     Even n (any system): det of the (n/2 - 1)-size matrix with entries
-    B_{3+i+j}.  Odd n: flip-long uses C_{2+i+j} (hyperbola caustics
-    only), half-turn uses B_{2+i+j}; flip-short returns
-    ``CayleyMarker.ALWAYS_FALSE`` (odd closure is impossible), and the
-    identity system has no odd-n certificate here and raises.
+    B_{3+i+j}, so 1.0 at n = 2 (the empty matrix).  Odd n: flip-long uses
+    C_{2+i+j} (hyperbola caustics only), half-turn uses B_{2+i+j};
+    flip-short returns ``CayleyMarker.ALWAYS_FALSE`` (odd closure is
+    impossible), and the identity system has no odd-n certificate here
+    and raises.
 
     Internally the series is computed for the scaled cubic
     (1, b/a, beta/a): Hankel determinants are badly conditioned, and the
@@ -226,8 +223,6 @@ def cayley_det(
     beta matters, and it is invariant under the scaling.
     """
     _check_certificate(system, n, a, b, beta)
-    if n == 2:
-        return 1.0  # empty matrix: no n=2 condition, nothing vanishes
     if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
         return CayleyMarker.ALWAYS_FALSE
     return float(np.linalg.det(_series_hankel(system, n, a, b, beta)[1]))
@@ -358,13 +353,6 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
 # polynomial Pell equations
 
 
-def _pell_exists(system: MagicKind, n: int, b: float, beta: float) -> bool:
-    """Whether (system, n) has a Pell identity at the dimensionless (b, beta)."""
-    if n % 2 == 0 or system is MagicKind.HALF_TURN:
-        return n >= 3  # n = 2: q would be the zero polynomial and p^2 = 1 has no solution
-    return system is MagicKind.FLIP_LONG and b < beta < 1.0
-
-
 def _pell_seed(system: MagicKind, n: int, b: float, beta: float, s, hankel):
     """Initial (p, q) from the series: SVD null vector + truncated product.
 
@@ -381,8 +369,11 @@ def _pell_seed(system: MagicKind, n: int, b: float, beta: float, s, hankel):
     the dimensionless b/a and beta/a, or None when no certificate exists
     or the series overflowed (an SVD of inf entries is garbage or raises).
     """
-    if not _pell_exists(system, n, b, beta):
-        return None
+    if n % 2 == 0 or system is MagicKind.HALF_TURN:
+        if n < 3:  # q would be the zero polynomial, and p^2 = 1 has no solution
+            return None
+    elif not (system is MagicKind.FLIP_LONG and b < beta < 1.0):
+        return None  # odd identity and flip-short have none; flip-long needs a hyperbola
     if not math.isfinite(s[-1]):  # the recurrence carries an overflow to the last term
         return None
     m = n // 2
@@ -463,8 +454,6 @@ def pell_solve(
     _check_caustic(a, b, beta)
     if n < 2:
         raise ValueError("need n >= 2")
-    if not _pell_exists(system, n, b / a, beta / a):
-        return None
     fit = _pell_fit(system, n, b / a, beta / a, *_series_hankel(system, n, a, b, beta))
     if fit is None:
         return None

@@ -15,8 +15,9 @@ pass one.
 Exit codes: 0 success (including legitimately empty results), 1 usage
 errors (every ValueError, among them an output path whose directory is
 missing, checked before any computation) and failed writes (OSError), 2
-numerical or topology failures.  Files are written atomically (write to
-a temporary sibling, then rename).
+numerical or topology failures, among them a periodic root whose Cayley
+determinant is not finite (the file is still written, with null there).
+Files are written atomically (write to a temporary sibling, then rename).
 
 ``simulate`` serialises from columns: it takes the trajectory's float
 columns as they are, the elliptic coordinates and caustic come from the
@@ -66,7 +67,7 @@ def _write_atomic(path: str, data: str) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"  # NaN/Infinity are not JSON
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +201,11 @@ def cmd_simulate(
 
 
 def _bundle_dict(b: CertificateBundle) -> dict:
-    # the fields in declared order, the system by its name, then the verdict
-    return {**dataclasses.asdict(b), "system": b.system.value, "verified": b.verified}
+    # the fields in declared order, the system by its name, a determinant that
+    # overflowed or lost every digit as null, then the verdict
+    cayley = b.cayley_value if math.isfinite(b.cayley_value) else None
+    fields = {"system": b.system.value, "cayley_value": cayley, "verified": b.verified}
+    return {**dataclasses.asdict(b), **fields}
 
 
 def cmd_periodic(
@@ -218,7 +222,10 @@ def cmd_periodic(
         "reason": empty_reason(system, n),
     }
     _write_atomic(out_json, _dump_json(doc))
-    return 0
+    failed = [b for b in roots if not math.isfinite(b.cayley_value)]
+    for b in failed:
+        print(f"error: Cayley determinant {b.cayley_value!r} at beta = {b.beta!r}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ an ellipse for ``0 < lam < b``, a hyperbola for ``b < lam < a``, and
 degenerate at ``lam in {0, b, a}`` (the boundary itself, the focal
 segment, and the short axis).  The foci sit at ``(+-sqrt(a - b), 0)``.
 
-All functions are pure and operate on plain floats/tuples, except the
-array forms ``elliptic_columns`` and ``caustic_column``, which apply the
-scalar formulas elementwise to numpy columns; nothing here owns mutable
-state.
+All functions are pure and operate on plain floats/tuples, except
+``elliptic_columns`` and ``caustic_column``, which apply their formulas
+elementwise to numpy columns; nothing here owns mutable state.
 """
 from __future__ import annotations
 
@@ -85,14 +84,6 @@ class CausticId:
     #          | degenerate-short-axis
 
 
-@dataclass(frozen=True, slots=True)
-class EllipticCoords:
-    """Elliptic coordinates: lam1 on the ellipse sheet, lam2 on the hyperbola sheet."""
-
-    lam1: float
-    lam2: float
-
-
 def classify_caustic(fam: ConfocalFamily, lam: float) -> CausticId:
     """Attach the kind tag to a family parameter ``lam``.
 
@@ -113,37 +104,20 @@ def classify_caustic(fam: ConfocalFamily, lam: float) -> CausticId:
     raise ValueError(f"caustic parameter {lam} outside [0, a={fam.a}]")
 
 
-def to_elliptic(fam: ConfocalFamily, p: tuple[float, float]) -> EllipticCoords:
-    """Elliptic coordinates of a point.
-
-    (lam1, lam2) are the two roots of
-    ``x²/(a−λ) + y²/(b−λ) = 1`` through ``p``, i.e. of
-
-        λ² − Sλ + P = 0,  S = a + b − x² − y²,  P = ab − b x² − a y²,
-
-    sorted so that ``0 ≤ lam1 ≤ b ≤ lam2 ≤ a``.  Its array form, for many
-    points at once, is :func:`elliptic_columns`.
-
-    Raises
-    ------
-    CenterDegenerate
-        at the center, where the hyperbola sheet is undefined.
-    """
-    lam1, lam2 = elliptic_columns(fam, p[0], p[1])
-    return EllipticCoords(float(lam1), float(lam2))
-
-
 def elliptic_columns(fam: ConfocalFamily, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """(lam1, lam2) of :func:`to_elliptic` for arrays of points, elementwise.
+    """Elliptic coordinates (lam1, lam2) of points, elementwise over arrays.
 
-    numpy's + − × ÷ and sqrt round correctly, and the operations run in
-    the scalar order, so every entry is the scalar result bit for bit.
-    Clamps use ``where`` so that ties and NaN keep the scalar choice.
+    They are the two roots of ``x²/(a−λ) + y²/(b−λ) = 1`` through a point,
+    i.e. of λ² − Sλ + P = 0 with S = a + b − x² − y², P = ab − b x² − a y²,
+    sorted so that ``0 ≤ lam1 ≤ b ≤ lam2 ≤ a``; scalar inputs give 0-d
+    arrays.  numpy's + − × ÷ and sqrt round correctly and run in the
+    one-point formula's order, so every entry is that formula's result bit
+    for bit; clamps use ``where`` so that ties and NaN keep its choice.
 
     Raises
     ------
     CenterDegenerate
-        if any point is at the center.
+        if any point is at the center, where the hyperbola sheet is undefined.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -1,4 +1,6 @@
 """Command-line surface tests: outputs, envelopes, exit codes, determinism."""
+import ast
+import dataclasses
 import importlib
 import json
 import math
@@ -13,6 +15,7 @@ import threading
 import pytest
 
 import magicbilliards
+from magicbilliards import MagicKind, cli, find_periodic_caustics
 from magicbilliards.cli import _build_parser, _write_atomic, main
 from magicbilliards.geometry import VERTICAL_VX
 
@@ -63,6 +66,22 @@ def test_import_leaves_the_cli_unloaded():
         target = re.search(r'^magicbilliards = "(.+)"$', fh.read(), re.M).group(1)
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_package_root_exports_every_name_it_imports():
+    """Each name in magicbilliards.__all__ resolves, and each public name that
+    __init__ imports is listed in __all__."""
+    with open(magicbilliards.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert len(set(magicbilliards.__all__)) == len(magicbilliards.__all__)
+    assert all(hasattr(magicbilliards, name) for name in magicbilliards.__all__)
+    assert public <= set(magicbilliards.__all__), public - set(magicbilliards.__all__)
 
 
 def test_simulate_golden_vertical_chord(tmp_path):
@@ -313,6 +332,60 @@ def test_periodic_two_reason(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["roots"] == []
     assert doc["reason"] == "no nondegenerate 2-periodic caustic exists"
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _hex(value):
+    """A float by float.hex, so that equal means the same bits; anything else as it is."""
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize(
+    "n, interval",
+    [(32, (0.0, 9.0)), (100, (0.0057, 0.0059))],  # the determinant overflows / turns NaN
+)
+def test_periodic_writes_null_for_a_non_finite_determinant_and_exits_two(
+    tmp_path, capsys, monkeypatch, n, interval
+):
+    """The document stays strict JSON: such a root's cayley_value is null and
+    it is not verified, every other field is the search's by float.hex, one
+    stderr line names each such root, and the run exits 2.
+
+    The bundles are compared with the ones the command's own search returned:
+    a second search in one process can differ from the first in the bits of
+    a polished Pell residual (at the n = 32 root, 6.3e-10 against 2.2e-9).
+    """
+    searched = []
+
+    def search(*args):
+        searched.append(args)
+        searched.append(find_periodic_caustics(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(cli, "find_periodic_caustics", search)
+    out = tmp_path / "roots.json"
+    argv = ["periodic", "--n", str(n), "--interval", "%r:%r" % interval, "--out", str(out)]
+    with pytest.warns(RuntimeWarning):  # numpy's det warns as it overflows
+        rc = main(argv)
+    assert rc == 2
+    args, roots = searched
+    assert args == (MagicKind.IDENTITY, n, 9.0, 4.0, interval)
+    doc = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    failed = [r for r in roots if not math.isfinite(r.cayley_value)]
+    assert len(failed) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: Cayley determinant {r.cayley_value!r} at beta = {r.beta!r}" for r in failed
+    ]
+    assert len(doc["roots"]) == len(roots)
+    for got, want in zip(doc["roots"], roots):
+        fields = {**dataclasses.asdict(want), "system": want.system.value, "verified": want.verified}
+        if not math.isfinite(want.cayley_value):
+            assert (got["cayley_value"], got["verified"]) == (None, False)
+            fields["cayley_value"] = None
+        assert {k: _hex(v) for k, v in got.items()} == {k: _hex(v) for k, v in fields.items()}
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,9 @@ from magicbilliards import (
     ConfocalFamily,
     caustic_of_line,
     classify_caustic,
+    elliptic_columns,
     normal_at,
     tangent_directions,
-    to_elliptic,
 )
 from magicbilliards.geometry import (
     GRAZE_RTOL,
@@ -20,7 +20,6 @@ from magicbilliards.geometry import (
     VERTICAL_VX,
     _hit_time,
     caustic_column,
-    elliptic_columns,
 )
 
 FAM = ConfocalFamily(9.0, 4.0)
@@ -60,21 +59,21 @@ def test_boundary_point_on_conic():
 def test_elliptic_coords_quadratic_oracle():
     # lambda solves lam^2 - S lam + P = 0 with S = a+b-x^2-y^2 and
     # P = ab - b x^2 - a y^2; at (1,1) that is lam^2 - 11 lam + 23 = 0.
-    e = to_elliptic(FAM, (1.0, 1.0))
+    lam1, lam2 = elliptic_columns(FAM, 1.0, 1.0)
     r = math.sqrt(29.0)
-    assert e.lam1 == pytest.approx((11.0 - r) / 2.0, rel=1e-14)
-    assert e.lam2 == pytest.approx((11.0 + r) / 2.0, rel=1e-14)
+    assert float(lam1) == pytest.approx((11.0 - r) / 2.0, rel=1e-14)
+    assert float(lam2) == pytest.approx((11.0 + r) / 2.0, rel=1e-14)
 
 
 def test_elliptic_coords_ordering_and_ranges():
     for p in [(2.0, 0.5), (0.3, 1.9), (-2.5, -0.2), (1.0, -1.0)]:
-        e = to_elliptic(FAM, p)
-        assert 0.0 <= e.lam1 <= FAM.b <= e.lam2 <= FAM.a
+        lam1, lam2 = elliptic_columns(FAM, *p)
+        assert 0.0 <= lam1 <= FAM.b <= lam2 <= FAM.a
 
 
 def test_center_degenerate():
     with pytest.raises(CenterDegenerate):
-        to_elliptic(FAM, (0.0, 0.0))
+        elliptic_columns(FAM, 0.0, 0.0)
 
 
 @given(
@@ -83,7 +82,7 @@ def test_center_degenerate():
 )
 @settings(max_examples=200, deadline=None)
 def test_elliptic_roundtrip(t, r):
-    """to_elliptic's (lam1, lam2) put the point back on both confocal conics:
+    """elliptic_columns' (lam1, lam2) put the point back on both confocal conics:
     x²/(a−λ) + y²/(b−λ) = 1 for each λ.
 
     The tolerance is what a rounding error in λ explains: 4 ulp of the
@@ -96,10 +95,10 @@ def test_elliptic_roundtrip(t, r):
     y = r * math.sqrt(b) * math.sin(t)
     if abs(x) < 1e-6 or abs(y) < 1e-6:
         return  # on an axis one conic degenerates to a segment: b − λ1 or a − λ2 is 0
-    e = to_elliptic(FAM, (x, y))
+    lam1, lam2 = (float(v) for v in elliptic_columns(FAM, x, y))
     eps = 2.0**-52
-    dlam = eps * (a + (a + b) ** 2 / (e.lam2 - e.lam1))
-    for lam in (e.lam1, e.lam2):
+    dlam = eps * (a + (a + b) ** 2 / (lam2 - lam1))
+    for lam in (lam1, lam2):
         residual = x * x / (a - lam) + y * y / (b - lam) - 1.0
         slope = x * x / (a - lam) ** 2 + y * y / (b - lam) ** 2
         assert abs(residual) <= 4.0 * (eps + slope * dlam), (lam, residual)
@@ -301,7 +300,7 @@ def test_tangent_directions_round_trip_through_caustic_of_line():
 
 
 def _to_elliptic_scalar(fam, x, y):
-    # the scalar formula of to_elliptic, written out
+    # the one-point formula of elliptic_columns, written out
     s = fam.a + fam.b - x * x - y * y
     prod = fam.a * fam.b - fam.b * x * x - fam.a * y * y
     disc = max(s * s - 4.0 * prod, 0.0)
@@ -350,8 +349,6 @@ def test_array_columns_match_the_scalar_functions(ratio, inner, walls):
     for i in range(len(x)):
         want = _to_elliptic_scalar(fam, x[i], y[i])
         assert (lam1[i].hex(), lam2[i].hex()) == (want[0].hex(), want[1].hex())
-        ell = to_elliptic(fam, (x[i], y[i]))
-        assert (ell.lam1.hex(), ell.lam2.hex()) == (want[0].hex(), want[1].hex())
         assert caustic[i].hex() == caustic_of_line(fam, (x[i], y[i]), (vx[i], vy[i])).lam.hex()
 
 
