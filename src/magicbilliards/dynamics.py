@@ -442,41 +442,47 @@ def _dn(sn: np.ndarray, cn: np.ndarray, m1: float) -> np.ndarray:
 
 
 def _jacobi_steps(u0: np.ndarray, h: float, steps: int, m, m1):
-    """(sn, cn)(u0 + k h | m) for k = 1..steps, by the addition theorem.
+    """(sn, cn)(u0 + k h | m) for k = 0 and k = 1..steps, by the addition theorem.
 
     u0 is a column with one row per orbit, and h, m and m1 the level's
     advance and modulus.  With B = ceil(sqrt(steps + 1)), k = g B + j
     splits each phase into a baby step u0 + j h, j < B, and a giant step
-    g (B h), and :func:`_jacobi` evaluates each table once, the giant
-    steps once for all orbits.  The addition theorem (DLMF 22.8.1-2)
-    joins them, its denominator 1 - m sn1² sn2² written as
+    g (B h), shared by all orbits, and one :func:`_jacobi` call (one
+    Landen descent) evaluates both tables.  The addition theorem (DLMF
+    22.8.1-2) joins them, its denominator 1 - m sn1² sn2² written as
     dn1² + m sn1² cn2², a sum of non-negative terms that does not cancel
     as m -> 1.  Where both terms are small the quotient still loses
     about 1e-16 / sqrt(m1): some 4e-12 at m1 = 1e-9, the smallest m1 of
     a regular level (see ``DEGENERATE_RTOL``), and 2e-10 at m1 = 1e-12.
     dn, where a level reads it, is :func:`_dn` of the two.
 
-    Returns a function of a row slice that gives those rows as
+    Returns the seeds' (sn, cn) as columns, the baby table's column 0
+    (u0 + 0 h is u0 bit for bit unless u0 is -0.0 and h > 0), and a
+    function of a row slice that gives those rows' k = 1..steps as
     (rows, steps) arrays.  The tables are built once for every row, and
     the join is elementwise, so a row's values do not depend on the slice.
     """
     baby = math.isqrt(steps) + 1  # ceil(sqrt(steps + 1))
     giant = -(-(steps + 1) // baby)
-    s1, c1, d1 = _jacobi(u0 + np.arange(baby) * h, m, m1)
-    s2, c2, d2 = _jacobi(np.arange(giant) * (baby * h), m, m1)
-    # the factors of each term: baby steps run along the last axis and
-    # giant steps along the middle one, so k = g B + j reads row-major
+    u1 = u0 + np.arange(baby) * h
+    s, c, d = _jacobi(np.append(u1, np.arange(giant) * (baby * h)), m, m1)
+    s1, c1, d1 = (t[:u1.size].reshape(u1.shape) for t in (s, c, d))
+    s2, c2, d2 = (t[u1.size:] for t in (s, c, d))
+    # the factors of each term; k = g B + j reads row-major, and the giant
+    # ones as (giant, baby) tables multiply faster than as (giant, 1) columns
     by_baby = (s1, c1 * d1, c1, s1 * d1, d1 * d1, m * s1 * s1)
-    c2d2, s2, c2, s2d2, c2c2 = (t[:, None] for t in (c2 * d2, s2, c2, s2 * d2, c2 * c2))
+    c2d2, s2, c2, s2d2, c2c2 = (
+        np.repeat(t[:, None], baby, 1) for t in (c2 * d2, s2, c2, s2 * d2, c2 * c2))
 
     def at(rows: slice) -> tuple[np.ndarray, np.ndarray]:
         s1, c1d1, c1, s1d1, d1d1, ms1s1 = (t[rows, None, :] for t in by_baby)
-        den = d1d1 + ms1s1 * c2c2
-        return tuple((num / den).reshape(len(den), -1)[:, 1:steps + 1] for num in (
+        n = len(s1)
+        den = (d1d1 + ms1s1 * c2c2).reshape(n, -1)[:, 1:steps + 1]
+        return tuple(num.reshape(n, -1)[:, 1:steps + 1] / den for num in (
             s1 * c2d2 + c1d1 * s2, c1 * c2 - s1d1 * s2d2
         ))
 
-    return at
+    return (s1[:, :1], c1[:, :1]), at
 
 
 def _twin(ellipse: bool, t: float, sign: float) -> tuple[float, tuple[float, float]]:
@@ -496,7 +502,8 @@ def _level_grid(table: TableSpec, beta: float, turns: list[float], steps: int):
 
     Returns the seeds' impact points ``(x0, y0)``, as columns, and a
     function of a row slice of ``turns`` that gives those seeds'
-    ``(x, y, qx, qy, inner)``, as :func:`level_orbits` does.
+    ``(x, y, qx, qy, inner)``, as :func:`level_orbits` does.  The seeds
+    are read from the baby table (:func:`_jacobi_steps`): one Landen descent.
     """
     fam = table.fam
     a, b, lam = fam.a, fam.b, table.inner_lam
@@ -537,8 +544,8 @@ def _level_grid(table: TableSpec, beta: float, turns: list[float], steps: int):
             y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * _dn(sn, cn, m1)
             return x, y, inner
 
-    x0, y0, _ = impacts(*_jacobi(u0, m, m1)[:2], np.zeros((1, 1), dtype=int))
-    tables = _jacobi_steps(u0, h, steps, m, m1)
+    seeds, tables = _jacobi_steps(u0, h, steps, m, m1)
+    x0, y0, _ = impacts(*seeds, np.zeros((1, 1), dtype=int))
     k = np.arange(1, steps + 1)[None, :]
 
     def grid(rows: slice):

@@ -33,9 +33,9 @@ from .dynamics import (
 )
 from .geometry import ConfocalFamily, classify_caustic
 
-# seeds labelled together (a seed's labels never depend on another's).  One
-# block of the default 32 rows took 4.5-5.1 ms per classify_level and 4 MB
-# more peak RSS; blocks of 8 took 2.3-3.0 ms (2-core x86-64 Xeon)
+# seeds labelled together (a seed's labels never depend on another's).  At the
+# defaults a hyperbola level took 1.9-2.1 ms in blocks of 8, 2.1-3.0 ms in 4,
+# 2.2-2.3 ms in 16 and 2.8-3.7 ms in one of 32 rows (2-core x86-64 Xeon)
 SEED_BLOCK = 8
 
 _ATOM_LOOKUP = {
@@ -140,33 +140,31 @@ def _hyperbola_labels(
 ) -> np.ndarray:
     """Index into _HYPERBOLA_LABELS of each segment tangent to C_beta, or -1.
 
-    A segment runs from (x, y) along (vx, vy) to a wall point at height
-    qy (before magic).  Its label combines the vertical direction (U/D),
-    the branch touched (R/L, by the sign of the tangency point's x), and
-    the long-axis side of the segment (T/B, or X when it crosses the
-    axis).  Near-horizontal segments, tangency points near the short
-    axis, and segments touching the long axis get no label.
+    A segment runs from (x, y) along any nonzero (vx, vy) to a wall point
+    at height qy (before magic).  Its label combines the vertical
+    direction (U/D), the branch touched (R/L, by the sign of the tangency
+    point's x), and the long-axis side of the segment (T/B, or X when it
+    crosses the axis).  Near-horizontal segments (|vy| < 1e-9 |v|),
+    tangency points near the short axis (|x*| < 1e-9), and segments
+    touching the long axis get no label.
 
-    The tangency point is the vertex t = −gamma/alpha of the quadratic
-    for the segment's line meeting C_beta.  That quadratic's discriminant
-    is zero in exact arithmetic, so its computed sign is roundoff and is
-    not consulted.  A segment along an asymptote of C_beta has alpha = 0
-    up to roundoff; when it rounds to 0 exactly the tangency point is at
-    x = ±inf, labelled by its sign as a roundoff-sized alpha would be.
+    The tangency point is the pole of the segment's line: n.X = c touches
+    x²/A + y²/B = 1 at (A n_x / c, B n_y / c), so with n = (vy, -vx),
+    x* = (a - beta) vy / c for the cross product c = x vy - y vx, and R
+    holds when vy and c have the same sign.  A segment through the center
+    lies along an asymptote, its pole at infinity; it is labelled by the
+    sign of its roundoff c, and a c of 0 exactly gives L on either
+    vertical direction, so that ``_MIRROR`` still maps its labels.
     """
-    aa = fam.a - beta
-    bb = fam.b - beta
-    alpha = vx * vx / aa + vy * vy / bb
-    gamma = (x * vx) / aa + (y * vy) / bb
-    with np.errstate(divide="ignore"):
-        xstar = x - (gamma / alpha) * vx
-    top = (y > 0.0) & (qy > 0.0)
-    bottom = (y < 0.0) & (qy < 0.0)
-    cross = y * qy < 0.0
-    side = np.where(bottom, 0, np.where(top, 1, 2))
-    code = np.where(vy > 0.0, 6, 0) + np.where(xstar > 0.0, 3, 0) + side
-    labelled = (np.abs(vy) >= 1e-9) & (np.abs(xstar) >= 1e-9) & (top | bottom | cross)
-    return np.where(labelled, code, -1)
+    cross = x * vy - y * vx
+    avy = np.abs(vy)
+    north, q_north = y > 0.0, qy > 0.0
+    # 6 U + 3 R + side (B 0, T 1, X 2), summed in int8 to keep the temporaries small
+    code = np.int8(6) * (vy > 0.0) + np.int8(3) * (vy * cross > 0.0)
+    code += np.int8(2) * (north != q_north) + (north & q_north)
+    labelled = (avy * avy >= 1e-18 * (vx * vx + avy * avy)) & (y != 0.0) & (qy != 0.0)
+    labelled &= (fam.a - beta) * avy >= 1e-9 * np.abs(cross)
+    return np.where(labelled, code, -1).astype(np.int64)  # for _label_masks' shifts
 
 
 def _level_phases(samples: int) -> list[tuple[float, float]]:
@@ -221,23 +219,17 @@ def _level_signatures(
         rows = slice(lo, lo + SEED_BLOCK)
         x, y, qx, qy, _ = grid(rows)
         # impact 0 is the seed; segment i runs from impact i to wall point i + 1
-        px = np.hstack([x0[rows], x[:, :-1]])
-        py = np.hstack([y0[rows], y[:, :-1]])
+        px, py = np.hstack([x0[rows], x[:, :-1]]), np.hstack([y0[rows], y[:, :-1]])
         if winding:
-            spin = px * qy - py * qx
-            code = np.where(spin > 0.0, 0, np.where(spin < 0.0, 1, -1))  # CCW, CW
+            spin = px * qy - py * qx  # CCW where > 0 (bit 0), CW where < 0 (bit 1)
+            out += (np.any(spin > 0.0, axis=1) + 2 * np.any(spin < 0.0, axis=1)).tolist()
         else:
-            vx, vy = qx - px, qy - py
-            h = np.hypot(vx, vy)
-            code = _hyperbola_labels(fam, beta, px, py, vx / h, vy / h, qy)
-        out += _label_masks(code)
+            out += _label_masks(_hyperbola_labels(fam, beta, px, py, qx - px, qy - py, qy))
     upper = dict(zip(runs, out))
     # bit j of a mask goes to the bit of names[j]'s mirror image
     flip = [1 << names.index(_MIRROR[lab]) for lab in names]
-    return [
-        upper[t] if sign > 0.0 else sum(bit for j, bit in enumerate(flip) if upper[t] >> j & 1)
-        for t, (_, sign) in zip(twins, phases)
-    ]
+    mirror = {mask: sum(bit for j, bit in enumerate(flip) if mask >> j & 1) for mask in set(out)}
+    return [upper[t] if sign > 0.0 else mirror[upper[t]] for t, (_, sign) in zip(twins, phases)]
 
 
 def _merge_count(masks: list[int], names: tuple[str, ...]) -> tuple[int, list[tuple[str, str]]]:

@@ -13,6 +13,7 @@ from magicbilliards import (
     NoForwardHit,
     TableSpec,
     caustic_of_line,
+    classify_level,
     closure_defect,
     detect_closure,
     level_orbits,
@@ -23,6 +24,7 @@ from magicbilliards import (
     tangent_phase,
     trajectory,
 )
+from magicbilliards import dynamics
 from magicbilliards.dynamics import (
     DegenerateLevel,
     _agm,
@@ -389,13 +391,80 @@ def test_jacobi_steps_match_mpmath(m1):
     with mp.workdps(30):
         m = 1 - mp.mpf(m1)
         for u0, h in ((-20.0, 12.0), (-3.7, -0.31), (0.9, 5.5), (20.0, -7.25)):
-            sn, cn = _jacobi_steps(np.array([[u0]]), h, 1000, 1.0 - m1, m1)(slice(None))
+            sn, cn = _jacobi_steps(np.array([[u0]]), h, 1000, 1.0 - m1, m1)[1](slice(None))
             dn = _dn(sn, cn, m1)  # as the hyperbola levels of _level_grid take it
             assert sn.shape == cn.shape == dn.shape == (1, 1000)
             for k in ks:
                 u = mp.mpf(u0) + k * mp.mpf(h)
                 for name, got in (("sn", sn), ("cn", cn), ("dn", dn)):
                     assert abs(got[0, k - 1] - float(mp.ellipfun(name, u, m))) <= 1e-11
+
+
+def _two_call_steps(u0, h, steps, m, m1):
+    """_jacobi_steps' seeds and k = 1..steps with the baby and giant tables in two calls."""
+    baby = math.isqrt(steps) + 1
+    giant = -(-(steps + 1) // baby)
+    s1, c1, d1 = _jacobi(u0 + np.arange(baby) * h, m, m1)
+    s2, c2, d2 = _jacobi(np.arange(giant) * (baby * h), m, m1)
+    s1, c1, d1 = (t[:, None, :] for t in (s1, c1, d1))
+    s2, c2, d2 = (t[:, None] for t in (s2, c2, d2))
+    den = d1 * d1 + m * s1 * s1 * (c2 * c2)
+    sn, cn = (
+        (num / den).reshape(len(u0), -1)[:, 1:steps + 1]
+        for num in (s1 * (c2 * d2) + (c1 * d1) * s2, c1 * c2 - (s1 * d1) * (s2 * d2))
+    )
+    seeds = _jacobi(u0, m, m1)[:2]
+    return seeds, (sn, cn)
+
+
+def test_jacobi_steps_take_one_landen_descent(monkeypatch):
+    # the seeds' (sn, cn) are the baby table's column 0, u0 + 0 h, and
+    # the baby and giant tables share one _jacobi call: both must give the
+    # bits of separate calls, signed zeros included, at every position
+    rng = np.random.default_rng(34)
+    calls = []
+
+    def counted(u, m, m1):
+        calls.append(u.shape)
+        return _jacobi(u, m, m1)
+
+    monkeypatch.setattr(dynamics, "_jacobi", counted)
+    for m1 in (0.5, 1e-3, 1e-9):
+        for steps in (1, 2, 3, 50, 399, 400, 1000):
+            for h in (0.37, -0.37, 5.5, -12.0, rng.uniform(-20.0, 20.0)):
+                u0 = np.concatenate([rng.uniform(-50.0, 50.0, 9), [0.0, 1e-300]])
+                if h < 0.0:
+                    u0 = np.append(u0, -0.0)  # -0.0 + (0 h) keeps its sign only when h < 0
+                u0 = u0[:, None]
+                calls.clear()
+                seeds, at = _jacobi_steps(u0, h, steps, 1.0 - m1, m1)
+                assert len(calls) == 1
+                (s0, c0), (sn, cn) = _two_call_steps(u0, h, steps, 1.0 - m1, m1)
+                assert seeds[0].tobytes() == s0.tobytes()
+                assert seeds[1].tobytes() == c0.tobytes()
+                got = at(slice(None))
+                assert got[0].tobytes() == sn.tobytes()
+                assert got[1].tobytes() == cn.tobytes()
+
+
+def test_a_level_takes_one_landen_descent(monkeypatch):
+    calls = []
+    real = dynamics._jacobi
+
+    def counted(u, m, m1):
+        calls.append(u.shape)
+        return real(u, m, m1)
+
+    monkeypatch.setattr(dynamics, "_jacobi", counted)
+    phases = [(0.1, 1.0), (0.1, -1.0), (-0.4, 1.0), (1.3, -1.0)]
+    for table in list(ELL.values()) + list(ANN.values()):
+        for beta in (2.5, 6.0):
+            calls.clear()
+            classify_level(table, beta)
+            assert len(calls) == 1
+            calls.clear()
+            level_orbits(table, beta, phases, 300)
+            assert len(calls) == 1
 
 
 def _jacobi_numpy(u, m, m1):

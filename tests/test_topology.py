@@ -257,6 +257,120 @@ def _tangency_x(fam, beta, x, y, vx, vy):
     return x - ((x * vx / aa + y * vy / bb) / (vx * vx / aa + vy * vy / bb)) * vx
 
 
+def _stationary_point_labels(fam, beta, x, y, vx, vy, qy):
+    """_hyperbola_labels' codes from the stationary point of the unit direction.
+
+    The reference for the pole form: the direction is normalised, the
+    tangency point is :func:`_tangency_x`, and both thresholds are
+    absolute.  A segment along an asymptote, whose alpha rounds to 0
+    exactly, gets x* = ±inf or NaN here, as it did in the package.
+    """
+    h = np.hypot(vx, vy)
+    vx, vy = vx / h, vy / h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xstar = _tangency_x(fam, beta, x, y, vx, vy)
+    top = (y > 0.0) & (qy > 0.0)
+    bottom = (y < 0.0) & (qy < 0.0)
+    side = np.where(bottom, 0, np.where(top, 1, 2))
+    code = np.where(vy > 0.0, 6, 0) + np.where(xstar > 0.0, 3, 0) + side
+    labelled = (np.abs(vy) >= 1e-9) & (np.abs(xstar) >= 1e-9) & (top | bottom | (y * qy < 0.0))
+    return np.where(labelled, code, -1)
+
+
+def _pole_sweep_levels(count):
+    """Seeded hyperbola levels for the pole-label sweep, every combination in turn.
+
+    Thin (b/a <= 0.05) and round (b/a >= 0.95) families, ellipse and
+    annulus tables, the four maps, levels 1e-8 a to 1e-3 a above b or
+    below a, or anywhere between, and samples 16, 17, 64 against steps
+    50, 400, 1000.
+    """
+    rng = np.random.default_rng(34)
+    combos = itertools.cycle(itertools.product(
+        ("thin", "round"), (False, True), MagicKind, ("near b", "near a", "between"),
+        ((16, 50), (17, 400), (64, 1000), (16, 1000), (17, 50), (64, 400)),
+    ))
+    levels = []
+    while len(levels) < count:
+        shape, annulus, kind, where, (samples, steps) = next(combos)
+        a = rng.uniform(1.0, 20.0)
+        ratio = rng.uniform(0.001, 0.05) if shape == "thin" else rng.uniform(0.95, 0.999)
+        fam = ConfocalFamily(a, ratio * a)
+        table = TableSpec(fam, kind, rng.uniform(0.1, 0.9) * fam.b if annulus else None)
+        gap = 10.0 ** rng.uniform(-8.0, -3.0) * a
+        beta = {
+            "near b": fam.b + gap,
+            "near a": fam.a - gap,
+            "between": fam.b + rng.uniform(0.001, 0.999) * (fam.a - fam.b),
+        }[where]
+        if fam.b < beta < fam.a and _is_regular(table, beta):
+            levels.append((table, beta, samples, steps))
+    return levels
+
+
+def test_pole_labels_match_the_stationary_point_form():
+    # _level_signatures labels each segment from the pole of its line,
+    # along the unnormalised q - p; the reference normalises the direction
+    # and finds the tangency point as the stationary point of the conic
+    # along the line, on every seed's own orbit
+    levels = _pole_sweep_levels(540)
+    labelled = 0
+    for table, beta, samples, steps in levels:
+        phases = _level_phases(samples)
+        x0, y0 = _seed_points(table, beta, phases)
+        x, y, qx, qy, _ = level_orbits(table, beta, phases, steps)
+        px, py = np.hstack([x0, x[:, :-1]]), np.hstack([y0, y[:, :-1]])
+        code = _stationary_point_labels(table.fam, beta, px, py, qx - px, qy - py, qy)
+        labelled += int((code >= 0).sum())
+        assert _level_signatures(table, beta, phases, steps) == _label_masks(code), (
+            table, beta, samples, steps
+        )
+    assert {t.outer_map for t, *_ in levels} == set(MagicKind)
+    assert {t.shape for t, *_ in levels} == {"ellipse", "annulus"}
+    assert labelled > 0.9 * sum(len(_level_phases(s)) * n for _, _, s, n in levels)
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1e-3, 1.0, 7.0, 1e3, 2.0**40])
+def test_pole_label_thresholds_are_scale_free(scale):
+    # the label of a line depends on its direction only up to scale:
+    # x* = (a - beta) vy / (x vy - y vx) and the thresholds |x*| >= 1e-9
+    # and |vy| >= 1e-9 |v| sit where they sit for a unit direction
+    fam, beta = FAM, 6.0
+    aa = fam.a - beta
+    rows = []
+    for target in (-2e-9, -0.5e-9, 0.5e-9, 2e-9, -0.3, 0.3):
+        for ux, uy in ((0.6, 0.8), (0.6, -0.8), (-0.28, 0.96)):
+            # a point at height 0.5 on the line whose pole has x = target
+            y = 0.5
+            x = (aa * uy / target + y * ux) / uy
+            rows.append((x, y, ux, uy, 1.0, (abs(target) >= 1e-9, target > 0.0)))
+    for r in (-2e-9, -0.5e-9, 0.5e-9, 2e-9):
+        # near-horizontal lines through (0.1, 0.5), their pole far off the axis
+        ux, uy = 1.0 / math.sqrt(1.0 + r * r), r / math.sqrt(1.0 + r * r)
+        cross = 0.1 * uy - 0.5 * ux
+        rows.append((0.1, 0.5, ux, uy, 1.0, (abs(uy) >= 1e-9, aa * uy / cross > 0.0)))
+    x, y, ux, uy, qy = (np.array(c) for c in list(zip(*rows))[:5])
+    codes = _hyperbola_labels(fam, beta, x, y, scale * ux, scale * uy, qy)
+    assert np.array_equal(codes, _hyperbola_labels(fam, beta, x, y, ux, uy, qy))
+    for code, (*_, uy_i, _, (labelled, right)) in zip(codes, rows):
+        assert (code >= 0) == labelled
+        if labelled:
+            label = _HYPERBOLA_LABELS[code]
+            assert label == ("U" if uy_i > 0.0 else "D") + ("R" if right else "L") + "T"
+
+
+def test_a_line_through_the_center_is_labelled_l_both_ways():
+    # x vy - y vx is 0 exactly, the pole at infinity: the segment keeps a
+    # label, L on either vertical direction, so that its mirror in the
+    # long axis is labelled as _MIRROR maps it
+    x, y = np.array([1.5, 1.5]), np.array([1.0, -1.0])
+    vx, vy = np.array([0.75, 0.75]), np.array([0.5, -0.5])
+    assert not (x * vy - y * vx).any()
+    codes = _hyperbola_labels(FAM, 6.0, x, y, vx, vy, 2.0 * y)
+    assert [_HYPERBOLA_LABELS[c] for c in codes] == ["ULT", "DLB"]
+    assert topology._MIRROR["ULT"] == "DLB"
+
+
 def _scalar_label(fam, beta, x, y, vx, vy, qy):
     xstar = _tangency_x(fam, beta, x, y, vx, vy)
     if abs(vy) < 1e-9 or abs(xstar) < 1e-9:
@@ -918,7 +1032,8 @@ def test_classification_raises_no_numpy_warnings():
 
 def test_a_segment_along_an_asymptote_raises_no_warning():
     # segment 549 of seed 31 on this level is a diameter along an asymptote
-    # of the caustic, where alpha in _hyperbola_labels rounds to 0 exactly
+    # of the caustic, where the stationary-point form's alpha rounds to 0
+    # exactly and the pole of the line is at infinity
     table = TableSpec(ConfocalFamily(13.850435646728982, 10.19309788788021), MagicKind.FLIP_LONG)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
