@@ -13,7 +13,6 @@ lambda with 0 <= lambda <= a.
 """
 
 from .certificates import (
-    CayleyMarker,
     CertificateBundle,
     CurvePoint,
     DegenerateCubic,
@@ -76,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryPhase",
     "CausticId",
-    "CayleyMarker",
     "CenterDegenerate",
     "CertificateBundle",
     "ClosureReport",

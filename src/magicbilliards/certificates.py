@@ -12,10 +12,12 @@ a confocal caustic C_beta close up after n reflections:
 Which parities admit a certificate depends on the magic kind:
 
     kind         even n            odd n
-    identity     Hankel in B       (no certificate in scope)
+    identity     Hankel in B       (none in scope: UnsupportedParity)
     flip-long    Hankel in B       Hankel in C, hyperbola caustics only
-    flip-short   Hankel in B       never periodic
+    flip-short   Hankel in B       never periodic: UnsupportedParity
     half-turn    Hankel in B       Hankel in B, shifted index
+
+Outside this one domain (``_check_certificate``) all three raise alike.
 
 ``find_periodic_caustics`` ties everything together: it enumerates the
 windings m allowed by the closed-form rotation number, solves
@@ -30,7 +32,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -61,12 +62,6 @@ class UnsupportedParity(ValueError):
 
 class DegenerateFocal(ValueError):
     """The focal-segment caustic beta = b separates the two caustic regimes."""
-
-
-class CayleyMarker(Enum):
-    """Non-numeric certificate outcomes."""
-
-    ALWAYS_FALSE = "always-false"  # flip-short, odd n: closure impossible
 
 
 @dataclass(frozen=True)
@@ -190,32 +185,36 @@ def _series_hankel(system: MagicKind, n: int, a: float, b: float, beta: float):
     return s, hankel.reshape(size, size)
 
 
+def _check_odd_identity(system: MagicKind, n: int) -> None:
+    """The identity system has no odd-period certificate in scope; the search shares this."""
+    if n % 2 == 1 and system is MagicKind.IDENTITY:
+        raise UnsupportedParity("identity system: no odd-period certificate")
+
+
 def _check_certificate(system: MagicKind, n: int, a: float, b: float, beta: float) -> None:
-    """The domain of ``cayley_det`` and ``torsion_check``: (system, parity of n, caustic
-    side) with a periodicity condition, and at odd n three distinct cubic roots (else
-    the curve is singular).  Odd flip-short is left to each caller."""
+    """The one domain of ``cayley_det``, ``torsion_check`` and ``pell_solve``: a valid
+    caustic, n >= 2, a periodicity condition at (system, parity of n, caustic side), odd
+    flip-short raising with ``empty_reason``'s text, and at odd n a nonsingular curve."""
     _check_caustic(a, b, beta)
     if n < 2:
         raise ValueError("need n >= 2")
-    if n % 2 == 1 and system is not MagicKind.FLIP_SHORT:
-        if system is MagicKind.IDENTITY:
-            raise UnsupportedParity("identity system: no odd-period certificate")
+    _check_odd_identity(system, n)
+    if n % 2 == 1:
+        if system is MagicKind.FLIP_SHORT:
+            raise UnsupportedParity(empty_reason(system, n))
         _check_distinct(a, b, beta)
         if system is MagicKind.FLIP_LONG and not (b < beta < a):
             raise ValueError("odd flip-long certificate needs a hyperbola caustic")
 
 
-def cayley_det(
-    system: MagicKind, n: int, a: float, b: float, beta: float
-) -> float | CayleyMarker:
+def cayley_det(system: MagicKind, n: int, a: float, b: float, beta: float) -> float:
     """Hankel determinant whose vanishing certifies n-periodicity at caustic beta.
 
     Even n (any system): det of the (n/2 - 1)-size matrix with entries
     B_{3+i+j}, so 1.0 at n = 2 (the empty matrix).  Odd n: flip-long uses
-    C_{2+i+j} (hyperbola caustics only), half-turn uses B_{2+i+j};
-    flip-short returns ``CayleyMarker.ALWAYS_FALSE`` (odd closure is
-    impossible), and the identity system has no odd-n certificate here
-    and raises.
+    C_{2+i+j} (hyperbola caustics only), half-turn uses B_{2+i+j}.
+    Outside ``_check_certificate``'s domain, which the three certificates
+    share, it raises: at odd n for the identity and flip-short systems.
 
     Internally the series is computed for the scaled cubic
     (1, b/a, beta/a): Hankel determinants are badly conditioned, and the
@@ -223,8 +222,6 @@ def cayley_det(
     beta matters, and it is invariant under the scaling.
     """
     _check_certificate(system, n, a, b, beta)
-    if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
-        return CayleyMarker.ALWAYS_FALSE
     return float(np.linalg.det(_series_hankel(system, n, a, b, beta)[1]))
 
 
@@ -340,12 +337,9 @@ def torsion_check(system: MagicKind, n: int, a: float, b: float, beta: float) ->
     1/(1+|x|) of the resulting point — 0 at infinity — to be compared
     against ``TORSION_TOL``.  It is exact, from integer division
     polynomials at the doubles a, b and beta, with one rounding to the
-    nearest double.  It raises where ``cayley_det`` raises, and at odd
-    flip-short, which has no torsion condition.
+    nearest double.  It raises where ``cayley_det`` raises.
     """
     _check_certificate(system, n, a, b, beta)
-    if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
-        raise UnsupportedParity("flip-short: no odd-period torsion condition")
     return _torsion_residual(system, n, a, b, beta)
 
 
@@ -366,14 +360,12 @@ def _pell_seed(system: MagicKind, n: int, b: float, beta: float, s, hankel):
     and odd flip-long and w_top^2 for odd half-turn; p and q are scaled by
     lead(0) and quad(0): 1 and b beta, or b and beta for flip-long.
     Returns (p, q) as sigma-coefficients on (1, b, beta), with b and beta
-    the dimensionless b/a and beta/a, or None when no certificate exists
-    or the series overflowed (an SVD of inf entries is garbage or raises).
+    the dimensionless b/a and beta/a, or None at n = 2 or when the series
+    overflowed (an SVD of inf entries is garbage or raises).  (system, n,
+    beta) is in ``_check_certificate``'s domain.
     """
-    if n % 2 == 0 or system is MagicKind.HALF_TURN:
-        if n < 3:  # q would be the zero polynomial, and p^2 = 1 has no solution
-            return None
-    elif not (system is MagicKind.FLIP_LONG and b < beta < 1.0):
-        return None  # odd identity and flip-short have none; flip-long needs a hyperbola
+    if n < 3:  # q would be the zero polynomial, and p^2 = 1 has no solution
+        return None
     if not math.isfinite(s[-1]):  # the recurrence carries an overflow to the last term
         return None
     m = n // 2
@@ -448,12 +440,11 @@ def pell_solve(
     The series seed is accepted when its defect is already within
     ``PELL_TOL``; otherwise it is polished by MINPACK's Levenberg-Marquardt
     (lmder, Jacobian column scaling) on the defect coefficients, with
-    their exact Jacobian.  Returns None when no identity exists for the
-    parity or the residual stays above ``PELL_TOL``.
+    their exact Jacobian.  It raises where ``cayley_det`` raises, and
+    returns None only when no fit comes within ``PELL_TOL`` (at n = 2, or
+    where the series overflows, none is tried).
     """
-    _check_caustic(a, b, beta)
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_certificate(system, n, a, b, beta)
     fit = _pell_fit(system, n, b / a, beta / a, *_series_hankel(system, n, a, b, beta))
     if fit is None:
         return None
@@ -468,7 +459,7 @@ def pell_solve(
 def _pell_fit(system: MagicKind, n: int, b: float, beta: float, s, hankel):
     """The Pell fit on the dimensionless (b, beta), from ``_series_hankel``'s (s, hankel):
     (p, q, residual), with p and q before ``pell_solve`` normalises their signs, or
-    None when no identity exists or the residual is not within ``PELL_TOL``."""
+    None when ``_pell_seed`` has no seed or the residual is not within ``PELL_TOL``."""
     seed = _pell_seed(system, n, b, beta, s, hankel)
     if seed is None:
         return None
@@ -607,8 +598,7 @@ def find_periodic_caustics(
     if not (0.0 <= lo < hi <= a):
         raise ValueError(f"interval {interval} not inside (0, {a})")
     odd = n % 2 == 1
-    if odd and system is MagicKind.IDENTITY:
-        raise UnsupportedParity("identity system: no odd-period certificate")
+    _check_odd_identity(system, n)
     if empty_reason(system, n) is not None:
         return []
     margin = ROOT_MARGIN_RTOL * a

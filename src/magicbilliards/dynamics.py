@@ -504,6 +504,9 @@ def _level_grid(table: TableSpec, beta: float, turns: list[float], steps: int):
     function of a row slice of ``turns`` that gives those seeds'
     ``(x, y, qx, qy, inner)``, as :func:`level_orbits` does.  The seeds
     are read from the baby table (:func:`_jacobi_steps`): one Landen descent.
+    Impact k, k = 0 the seed, is (cx_k sn, cy_k cn) on an ellipse level and
+    (cx_k sn, cy_k dn) on a hyperbola level; the rows cx and cy, the signs
+    before magic and the inner-wall mask are built once for the level.
     """
     fam = table.fam
     a, b, lam = fam.a, fam.b, table.inner_lam
@@ -512,48 +515,40 @@ def _level_grid(table: TableSpec, beta: float, turns: list[float], steps: int):
     phi, m, m1 = _caustic_modulus(a, b, beta)
     an, bn, _ = _agm(m, m1)
     u0 = (2.0 * math.pi / an[-1]) * np.array(turns)[:, None]  # 4K(m) t, _jacobi's 4K
+    k = np.arange(steps + 1)
     # A seed (u0, h) puts impact k at phase u0 + k h before magic; the
     # maps' u -> -u flips the sign of sn, and u -> u + 2K those of sn and cn.
+    # On an ellipse level, after an odd number of bounces, the flips have
+    # sent u to -u and flip-long and half-turn have added 2K: the point
+    # changes sign as the map's (sx, sy).  On a hyperbola level, after an
+    # odd number of outer hits, flip-short and half-turn have added 2K to u
+    # (x changes sign as sx) and the branch has turned; on an annulus (ring)
+    # the walls alternate.
+    ring = beta > b and lam is not None
     if beta < b:
-        h = 2.0 * _ellipf(phi, an, bn)
-
-        def impacts(sn, cn, k):
-            # after an odd number of bounces the flips have sent u to -u
-            # and flip-long and half-turn have added 2K: the point changes
-            # sign as the map's (sx, sy)
-            odd = k % 2 == 1
-            x = -sa * np.where(odd, sx, 1.0) * sn
-            return x, sb * np.where(odd, sy, 1.0) * cn, np.zeros(k.shape, dtype=bool)
-
+        h, scale, turn = 2.0 * _ellipf(phi, an, bn), -1.0, sy  # x = -sqrt(a) sn, exactly
+    elif lam is None:
+        h, scale, turn = 2.0 * _ellipf(phi, an, bn), math.sqrt(m), -sy
     else:
-        root_m = math.sqrt(m)
-        if lam is None:
-            h, turn = 2.0 * _ellipf(phi, an, bn), -sy
-            ax, ay = sa, sb
-        else:
-            h, turn = _annulus_advance(a, b, beta, lam, an, bn), sy
-            ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
+        h, scale, turn = _annulus_advance(a, b, beta, lam, an, bn), math.sqrt(m), sy
+    inner = (k % 2 == 1) & ring
+    odd = (k // 2 if ring else k) % 2 == 1
+    ax, ay = (math.sqrt(a - lam), math.sqrt(b - lam)) if ring else (sa, sb)
+    cx = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * scale
+    cy = np.where(inner, ay, sb) * np.where(odd, turn, 1.0)
+    inner = inner[1:]
+    px, py = np.where(inner, 1.0, sx), np.where(inner, 1.0, sy)
 
-        def impacts(sn, cn, k):
-            # after an odd number of outer hits flip-short and half-turn
-            # have added 2K to u (x changes sign as sx) and the branch
-            # has turned
-            odd = (k if lam is None else k // 2) % 2 == 1
-            inner = (k % 2 == 1) & (lam is not None)
-            x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m * sn
-            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * _dn(sn, cn, m1)
-            return x, y, inner
+    def impacts(ks: slice, sn, cn):
+        return cx[ks] * sn, cy[ks] * (cn if beta < b else _dn(sn, cn, m1))
 
     seeds, tables = _jacobi_steps(u0, h, steps, m, m1)
-    x0, y0, _ = impacts(*seeds, np.zeros((1, 1), dtype=int))
-    k = np.arange(1, steps + 1)[None, :]
 
     def grid(rows: slice):
-        x, y, inner = impacts(*tables(rows), k)
-        qx, qy = np.where(inner, 1.0, sx) * x, np.where(inner, 1.0, sy) * y
-        return x, y, qx, qy, np.broadcast_to(inner, x.shape)
+        x, y = impacts(slice(1, None), *tables(rows))
+        return x, y, px * x, py * y, np.broadcast_to(inner, x.shape)
 
-    return (x0, y0), grid
+    return impacts(slice(0, 1), *seeds), grid
 
 
 def level_orbits(

@@ -22,13 +22,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import magicbilliards
 from magicbilliards import (
-    CayleyMarker,
     ConfocalFamily,
     CurvePoint,
     DegenerateCubic,
     DegenerateFocal,
     INFINITY,
     MagicKind,
+    PellPair,
     TableSpec,
     UnsupportedParity,
     cayley_det,
@@ -143,7 +143,8 @@ def test_cayley_even_is_system_independent():
 
 
 def test_cayley_odd_markers_and_errors():
-    assert cayley_det(MagicKind.FLIP_SHORT, 3, A, B, 2.5) is CayleyMarker.ALWAYS_FALSE
+    with pytest.raises(UnsupportedParity, match="flip-short trajectories close only"):
+        cayley_det(MagicKind.FLIP_SHORT, 3, A, B, 2.5)
     with pytest.raises(UnsupportedParity):
         cayley_det(MagicKind.IDENTITY, 3, A, B, 2.5)
     with pytest.raises(ValueError):
@@ -166,7 +167,7 @@ def _cayley_det_two_branches(system, n, a, b, beta):
         return float(np.linalg.det(mat))
     m = (n - 1) // 2
     if system is MagicKind.FLIP_SHORT:
-        return CayleyMarker.ALWAYS_FALSE
+        raise UnsupportedParity("flip-short trajectories close only with an even period")
     if system is MagicKind.IDENTITY:
         raise UnsupportedParity("identity system: no odd-period certificate")
     certificates._check_distinct(a, b, beta)
@@ -181,7 +182,7 @@ def _cayley_det_two_branches(system, n, a, b, beta):
 
 def test_cayley_index_rule_matches_the_two_branch_form_bit_for_bit():
     """One index rule, entries s_{3+i+j} (even n) or s_{2+i+j} (odd n) on
-    (n-1)//2 rows, gives the two-branch values, markers and exceptions.
+    (n-1)//2 rows, gives the two-branch values and exceptions.
 
     The four systems, n = 2..16, one ellipse and two hyperbola caustics
     on (9, 4), (20, 3) and four seeded families with b/a in [0.15, 0.85].
@@ -203,12 +204,9 @@ def test_cayley_index_rule_matches_the_two_branch_form_bit_for_bit():
                         assert (got.type, str(got.value)) == (type(exc), str(exc)), case
                         continue
                     got = cayley_det(system, n, a, b, beta)
-                    if isinstance(want, CayleyMarker):
-                        assert got is want, case
-                    else:
-                        assert got.hex() == want.hex(), case
+                    assert got.hex() == want.hex(), case
                     values += 1
-    assert values == 912
+    assert values == 786
 
 
 def test_root_sets_match_goldens():
@@ -249,6 +247,56 @@ def test_find_periodic_argument_checks():
         find_periodic_caustics(MagicKind.IDENTITY, 3, A, B, (0.0, A))
     assert find_periodic_caustics(MagicKind.FLIP_SHORT, 5, A, B, (0.0, A)) == []
     assert find_periodic_caustics(MagicKind.HALF_TURN, 2, A, B, (0.0, A)) == []
+
+
+def _search_checks_reference(system, n, a, b, interval):
+    """find_periodic_caustics' argument checks, in their order, written out: the
+    error they raise, True where the search returns [] unsearched, else False."""
+    if not (math.isfinite(a) and a > b > 0.0):
+        return ValueError, f"need finite a > b > 0, got a={a!r}, b={b!r}"
+    if abs(a - b) < 1e-12 * max(abs(a), abs(b)):
+        return DegenerateCubic, f"repeated cubic root: {a} ~ {b}"
+    if n < 2:
+        return ValueError, "need n >= 2"
+    lo, hi = interval
+    if not (0.0 <= lo < hi <= a):
+        return ValueError, f"interval {interval} not inside (0, {a})"
+    if n % 2 == 1 and system is MagicKind.IDENTITY:
+        return UnsupportedParity, "identity system: no odd-period certificate"
+    return n == 2 or (n % 2 == 1 and system is MagicKind.FLIP_SHORT)
+
+
+def test_find_periodic_argument_checks_keep_their_order():
+    """Type, message and precedence of every argument check, against the order
+    family, near-circular, n >= 2, interval, odd identity, then empty reason.
+
+    n = -1..4, the four systems, valid, reversed, NaN and out-of-range
+    intervals, on (9, 4), two invalid families and a near-circular one with
+    a - b = 1e-13 a.
+    """
+    families = [(A, B), (B, A), (math.inf, B), (A, A * (1.0 - 1e-13))]
+    outcomes = Counter()
+    for a, b in families:
+        intervals = [(0.0, a), (1.0, 8.0), (5.0, 3.0), (2.0, 2.0), (math.nan, a), (0.0, math.nan),
+                     (-1.0, a), (0.0, a + 1.0)]
+        for interval in intervals:
+            for system in MagicKind:
+                for n in (-1, 0, 1, 2, 3, 4):
+                    case = (a, b, interval, system, n)
+                    want = _search_checks_reference(system, n, a, b, interval)
+                    if isinstance(want, tuple):
+                        with pytest.raises(ValueError) as got:
+                            find_periodic_caustics(system, n, a, b, interval)
+                        assert (got.type, str(got.value)) == want, case
+                        outcomes[want[0].__name__] += 1
+                        continue
+                    roots = find_periodic_caustics(system, n, a, b, interval)
+                    assert isinstance(roots, list) and (roots == [] if want else roots), case
+                    outcomes["empty" if want else "searched"] += 1
+    assert outcomes == {
+        "ValueError": 552, "DegenerateCubic": 192, "UnsupportedParity": 2,
+        "empty": 10, "searched": 12,
+    }
 
 
 # root counts from the closed-form prediction of bench/checks.py
@@ -690,8 +738,9 @@ def test_pell_half_turn_odd_on_samples():
 
 def test_pell_returns_none_off_root():
     assert pell_solve(MagicKind.IDENTITY, 4, A, B, 2.5) is None
-    # flip-long odd needs a hyperbola caustic
-    assert pell_solve(MagicKind.FLIP_LONG, 3, A, B, 2.5) is None
+    # flip-long odd needs a hyperbola caustic: outside the domain it raises
+    with pytest.raises(ValueError, match="needs a hyperbola caustic"):
+        pell_solve(MagicKind.FLIP_LONG, 3, A, B, 2.5)
 
 
 @pytest.mark.parametrize(
@@ -929,7 +978,8 @@ def _pell_seed_reference(system, n, a, b, beta):
 
 
 def test_pell_seed_matches_the_padded_products_bit_for_bit():
-    """Every key and n = 3..40, on seeded families, on the dimensionless (b/a, beta/a)."""
+    """Every key and n = 3..40 in the certificates' domain, on seeded families, on
+    the dimensionless (b/a, beta/a)."""
     rng = np.random.default_rng(19)
     families = [(9.0, 4.0), (20.0, 3.0), (2.5, 1.0), (7.0, 1.0), *PELL_FAMILIES]
     families += [(a, a * r) for a, r in zip(rng.uniform(1.0, 20.0, 4), rng.uniform(0.15, 0.85, 4))]
@@ -938,6 +988,8 @@ def test_pell_seed_matches_the_padded_products_bit_for_bit():
         for beta in (0.37 * b, b + 0.21 * (a - b), b + 0.83 * (a - b)):
             for system in PELL_KEYS:
                 for n in range(3, 41):
+                    if not _has_certificate(system, n, a, b, beta):
+                        continue
                     got = _pell_seed(
                         system, n, b / a, beta / a, *_series_hankel(system, n, a, b, beta)
                     )
@@ -1076,38 +1128,42 @@ def test_evaluators_reject_a_cubic_whose_constant_term_underflows(evaluator, a, 
 
 
 def test_cayley_and_torsion_reject_alike():
-    """torsion_check raises exactly where cayley_det raises, with the same
-    type and message, and returns a number wherever cayley_det does.
+    """cayley_det, torsion_check and pell_solve share one domain: wherever one
+    raises, all three raise the same type and message; elsewhere the first
+    two return floats and pell_solve a PellPair or None.
 
     The four systems, n = 2..9, on (9, 4), (20, 3) and a near-circular
     family, at an ellipse caustic, 1e-13 either side of b, a hyperbola
-    caustic and 1e-13 under a.  Odd flip-short is left out: cayley_det
-    marks it ALWAYS_FALSE where torsion_check has no condition to state.
-    At (9, 4) half-turn n = 5, beta = 4 (1 + 1e-13), the curve is singular
-    and both must raise DegenerateCubic.
+    caustic and 1e-13 under a.  At (9, 4) half-turn n = 5, beta = 4 (1 + 1e-13),
+    the curve is singular and all three must raise DegenerateCubic.
     """
+    evaluators = (cayley_det, torsion_check, pell_solve)
     raised = values = 0
     for a, b in [(9.0, 4.0), (20.0, 3.0), (9.0, 9.0 * (1.0 - 1e-13))]:
         near = (b * (1.0 - 1e-13), b * (1.0 + 1e-13), a * (1.0 - 1e-13))
         for beta in (0.37 * b, *near, b + 0.21 * (a - b)):
             for system in MagicKind:
                 for n in range(2, 10):
-                    if n % 2 == 1 and system is MagicKind.FLIP_SHORT:
-                        continue
                     case = (a, b, beta, system, n)
-                    try:
-                        cayley_det(system, n, a, b, beta)
-                    except ValueError as exc:
-                        with pytest.raises(ValueError) as got:
-                            torsion_check(system, n, a, b, beta)
-                        assert (got.type, str(got.value)) == (type(exc), str(exc)), case
+                    got, errors = [], set()
+                    for evaluator in evaluators:
+                        try:
+                            got.append(evaluator(system, n, a, b, beta))
+                        except Exception as exc:
+                            errors.add((type(exc), str(exc)))
+                    if errors or len(got) < len(evaluators):
+                        assert not got and len(errors) == 1, (case, got, errors)
+                        assert issubclass(errors.pop()[0], ValueError), case
                         raised += 1
                         continue
-                    assert isinstance(torsion_check(system, n, a, b, beta), float), case
+                    cayley, torsion, pell = got
+                    assert isinstance(cayley, float) and isinstance(torsion, float), case
+                    assert pell is None or isinstance(pell, PellPair), case
                     values += 1
-    assert (raised, values) == (156, 264)
-    with pytest.raises(DegenerateCubic):
-        torsion_check(MagicKind.HALF_TURN, 5, A, B, B * (1.0 + 1e-13))
+    assert (raised, values) == (216, 264)
+    for evaluator in evaluators:
+        with pytest.raises(DegenerateCubic):
+            evaluator(MagicKind.HALF_TURN, 5, A, B, B * (1.0 + 1e-13))
 
 
 # ---------------------------------------------------------------------------

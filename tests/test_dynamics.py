@@ -34,6 +34,7 @@ from magicbilliards.dynamics import (
     _ellipf,
     _jacobi,
     _jacobi_steps,
+    _level_grid,
 )
 from magicbilliards.certificates import find_periodic_caustics
 from magicbilliards.geometry import GRAZE_RTOL, HIT_TMIN_RTOL, _hit_time
@@ -465,6 +466,87 @@ def test_a_level_takes_one_landen_descent(monkeypatch):
             calls.clear()
             level_orbits(table, beta, phases, 300)
             assert len(calls) == 1
+
+
+def _two_closure_grid(table, beta, turns, steps):
+    """_level_grid with each impact built by one of two closures, written out."""
+    fam = table.fam
+    a, b, lam = fam.a, fam.b, table.inner_lam
+    sa, sb = math.sqrt(a), math.sqrt(b)
+    sx, sy = table.outer_map.signs
+    phi, m, m1 = _caustic_modulus(a, b, beta)
+    an, bn, _ = _agm(m, m1)
+    u0 = (2.0 * math.pi / an[-1]) * np.array(turns)[:, None]
+    if beta < b:
+        h = 2.0 * _ellipf(phi, an, bn)
+
+        def impacts(sn, cn, k):
+            odd = k % 2 == 1
+            x = -sa * np.where(odd, sx, 1.0) * sn
+            return x, sb * np.where(odd, sy, 1.0) * cn, np.zeros(k.shape, dtype=bool)
+
+    else:
+        root_m = math.sqrt(m)
+        if lam is None:
+            h, turn = 2.0 * _ellipf(phi, an, bn), -sy
+            ax, ay = sa, sb
+        else:
+            h, turn = _annulus_advance(a, b, beta, lam, an, bn), sy
+            ax, ay = math.sqrt(a - lam), math.sqrt(b - lam)
+
+        def impacts(sn, cn, k):
+            odd = (k if lam is None else k // 2) % 2 == 1
+            inner = (k % 2 == 1) & (lam is not None)
+            x = np.where(inner, ax, sa) * np.where(odd, sx, 1.0) * root_m * sn
+            y = np.where(inner, ay, sb) * np.where(odd, turn, 1.0) * _dn(sn, cn, m1)
+            return x, y, inner
+
+    seeds, tables = _jacobi_steps(u0, h, steps, m, m1)
+    x0, y0, _ = impacts(*seeds, np.zeros((1, 1), dtype=int))
+    k = np.arange(1, steps + 1)[None, :]
+
+    def grid(rows):
+        x, y, inner = impacts(*tables(rows), k)
+        qx, qy = np.where(inner, 1.0, sx) * x, np.where(inner, 1.0, sy) * y
+        return x, y, qx, qy, np.broadcast_to(inner, x.shape)
+
+    return (x0, y0), grid
+
+
+def test_level_grid_matches_the_two_closure_form_bit_for_bit():
+    # 512 seeded levels: b/a at both ends and between, both tables (annulus
+    # ellipse levels lie inside the inner wall and never reach it), the four
+    # maps, steps 1, 2, 50 and 1000, seeds at t = +-1/2, and the whole grid
+    # against row slices of 3 and 8; tobytes() tells -0.0 from 0.0
+    rng = np.random.default_rng(35)
+    bands = [(0.001, 0.05), (0.05, 0.95), (0.95, 0.999)]
+    counts = {"ellipse": 0, "hyperbola": 0, "annulus-ellipse": 0}
+    for i in range(512):
+        system, steps = list(MagicKind)[i % 4], (1, 2, 50, 1000)[i // 4 % 4]
+        a = rng.uniform(1.0, 20.0)
+        fam = ConfocalFamily(a, a * rng.uniform(*bands[i // 16 % 3]))
+        annulus = i // 48 % 2 == 1
+        lam = rng.uniform(0.1, 0.9) * fam.b if annulus else None
+        table = TableSpec(fam, system, lam)
+        if rng.uniform() < 0.5:
+            beta = rng.uniform(0.01, 0.99) * (table.inner_lam or fam.b)
+        else:
+            beta = fam.b + rng.uniform(0.01, 0.99) * (fam.a - fam.b)
+        turns = [0.5, -0.5, *rng.uniform(-3.0, 3.0, 9)]
+        (x0, y0), grid = _level_grid(table, beta, turns, steps)
+        (w0, v0), want = _two_closure_grid(table, beta, turns, steps)
+        case = (fam.a, fam.b, table.inner_lam, system, beta, steps)
+        pairs = [(x0, w0), (y0, v0)]
+        for rows in (slice(None), slice(0, 3), slice(3, 11)):
+            pairs += zip(grid(rows), want(rows))
+        for got, ref in pairs:
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape), case
+            assert got.tobytes() == ref.tobytes(), case
+        if beta < fam.b:
+            assert not grid(slice(None))[4].any(), case
+        counts["annulus-ellipse" if annulus and beta < fam.b else
+               "ellipse" if beta < fam.b else "hyperbola"] += 1
+    assert min(counts.values()) > 50, counts
 
 
 def _jacobi_numpy(u, m, m1):
